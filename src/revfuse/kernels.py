@@ -1,15 +1,17 @@
 """Deterministic numpy kernels with explicit backward companions.
 
-Every kernel here is a pure function of its inputs with a fixed reduction
-order, so repeated evaluation is bit-identical — a property the reversible
-engine leans on (inversion tests, byte-identical CSV runs).  Convolution is
-the direct algorithm: an explicit loop over kernel offsets with strided
-slices of the padded input and an einsum over channels.  No FFT, no im2col
-heuristics, no threading.
+Every kernel here is a pure function of its inputs, so repeated evaluation
+is bit-identical for given shapes and BLAS thread count — a property the
+reversible engine leans on (inversion tests, byte-identical CSV runs).
+Convolution is the direct algorithm: a loop over kernel offsets with
+strided slices of the padded input.  Channel mixing at each offset is one
+batched BLAS ``matmul``; depthwise convolution stays elementwise.  Bilinear
+upsampling is a gather forward and a separable matrix product backward.
+No FFT and no im2col.
 
 Backward companions return gradients with respect to every input that can
 carry one.  They are hand-derived vector-Jacobian products; the test suite
-checks each against central finite differences.
+checks each against central finite differences and adjoint identities.
 """
 
 from __future__ import annotations
@@ -86,6 +88,23 @@ def _patch(xp: np.ndarray, ky: int, kx: int, oh: int, ow: int, s: int) -> np.nda
     return xp[:, :, ky : ky + (oh - 1) * s + 1 : s, kx : kx + (ow - 1) * s + 1 : s]
 
 
+def _pad(x: np.ndarray, pad: int) -> np.ndarray:
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+
+
+def _is_depthwise(p: ConvParams) -> bool:
+    return p.groups == p.in_channels == p.out_channels
+
+
+def _offset_weights(p: ConvParams) -> np.ndarray:
+    """Weights as (kh*kw, groups, out_c/groups, in_c/groups), one contiguous
+    matrix stack per kernel offset, so each feeds BLAS without a copy."""
+    oc, icg, kh, kw = p.weights.shape
+    g = p.groups
+    w = p.weights.reshape(g, oc // g, icg, kh * kw)
+    return np.ascontiguousarray(w.transpose(3, 0, 1, 2))
+
+
 def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     n, c, h, w = x.shape
     if c != p.in_channels:
@@ -96,34 +115,24 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     s, pad, g = p.stride, p.padding, p.groups
     oh = conv_out_size(h, kh, s, pad)
     ow = conv_out_size(w, kw, s, pad)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    wt = p.weights
-    out = np.zeros((n, p.out_channels, oh, ow), dtype=x.dtype)
+    xp = _pad(x.data, pad)
 
-    depthwise = g == c == p.out_channels and wt.shape[1] == 1
-    if g == 1:
+    if _is_depthwise(p):
+        out = np.zeros((n, c, oh, ow), dtype=x.dtype)
+        term = np.empty_like(out)
         for ky in range(kh):
             for kx in range(kw):
-                out += np.einsum(
-                    "nihw,oi->nohw", _patch(xp, ky, kx, oh, ow, s), wt[:, :, ky, kx]
-                )
-    elif depthwise:
-        for ky in range(kh):
-            for kx in range(kw):
-                out += _patch(xp, ky, kx, oh, ow, s) * wt[:, 0, ky, kx][None, :, None, None]
+                np.multiply(_patch(xp, ky, kx, oh, ow, s),
+                            p.weights[:, 0, ky, kx][None, :, None, None], out=term)
+                out += term
     else:
-        icg = c // g
-        ocg = p.out_channels // g
-        for gi in range(g):
-            xs = slice(gi * icg, (gi + 1) * icg)
-            os_ = slice(gi * ocg, (gi + 1) * ocg)
-            for ky in range(kh):
-                for kx in range(kw):
-                    out[:, os_] += np.einsum(
-                        "nihw,oi->nohw",
-                        _patch(xp, ky, kx, oh, ow, s)[:, xs],
-                        wt[os_, :, ky, kx],
-                    )
+        # (n, g, ocg, oh*ow) = sum over offsets of (g, ocg, icg) @ (n, g, icg, oh*ow)
+        wk = _offset_weights(p)
+        cols = lambda k: _patch(xp, k // kw, k % kw, oh, ow, s).reshape(n, g, -1, oh * ow)
+        out = np.matmul(wk[0], cols(0))
+        for k in range(1, kh * kw):
+            out += np.matmul(wk[k], cols(k))
+        out = out.reshape(n, p.out_channels, oh, ow)
     if p.bias is not None:
         out += p.bias[None, :, None, None]
     return wrap(out, "conv2d")
@@ -137,41 +146,30 @@ def conv2d_backward(
     kh, kw = p.kernel
     s, pad, g = p.stride, p.padding, p.groups
     oh, ow = gy.h, gy.w
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = _pad(x.data, pad)
     gxp = np.zeros_like(xp)
     gw = np.zeros_like(p.weights)
     gyd = gy.data
 
-    depthwise = g == c == p.out_channels and p.weights.shape[1] == 1
-    if g == 1:
+    if _is_depthwise(p):
+        term = np.empty_like(gyd)
         for ky in range(kh):
             for kx in range(kw):
                 patch = _patch(xp, ky, kx, oh, ow, s)
-                gw[:, :, ky, kx] = np.einsum("nohw,nihw->oi", gyd, patch)
-                _patch(gxp, ky, kx, oh, ow, s)[...] += np.einsum(
-                    "nohw,oi->nihw", gyd, p.weights[:, :, ky, kx]
-                )
-    elif depthwise:
-        for ky in range(kh):
-            for kx in range(kw):
-                patch = _patch(xp, ky, kx, oh, ow, s)
-                gw[:, 0, ky, kx] = (gyd * patch).sum(axis=(0, 2, 3))
-                _patch(gxp, ky, kx, oh, ow, s)[...] += (
-                    gyd * p.weights[:, 0, ky, kx][None, :, None, None]
-                )
+                gw[:, 0, ky, kx] = np.einsum("nchw,nchw->c", gyd, patch)
+                np.multiply(gyd, p.weights[:, 0, ky, kx][None, :, None, None], out=term)
+                _patch(gxp, ky, kx, oh, ow, s)[...] += term
     else:
-        icg = c // g
-        ocg = p.out_channels // g
-        for gi in range(g):
-            xs = slice(gi * icg, (gi + 1) * icg)
-            os_ = slice(gi * ocg, (gi + 1) * ocg)
-            for ky in range(kh):
-                for kx in range(kw):
-                    patch = _patch(xp, ky, kx, oh, ow, s)[:, xs]
-                    gw[os_, :, ky, kx] = np.einsum("nohw,nihw->oi", gyd[:, os_], patch)
-                    _patch(gxp, ky, kx, oh, ow, s)[:, xs] += np.einsum(
-                        "nohw,oi->nihw", gyd[:, os_], p.weights[os_, :, ky, kx]
-                    )
+        # grad_x: Wᵀ·gy; grad_w: gy·patchᵀ summed over the batch
+        wk = _offset_weights(p)
+        gyg = gyd.reshape(n, g, -1, oh * ow)
+        gwg = gw.reshape(g, p.out_channels // g, c // g, kh, kw)
+        for k in range(kh * kw):
+            ky, kx = divmod(k, kw)
+            patch = _patch(xp, ky, kx, oh, ow, s).reshape(n, g, -1, oh * ow)
+            gwg[..., ky, kx] = np.matmul(gyg, patch.swapaxes(-1, -2)).sum(axis=0)
+            _patch(gxp, ky, kx, oh, ow, s)[...] += np.matmul(
+                wk[k].swapaxes(-1, -2), gyg).reshape(n, c, oh, ow)
     gb = gyd.sum(axis=(0, 2, 3)) if p.bias is not None else None
     gx = gxp[:, :, pad : pad + h, pad : pad + w] if pad else gxp
     return wrap(np.ascontiguousarray(gx), "conv2d_backward"), gw, gb
@@ -221,21 +219,26 @@ def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
     return wrap(out, "bilinear_upsample")
 
 
+def _bilinear_matrix(in_size: int, factor: int, dtype) -> np.ndarray:
+    """(in_size*factor, in_size) interpolation matrix of one axis: row i
+    blends the two source samples that output position i reads."""
+    i0, i1, frac = _bilinear_axis(in_size, factor)
+    frac = frac.astype(dtype)
+    rows = np.arange(i0.size)
+    a = np.zeros((i0.size, in_size), dtype=dtype)
+    a[rows, i0] = 1 - frac
+    a[rows, i1] += frac  # i1 == i0 only at the clamped border, where frac == 0
+    return a
+
+
 def bilinear_upsample_backward(in_shape, factor: int, gy: Tensor) -> Tensor:
-    """Scatter-add transpose of bilinear_upsample (deterministic np.add.at)."""
+    """Transpose of bilinear_upsample as separable matrix products Ayᵀ·g·Ax."""
     if factor == 1:
         return Tensor(gy.data.copy())
     n, c, h, w = in_shape
-    iy0, iy1, fy = _bilinear_axis(h, factor)
-    ix0, ix1, fx = _bilinear_axis(w, factor)
-    fy = fy.astype(gy.dtype)[:, None]
-    fx = fx.astype(gy.dtype)[None, :]
-    gx = np.zeros((n, c, h, w), dtype=gy.dtype)
-    g = gy.data
-    np.add.at(gx, (slice(None), slice(None), iy0[:, None], ix0[None, :]), g * (1 - fy) * (1 - fx))
-    np.add.at(gx, (slice(None), slice(None), iy0[:, None], ix1[None, :]), g * (1 - fy) * fx)
-    np.add.at(gx, (slice(None), slice(None), iy1[:, None], ix0[None, :]), g * fy * (1 - fx))
-    np.add.at(gx, (slice(None), slice(None), iy1[:, None], ix1[None, :]), g * fy * fx)
+    ay = _bilinear_matrix(h, factor, gy.dtype)
+    ax = _bilinear_matrix(w, factor, gy.dtype)
+    gx = ay.T @ (gy.data.reshape(-1, gy.w) @ ax).reshape(n, c, gy.h, w)
     return wrap(gx, "bilinear_upsample_backward")
 
 
@@ -280,12 +283,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ConfigurationError(f"elementwise sub shape mismatch {a.shape} vs {b.shape}")
     return wrap(a.data - b.data, "sub")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ConfigurationError(f"elementwise mul shape mismatch {a.shape} vs {b.shape}")
-    return wrap(a.data * b.data, "mul")
 
 
 # ---------------------------------------------------------------------------

@@ -90,14 +90,6 @@ class Tensor:
     def zeros(shape: tuple[int, int, int, int], dtype=np.float64) -> "Tensor":
         return Tensor(np.zeros(shape, dtype=dtype))
 
-    @staticmethod
-    def full(shape: tuple[int, int, int, int], value: float, dtype=np.float64) -> "Tensor":
-        return Tensor(np.full(shape, value, dtype=dtype))
-
-    @staticmethod
-    def randn(rng: np.random.Generator, shape, scale: float = 1.0, dtype=np.float64) -> "Tensor":
-        return Tensor((scale * rng.standard_normal(shape)).astype(dtype))
-
 
 def assert_finite(arr: np.ndarray, where: str) -> None:
     """Loudly reject NaN/Inf the moment a kernel produces one."""

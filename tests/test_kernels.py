@@ -37,23 +37,52 @@ def _conv_oracle(x: np.ndarray, w: np.ndarray, bias, stride: int, padding: int,
     return out
 
 
-@pytest.mark.parametrize("stride,padding,groups,in_c,out_c,kernel", [
+CONV_GEOMETRIES = pytest.mark.parametrize("stride,padding,groups,in_c,out_c,kernel", [
     (1, 1, 1, 3, 4, 3),     # plain 3x3
     (2, 2, 1, 2, 3, 5),     # strided 5x5
     (1, 0, 1, 3, 2, 1),     # pointwise
     (1, 1, 4, 4, 4, 3),     # depthwise
     (2, 1, 2, 4, 6, 3),     # grouped, strided
+    (2, 2, 4, 4, 4, 5),     # depthwise downsample by 2 (ResampleSpec gap 1)
+    (4, 4, 4, 4, 4, 9),     # depthwise downsample by 4 (gap 2)
+    (8, 8, 4, 4, 4, 17),    # depthwise downsample by 8 (gap 3)
 ])
-def test_conv2d_matches_loop_oracle(stride, padding, groups, in_c, out_c, kernel):
+
+
+def _conv_case(stride, padding, groups, in_c, out_c, kernel):
+    # inputs span at least four strides, so every geometry has several outputs
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((2, in_c, 8, 8))
+    size = max(8, 4 * stride)
+    x = rng.standard_normal((2, in_c, size, size))
     w = rng.standard_normal((out_c, in_c // groups, kernel, kernel))
     b = rng.standard_normal(out_c)
-    p = K.ConvParams(weights=w, bias=b, stride=stride, padding=padding, groups=groups)
+    return x, K.ConvParams(weights=w, bias=b, stride=stride, padding=padding, groups=groups)
+
+
+@CONV_GEOMETRIES
+def test_conv2d_matches_loop_oracle(stride, padding, groups, in_c, out_c, kernel):
+    x, p = _conv_case(stride, padding, groups, in_c, out_c, kernel)
     got = K.conv2d(Tensor(x), p).data
-    want = _conv_oracle(x, w, b, stride, padding, groups)
+    want = _conv_oracle(x, p.weights, p.bias, stride, padding, groups)
     assert got.shape == want.shape
     assert rel_diff(got, want) < 1e-13
+
+
+def _adjoint_gap(y: np.ndarray, gy: np.ndarray, rhs: float) -> float:
+    """|<y, gy> - rhs| relative to sum |y * gy|, the rounding scale of <y, gy>."""
+    return abs(np.vdot(y, gy) - rhs) / np.vdot(np.abs(y), np.abs(gy))
+
+
+@CONV_GEOMETRIES
+def test_conv2d_backward_is_adjoint(stride, padding, groups, in_c, out_c, kernel):
+    # conv is linear in x and in w separately, plus b:
+    # <conv(x), gy> == <x, gx> + <b, gb> == <w, gw> + <b, gb>
+    x, p = _conv_case(stride, padding, groups, in_c, out_c, kernel)
+    y = K.conv2d(Tensor(x), p).data
+    gy = np.random.default_rng(1).standard_normal(y.shape)
+    gx, gw, gb = K.conv2d_backward(Tensor(x), p, Tensor(gy))
+    assert _adjoint_gap(y, gy, np.vdot(x, gx.data) + np.vdot(p.bias, gb)) < 1e-12
+    assert _adjoint_gap(y, gy, np.vdot(p.weights, gw) + np.vdot(p.bias, gb)) < 1e-12
 
 
 def test_conv2d_identity_impulse():
@@ -136,6 +165,22 @@ def test_bilinear_backward_is_transpose_of_forward():
     y = K.bilinear_upsample(Tensor(x), 2).data
     gx = K.bilinear_upsample_backward(x.shape, 2, Tensor(g)).data
     assert abs(np.vdot(y, g) - np.vdot(x, gx)) < 1e-10
+
+
+@pytest.mark.parametrize("shape,factor", [
+    ((2, 3, 3, 5), 2),
+    ((1, 2, 5, 2), 4),
+    ((2, 1, 4, 7), 8),
+])
+def test_bilinear_backward_is_adjoint_non_square(shape, factor):
+    # the forward gathers and the backward multiplies matrices; this pins them
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal(shape)
+    y = K.bilinear_upsample(Tensor(x), factor).data
+    g = rng.standard_normal(y.shape)
+    gx = K.bilinear_upsample_backward(x.shape, factor, Tensor(g)).data
+    assert gx.shape == x.shape
+    assert _adjoint_gap(y, g, np.vdot(x, gx)) < 1e-12
 
 
 def test_space_to_depth_channel_order():
