@@ -313,12 +313,6 @@ def build(config: BackboneConfig) -> Model:
     return Model(config, blocks, head)
 
 
-def head_forward(model: Model, p: FeaturePyramid,
-                 ctx: ExecContext | None = None) -> np.ndarray:
-    logits, _ = model.head.forward(p, ctx)
-    return logits
-
-
 def image_pyramid(images: np.ndarray, dtype) -> FeaturePyramid:
     return FeaturePyramid([Tensor(np.ascontiguousarray(images, dtype=dtype))])
 

@@ -9,7 +9,7 @@ fusion transform exactly once, and that surcharge has to show up here, in the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -39,9 +39,6 @@ class OpCounters:
     def reset(self) -> None:
         self._counts.clear()
 
-    def snapshot(self) -> dict[tuple[str, str], int]:
-        return dict(self._counts)
-
 
 @dataclass
 class ExecContext:
@@ -60,12 +57,3 @@ class ExecContext:
     def count(self, kind: str, n: int = 1) -> None:
         if self.counters is not None:
             self.counters.add(self.phase, kind, n)
-
-    def backward_view(self) -> "ExecContext":
-        """Same step, same counters, but tallied into the backward phase."""
-        return ExecContext(
-            counters=self.counters,
-            phase=BACKWARD,
-            step_key=self.step_key,
-            train=self.train,
-        )

@@ -543,9 +543,6 @@ class Silo:
             total += self.up[(i, j)].macs(level_shapes[i])
         return total
 
-    def out_shapes(self, level_shapes):
-        return list(level_shapes)
-
 
 # ---------------------------------------------------------------------------
 # pyramid expansion (silo that appends one coarser level)

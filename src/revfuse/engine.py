@@ -139,6 +139,11 @@ class LiveBytesRegistry:
         self.current -= delta
         self.events.append(MemoryEvent("-", label, -delta, self.current))
 
+    def release_all(self) -> None:
+        """Release every open token, as when a step is abandoned."""
+        for token in list(self._tokens):
+            self.remove(token)
+
     def assert_empty(self) -> None:
         if self._tokens or self._live or self.current != 0:
             open_labels = sorted(label for label, _ in self._tokens.values())
@@ -312,6 +317,13 @@ class Tape:
                 train: bool = True) -> FeaturePyramid:
         if self._phase != "idle":
             raise StateError("forward called while a step is already in flight")
+        try:
+            return self._forward(p, step_key, train)
+        except BaseException:
+            self.discard()
+            raise
+
+    def _forward(self, p: FeaturePyramid, step_key, train: bool) -> FeaturePyramid:
         self.counters.reset()
         self.registry.reset_trace()
         self.saved_activations = []
@@ -352,9 +364,15 @@ class Tape:
                 f"gradient has {len(grad_out)} levels, output has "
                 f"{self.output_pyramid.num_levels}"
             )
+        try:
+            return self._backward(list(grad_out))
+        except BaseException:
+            self.discard()
+            raise
+
+    def _backward(self, g: list[Tensor]) -> BackwardResult:
         ctx = ExecContext(self.counters, BACKWARD, self._step_key, True)
         param_grads: dict[str, np.ndarray] = {}
-        g = list(grad_out)
 
         if self.mode is BackwardMode.STORED:
             for i in range(len(self.blocks) - 1, -1, -1):
@@ -385,12 +403,9 @@ class Tape:
         return BackwardResult(input_grads=g, param_grads=param_grads)
 
     def discard(self) -> None:
-        """Release a forward-only step without running backward."""
-        if self._phase == "idle":
-            return
-        for t in self._pyramid_tokens + self._cache_tokens + [self._input_token]:
-            self.registry.remove(t)
-        self.registry.assert_empty()
+        """Release a step without running backward, or after a block raised
+        mid-forward or mid-backward; the tape is then ready for a new step."""
+        self.registry.release_all()
         self.saved_activations = []
         self._phase = "idle"
 

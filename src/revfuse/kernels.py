@@ -3,11 +3,17 @@
 Every kernel here is a pure function of its inputs, so repeated evaluation
 is bit-identical for given shapes and BLAS thread count — a property the
 reversible engine leans on (inversion tests, byte-identical CSV runs).
-Convolution is the direct algorithm: a loop over kernel offsets with
-strided slices of the padded input.  Channel mixing at each offset is one
-batched BLAS ``matmul``; depthwise convolution stays elementwise.  Bilinear
-upsampling is a gather forward and a separable matrix product backward.
-No FFT and no im2col.
+Convolution is the direct algorithm.  A conv that mixes channels loops
+over kernel offsets with strided slices of the padded input, and mixes
+channels at each offset with one batched BLAS ``matmul``.  Depthwise
+convolution is polyphase: the unpadded input is split once into its
+stride phases, the kernel into a grid of at most D*D phase-weight blocks
+(D = 3 for every geometry the model builds), and each block offset is one
+channel-batched ``matmul`` added into a clipped output window, so no padded
+copy is made.  Its backward stacks the output gradient at those block
+offsets and takes both gradients with two matmuls.  Bilinear upsampling is
+a gather forward and a separable matrix product backward.  No FFT and no
+im2col.
 
 Backward companions return gradients with respect to every input that can
 carry one.  They are hand-derived vector-Jacobian products; the test suite
@@ -105,6 +111,131 @@ def _offset_weights(p: ConvParams) -> np.ndarray:
     return np.ascontiguousarray(w.transpose(3, 0, 1, 2))
 
 
+# -- depthwise: polyphase ----------------------------------------------------
+#
+# With stride s, kernel row ky reads input row s*oy + ky - pad.  Writing
+# ky - pad = s*dy + ry (0 <= ry < s) splits that into a stride phase ry and a
+# block offset dy: output row oy reads row oy + dy of phase ry.  So the input
+# is split once into its s*s phases, laid out (c, s*s, n*hq*wq), and the
+# kernel into a D*D grid of (s, s) phase-weight blocks, one per block offset
+# (D = 3 for a (2s+1)-tap kernel with pad s).  Borders are handled by
+# clipping each block offset's window; no padded copy is made.
+
+def _segments(size: int, s: int) -> list[tuple[int, int, int]]:
+    """Row ranges of ``size`` as (first block, end block, rows per block):
+    the whole s-row blocks, then the partial block, if any."""
+    full, rest = divmod(size, s)
+    return [(0, full, s)] * (full > 0) + [(full, full + 1, rest)] * (rest > 0)
+
+
+def _phase_views(img: np.ndarray, ph: np.ndarray, s: int, hq: int, wq: int):
+    """Matching views of an (n, c, h, w) image and of its stride phases
+    ph (c, s*s, n*hq*wq), where phase ry*s + rx at (n, i, j) is
+    img[n, c, s*i + ry, s*j + rx]; at most four pairs."""
+    n, c, h, w = img.shape
+    grid = ph.reshape(c, s, s, n, hq, wq).transpose(0, 3, 4, 1, 5, 2)
+    for i0, i1, r in _segments(h, s):
+        for j0, j1, q in _segments(w, s):
+            a = img[:, :, i0 * s : i0 * s + (i1 - i0) * r, j0 * s : j0 * s + (j1 - j0) * q]
+            yield (a.reshape(n, c, i1 - i0, r, j1 - j0, q).transpose(1, 0, 2, 3, 4, 5),
+                   grid[:, :, i0:i1, :r, j0:j1, :q])
+
+
+class _Polyphase:
+    """One depthwise conv's phase grid, block offsets and phase weights."""
+
+    def __init__(self, x: np.ndarray, p: ConvParams, oh: int, ow: int):
+        n, c, h, w = x.shape
+        s = self.s = p.stride
+        self.hq, self.wq = hq, wq = -(-h // s), -(-w // s)
+        # block offsets along each axis run from first to (k - 1 - pad) // s
+        first = -p.padding // s
+        self.dy_n, self.dx_n = ((k - 1 - p.padding) // s - first + 1 for k in p.kernel)
+        # (row of the block offset in weights(), output window, phase window);
+        # output (oy, ox) reads phase position (oy + dy, ox + dx)
+        self.offsets = []
+        for k in range(self.dy_n * self.dx_n):
+            dy, dx = first + k // self.dx_n, first + k % self.dx_n
+            y0, y1 = max(0, -dy), min(oh, hq - dy)
+            x0, x1 = max(0, -dx), min(ow, wq - dx)
+            if y0 < y1 and x0 < x1:
+                self.offsets.append((k, np.s_[..., y0:y1, x0:x1],
+                                     np.s_[..., y0 + dy : y1 + dy, x0 + dx : x1 + dx]))
+        self.p, self.x = p, x
+        # kernel tap (ky, kx) sits at (o + ky, o + kx) of the (D*s, D*s) block grid
+        self.o = (-p.padding) % s
+
+    def phases(self) -> np.ndarray:
+        """(c, s*s, n*hq*wq) stride phases of x, zero past its border."""
+        n, c, h, w = self.x.shape
+        s = self.s
+        alloc = np.empty if h % s == 0 and w % s == 0 else np.zeros
+        ph = alloc((c, s * s, n * self.hq * self.wq), dtype=self.x.dtype)
+        for a, g in _phase_views(self.x, ph, s, self.hq, self.wq):
+            g[...] = a
+        return ph
+
+    def weights(self) -> np.ndarray:
+        """(c, D*D, s*s): row dy*D + dx is block (dy, dx), whose entry
+        ry*s + rx is tap (s*dy + ry + pad, s*dx + rx + pad), zero past the
+        kernel."""
+        (c, _, kh, kw), s, o = self.p.weights.shape, self.s, self.o
+        wp = np.zeros((c, self.dy_n, s, self.dx_n, s), dtype=self.p.weights.dtype)
+        wp.reshape(c, self.dy_n * s, self.dx_n * s)[:, o : o + kh, o : o + kw] = self.p.weights[:, 0]
+        return wp.transpose(0, 1, 3, 2, 4).reshape(c, -1, s * s)
+
+    def tap_grads(self, gblk: np.ndarray) -> np.ndarray:
+        """Inverse of weights() for gradients: (c, s*s, D*D) -> (c, 1, kh, kw)."""
+        (c, _, kh, kw), s, o = self.p.weights.shape, self.s, self.o
+        g = gblk.reshape(c, s, s, self.dy_n, self.dx_n).transpose(0, 3, 1, 4, 2)
+        return g.reshape(c, 1, self.dy_n * s, self.dx_n * s)[..., o : o + kh, o : o + kw].copy()
+
+
+def _dwconv(x: np.ndarray, p: ConvParams, oh: int, ow: int) -> np.ndarray:
+    # per block offset: (c, 1, s*s) @ phases, added into its output window
+    pp = _Polyphase(x, p, oh, ow)
+    n, c = x.shape[:2]
+    wb, ph = pp.weights(), pp.phases()
+    out = np.zeros((n, c, oh, ow), dtype=x.dtype)
+    z = np.empty((c, 1, ph.shape[2]), dtype=x.dtype)
+    zv = z.reshape(c, n, pp.hq, pp.wq).transpose(1, 0, 2, 3)
+    for k, out_win, ph_win in pp.offsets:
+        np.matmul(wb[:, k : k + 1], ph, out=z)
+        out[out_win] += zv[ph_win]
+    return out
+
+
+def _dwconv_backward(x: np.ndarray, p: ConvParams,
+                     gy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # gy is stacked at the D*D block-offset shifts; then the weight gradient
+    # is phases @ stackᵀ and the phases of the input gradient are
+    # phase weightsᵀ @ stack.  Channels run in chunks that keep the stack
+    # within the phase buffer's size; each chunk's phases are overwritten by
+    # its input-gradient phases once the weight gradient has read them.
+    pp = _Polyphase(x, p, gy.shape[2], gy.shape[3])
+    n, c = x.shape[:2]
+    wb, ph = pp.weights(), pp.phases()
+    d2, s2, m = wb.shape[1], wb.shape[2], ph.shape[2]
+    step = max(1, c * s2 // d2)
+    gblk = np.empty((c, s2, d2), dtype=gy.dtype)
+    stack = np.empty((min(c, step), d2, m), dtype=gy.dtype)
+    for c0 in range(0, c, step):
+        c1 = min(c, c0 + step)
+        st = stack[: c1 - c0]
+        st.fill(0)
+        sv = st.reshape(c1 - c0, d2, n, pp.hq, pp.wq)
+        gyc = gy[:, c0:c1].transpose(1, 0, 2, 3)
+        for k, out_win, ph_win in pp.offsets:
+            sv[:, k][ph_win] = gyc[out_win]
+        np.matmul(ph[c0:c1], st.transpose(0, 2, 1), out=gblk[c0:c1])
+        np.matmul(wb[c0:c1].transpose(0, 2, 1), st, out=ph[c0:c1])
+    del stack, st, sv
+    gx = np.empty_like(x)
+    for a, g in _phase_views(gx, ph, pp.s, pp.hq, pp.wq):
+        a[...] = g
+    return gx, pp.tap_grads(gblk)
+
+
 def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     n, c, h, w = x.shape
     if c != p.in_channels:
@@ -115,18 +246,12 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     s, pad, g = p.stride, p.padding, p.groups
     oh = conv_out_size(h, kh, s, pad)
     ow = conv_out_size(w, kw, s, pad)
-    xp = _pad(x.data, pad)
 
     if _is_depthwise(p):
-        out = np.zeros((n, c, oh, ow), dtype=x.dtype)
-        term = np.empty_like(out)
-        for ky in range(kh):
-            for kx in range(kw):
-                np.multiply(_patch(xp, ky, kx, oh, ow, s),
-                            p.weights[:, 0, ky, kx][None, :, None, None], out=term)
-                out += term
+        out = _dwconv(x.data, p, oh, ow)
     else:
         # (n, g, ocg, oh*ow) = sum over offsets of (g, ocg, icg) @ (n, g, icg, oh*ow)
+        xp = _pad(x.data, pad)
         wk = _offset_weights(p)
         cols = lambda k: _patch(xp, k // kw, k % kw, oh, ow, s).reshape(n, g, -1, oh * ow)
         out = np.matmul(wk[0], cols(0))
@@ -146,21 +271,15 @@ def conv2d_backward(
     kh, kw = p.kernel
     s, pad, g = p.stride, p.padding, p.groups
     oh, ow = gy.h, gy.w
-    xp = _pad(x.data, pad)
-    gxp = np.zeros_like(xp)
-    gw = np.zeros_like(p.weights)
     gyd = gy.data
 
     if _is_depthwise(p):
-        term = np.empty_like(gyd)
-        for ky in range(kh):
-            for kx in range(kw):
-                patch = _patch(xp, ky, kx, oh, ow, s)
-                gw[:, 0, ky, kx] = np.einsum("nchw,nchw->c", gyd, patch)
-                np.multiply(gyd, p.weights[:, 0, ky, kx][None, :, None, None], out=term)
-                _patch(gxp, ky, kx, oh, ow, s)[...] += term
+        gx, gw = _dwconv_backward(x.data, p, gyd)
     else:
         # grad_x: Wᵀ·gy; grad_w: gy·patchᵀ summed over the batch
+        xp = _pad(x.data, pad)
+        gxp = np.zeros_like(xp)
+        gw = np.zeros_like(p.weights)
         wk = _offset_weights(p)
         gyg = gyd.reshape(n, g, -1, oh * ow)
         gwg = gw.reshape(g, p.out_channels // g, c // g, kh, kw)
@@ -170,8 +289,8 @@ def conv2d_backward(
             gwg[..., ky, kx] = np.matmul(gyg, patch.swapaxes(-1, -2)).sum(axis=0)
             _patch(gxp, ky, kx, oh, ow, s)[...] += np.matmul(
                 wk[k].swapaxes(-1, -2), gyg).reshape(n, c, oh, ow)
+        gx = gxp[:, :, pad : pad + h, pad : pad + w] if pad else gxp
     gb = gyd.sum(axis=(0, 2, 3)) if p.bias is not None else None
-    gx = gxp[:, :, pad : pad + h, pad : pad + w] if pad else gxp
     return wrap(np.ascontiguousarray(gx), "conv2d_backward"), gw, gb
 
 

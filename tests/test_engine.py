@@ -286,3 +286,29 @@ def test_backward_rejects_wrong_gradient_arity():
     with pytest.raises(ConfigurationError):
         tape.backward([Tensor(np.zeros(out.levels[0].shape))])
     tape.discard()
+
+
+@pytest.mark.parametrize("mode", ["stored", "recompute"])
+def test_tape_recovers_after_a_block_raises(mode):
+    # a NaN input makes a block raise mid-forward, and a NaN gradient makes
+    # one raise mid-backward; either way the next clean step must run
+    rng = np.random.default_rng(75)
+    tape = Tape(_silo_chain(rng, 2), mode=mode)
+    bad = _pyramid(np.random.default_rng(76))
+    bad.levels[0].data[0, 0, 0, 0] = np.nan
+    with pytest.raises(FloatingPointError):
+        tape.forward(bad, step_key=0)
+    assert tape.registry.current == 0
+
+    p = _pyramid(np.random.default_rng(77))
+    out = tape.forward(p, step_key=1)
+    nan_grad = [Tensor(np.full(t.shape, np.nan)) for t in out.levels]
+    with pytest.raises(FloatingPointError):
+        tape.backward(nan_grad)
+    assert tape.registry.current == 0
+
+    out = tape.forward(p, step_key=2)
+    grad = [Tensor(np.ones(t.shape)) for t in out.levels]
+    result = tape.backward(grad)
+    assert all(np.all(np.isfinite(g.data)) for g in result.input_grads)
+    tape.registry.assert_empty()

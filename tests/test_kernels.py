@@ -85,6 +85,62 @@ def test_conv2d_backward_is_adjoint(stride, padding, groups, in_c, out_c, kernel
     assert _adjoint_gap(y, gy, np.vdot(p.weights, gw) + np.vdot(p.bias, gb)) < 1e-12
 
 
+DW_EDGE_GEOMETRIES = pytest.mark.parametrize("shape,kernel,stride,padding", [
+    ((2, 3, 9, 7), 3, 1, 1),      # non-square
+    ((2, 3, 9, 7), 5, 2, 2),      # non-square, h % s != 0
+    ((1, 2, 10, 6), 9, 4, 4),     # h % s != 0 and w % s != 0
+    ((1, 2, 8, 9), 4, 2, 3),      # even kernel, padding > k // 2
+    ((2, 2, 9, 8), 3, 3, 0),      # no padding, stride == kernel
+    ((1, 2, 7, 8), 5, 3, 1),      # padding neither 0 nor a multiple of s / 2
+    ((2, 2, 8, 8), 17, 8, 8),     # kernel wider than the input: one output
+    ((1, 2, 5, 6), 17, 8, 8),     # input smaller than the stride
+    ((2, 3, 1, 1), 3, 1, 1),      # 1x1 spatial
+    ((2, 3, 1, 1), 5, 2, 2),      # 1x1 spatial, strided
+])
+
+
+def _dw_case(shape, kernel, stride, padding):
+    rng = np.random.default_rng(11)
+    c = shape[1]
+    x = rng.standard_normal(shape)
+    w = rng.standard_normal((c, 1, kernel, kernel))
+    b = rng.standard_normal(c)
+    return x, K.ConvParams(weights=w, bias=b, stride=stride, padding=padding, groups=c)
+
+
+@DW_EDGE_GEOMETRIES
+def test_depthwise_edge_geometry_matches_oracle_and_adjoint(shape, kernel, stride, padding):
+    x, p = _dw_case(shape, kernel, stride, padding)
+    y = K.conv2d(Tensor(x), p).data
+    want = _conv_oracle(x, p.weights, p.bias, stride, padding, shape[1])
+    assert y.shape == want.shape
+    assert rel_diff(y, want) < 1e-13
+    gy = np.random.default_rng(12).standard_normal(y.shape)
+    gx, gw, gb = K.conv2d_backward(Tensor(x), p, Tensor(gy))
+    assert gx.shape == x.shape and gw.shape == p.weights.shape
+    assert _adjoint_gap(y, gy, np.vdot(x, gx.data) + np.vdot(p.bias, gb)) < 1e-12
+    assert _adjoint_gap(y, gy, np.vdot(p.weights, gw) + np.vdot(p.bias, gb)) < 1e-12
+
+
+def test_depthwise_float32_matches_float64():
+    x, p = _dw_case((2, 4, 9, 7), 5, 2, 2)
+    gy = np.random.default_rng(13).standard_normal((2, 4, 5, 4))
+    runs = {}
+    for dtype in (np.float32, np.float64):
+        # both runs see the same float32-representable values
+        cast = lambda a: a.astype(np.float32).astype(dtype)
+        pd = K.ConvParams(weights=cast(p.weights), bias=cast(p.bias), stride=2,
+                          padding=2, groups=4)
+        y = K.conv2d(Tensor(cast(x)), pd).data
+        gx, gw, gb = K.conv2d_backward(Tensor(cast(x)), pd, Tensor(cast(gy)))
+        assert y.dtype == gx.dtype == gw.dtype == gb.dtype == dtype
+        runs[dtype] = (y, gx.data, gw, gb)
+    x64, w64, b64 = (a.astype(np.float32).astype(np.float64) for a in (x, p.weights, p.bias))
+    assert rel_diff(runs[np.float32][0], _conv_oracle(x64, w64, b64, 2, 2, 4)) < 1e-6
+    for lo, hi in zip(runs[np.float32], runs[np.float64]):
+        assert rel_diff(lo, hi) < 1e-6
+
+
 def test_conv2d_identity_impulse():
     # depthwise 3x3 with a centered impulse reproduces the input exactly
     rng = np.random.default_rng(1)
