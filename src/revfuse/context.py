@@ -33,9 +33,6 @@ class OpCounters:
     def get(self, phase: str, kind: str) -> int:
         return self._counts.get((phase, kind), 0)
 
-    def phase_total(self, phase: str, kind: str = F_EVAL) -> int:
-        return self.get(phase, kind)
-
     def reset(self) -> None:
         self._counts.clear()
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import math
 
 from .backbone import Model, scale_channels
-from .engine import ExpandStage, SiloStage, RevStage
+from .engine import ExpandStage, SiloStage
 from .errors import ConfigurationError
 
 SGD_BASELINE = "sgd_baseline"
@@ -188,9 +188,6 @@ def model_costs(model: Model, batch: int = 1) -> list[CostItem]:
             silo = block.silo
             level_shapes = shapes[: silo.spec.levels]
             items.append(CostItem(block.name, silo.macs(level_shapes), _params_of(block)))
-        elif isinstance(block, RevStage):
-            items.append(CostItem(
-                block.name, block.block.macs(shapes[0]), _params_of(block)))
         else:
             items.append(CostItem(block.name, 0, _params_of(block)))
     items.append(CostItem("head", _head_macs(model.head, shapes),

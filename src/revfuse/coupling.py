@@ -505,7 +505,7 @@ class Silo:
                  if capture else None)
         return p_in, cache, m
 
-    def backward(self, cache, grad_out, ctx: ExecContext | None = None):
+    def backward(self, cache, grad_out):
         """VJP through the silo from a forward (or captured-inverse) cache.
 
         ``grad_out`` and the result are lists of per-level gradient tensors.
@@ -513,7 +513,6 @@ class Silo:
         into intermediates, down-half VJPs fan it from intermediates into
         inputs.
         """
-        n = self.spec.levels
         grads: dict[str, np.ndarray] = {}
         gm = list(grad_out)
         for i, j in self.spec.up_pairs():      # up[i->j] consumed m[i]
@@ -672,7 +671,7 @@ class RevBlock:
         cache = {"f": f_cache, "g": g_cache} if capture else None
         return self._join(xa, xb), cache
 
-    def backward(self, cache, gy: Tensor, ctx: ExecContext | None = None):
+    def backward(self, cache, gy: Tensor):
         gya, gyb = self._split(gy)
         g_in, g_grads = self.g.backward(cache["g"], gyb)
         gxa = K.add(gya, g_in)          # total gradient reaching y_a (== x_a's)

@@ -24,13 +24,13 @@ by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .context import BACKWARD, F_EVAL, FORWARD, ExecContext, OpCounters
-from .coupling import FeaturePyramid, RevBlock, Silo, expand_pyramid, expanded_input
+from .coupling import FeaturePyramid, Silo, expand_pyramid
 from .errors import AccountingError, ConfigurationError, StateError
 from .tensor import Tensor
 
@@ -74,20 +74,6 @@ def _iter_arrays(obj):
             yield from _iter_arrays(v)
 
 
-@dataclass
-class MemoryEvent:
-    op: str          # "+" or "-"
-    label: str
-    delta: int
-    current: int
-
-
-@dataclass
-class MemoryTrace:
-    events: list[MemoryEvent]
-    peak_bytes: int
-
-
 class LiveBytesRegistry:
     """Refcounting byte registry for engine-managed activations.
 
@@ -103,7 +89,6 @@ class LiveBytesRegistry:
         self._next_token = 0
         self.current = 0
         self.peak = 0
-        self.events: list[MemoryEvent] = []
 
     def add(self, obj, label: str) -> int:
         arrays = list(_iter_arrays(obj))
@@ -120,7 +105,6 @@ class LiveBytesRegistry:
         token = self._next_token
         self._next_token += 1
         self._tokens[token] = (label, arrays)
-        self.events.append(MemoryEvent("+", label, delta, self.current))
         return token
 
     def remove(self, token: int) -> None:
@@ -137,7 +121,6 @@ class LiveBytesRegistry:
                 del self._live[id(arr)]
                 delta += arr.nbytes
         self.current -= delta
-        self.events.append(MemoryEvent("-", label, -delta, self.current))
 
     def release_all(self) -> None:
         """Release every open token, as when a step is abandoned."""
@@ -152,14 +135,10 @@ class LiveBytesRegistry:
                 f"{self.current} bytes live, open tokens {open_labels}"
             )
 
-    def reset_trace(self) -> None:
-        """Start a fresh per-step trace; live entries must already be zero."""
+    def reset_peak(self) -> None:
+        """Start a fresh per-step peak; live entries must already be zero."""
         self.assert_empty()
         self.peak = 0
-        self.events = []
-
-    def trace(self) -> MemoryTrace:
-        return MemoryTrace(list(self.events), self.peak)
 
 
 # ---------------------------------------------------------------------------
@@ -237,35 +216,6 @@ class ExpandStage(ReversibleBlock):
         return self.silo.parameters()
 
 
-class RevStage(ReversibleBlock):
-    """A two-stream reversible block as a single-level tape stage."""
-
-    def __init__(self, block: RevBlock):
-        self.block = block
-        self.name = block.name
-
-    @staticmethod
-    def _single(p: FeaturePyramid) -> Tensor:
-        if p.num_levels != 1:
-            raise ConfigurationError("RevStage operates on single-level pyramids")
-        return p.levels[0]
-
-    def forward(self, p, ctx=None, want_cache=False):
-        y, cache = self.block.forward(self._single(p), ctx, want_cache)
-        return p.with_levels([y]), cache
-
-    def inverse(self, p_out, ctx=None, capture=False):
-        x, cache = self.block.inverse(self._single(p_out), ctx, capture)
-        return p_out.with_levels([x]), cache
-
-    def backward(self, cache, grad_out):
-        gx, grads = self.block.backward(cache, grad_out[0])
-        return [gx], grads
-
-    def parameters(self):
-        return self.block.parameters()
-
-
 # ---------------------------------------------------------------------------
 # the tape
 # ---------------------------------------------------------------------------
@@ -325,7 +275,7 @@ class Tape:
 
     def _forward(self, p: FeaturePyramid, step_key, train: bool) -> FeaturePyramid:
         self.counters.reset()
-        self.registry.reset_trace()
+        self.registry.reset_peak()
         self.saved_activations = []
         self._pyramid_tokens = []
         self._cache_tokens = []
@@ -410,9 +360,6 @@ class Tape:
         self._phase = "idle"
 
     # -- measurements --------------------------------------------------------
-    def memory_trace(self) -> MemoryTrace:
-        return self.registry.trace()
-
     @property
     def peak_live_bytes(self) -> int:
         return self.registry.peak
@@ -430,6 +377,6 @@ def invert_chain(blocks: list[ReversibleBlock], p_out: FeaturePyramid,
 def count_forward_evals(counters: OpCounters) -> dict[str, int]:
     """Forward-evaluation totals per phase for the last executed step."""
     return {
-        FORWARD: counters.phase_total(FORWARD, F_EVAL),
-        BACKWARD: counters.phase_total(BACKWARD, F_EVAL),
+        FORWARD: counters.get(FORWARD, F_EVAL),
+        BACKWARD: counters.get(BACKWARD, F_EVAL),
     }

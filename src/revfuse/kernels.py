@@ -15,6 +15,14 @@ offsets and takes both gradients with two matmuls.  Bilinear upsampling is
 a gather forward and a separable matrix product backward.  No FFT and no
 im2col.
 
+Forward kernels are bit-stable: a rewrite for speed may cut passes and
+temporaries, but keeps every float operation, its operands and its order,
+so outputs stay bit-identical (the tests pin them against one-line
+reference formulas).  Inversion replays forward kernels only, and float32
+reconstruction drift sits close to the ``verify-inverse`` tolerance, so
+reordering a forward sum re-rolls which seeds pass.  Backward kernels carry
+no such pin and may reorder their arithmetic.
+
 Backward companions return gradients with respect to every input that can
 carry one.  They are hand-derived vector-Jacobian products; the test suite
 checks each against central finite differences and adjoint identities.
@@ -199,8 +207,11 @@ def _dwconv(x: np.ndarray, p: ConvParams, oh: int, ow: int) -> np.ndarray:
     out = np.zeros((n, c, oh, ow), dtype=x.dtype)
     z = np.empty((c, 1, ph.shape[2]), dtype=x.dtype)
     zv = z.reshape(c, n, pp.hq, pp.wq).transpose(1, 0, 2, 3)
+    # at stride 1 the contraction has length 1, where a broadcast multiply
+    # gives the same bits as matmul and runs about 3x faster
+    product = np.multiply if pp.s == 1 else np.matmul
     for k, out_win, ph_win in pp.offsets:
-        np.matmul(wb[:, k : k + 1], ph, out=z)
+        product(wb[:, k : k + 1], ph, out=z)
         out[out_win] += zv[ph_win]
     return out
 
@@ -332,9 +343,15 @@ def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
     fy = fy.astype(x.dtype)[:, None]
     fx = fx.astype(x.dtype)[None, :]
     d = x.data
-    top = (1 - fx) * d[:, :, iy0[:, None], ix0[None, :]] + fx * d[:, :, iy0[:, None], ix1[None, :]]
-    bot = (1 - fx) * d[:, :, iy1[:, None], ix0[None, :]] + fx * d[:, :, iy1[:, None], ix1[None, :]]
-    out = (1 - fy) * top + fy * bot
+    # blend columns at the input height, then gather rows and blend them;
+    # a row gather is an exact copy, so each output element sees the same
+    # arithmetic as blending the four gathered corners
+    cols = (1 - fx) * d[..., ix0] + fx * d[..., ix1]
+    out = cols[:, :, iy0]
+    out *= 1 - fy
+    bot = cols[:, :, iy1]
+    bot *= fy
+    out += bot
     return wrap(out, "bilinear_upsample")
 
 
@@ -411,13 +428,22 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def hard_swish(x: Tensor) -> Tensor:
     """x * clamp(x + 3, 0, 6) / 6 — piecewise-polynomial swish."""
     d = x.data
-    return wrap(d * np.clip(d + 3.0, 0.0, 6.0) / 6.0, "hard_swish")
+    y = d + 3.0
+    np.clip(y, 0.0, 6.0, out=y)
+    y *= d
+    y /= 6.0
+    return wrap(y, "hard_swish")
 
 
 def hard_swish_backward(x: Tensor, gy: Tensor) -> Tensor:
     d = x.data
-    slope = np.where(d <= -3.0, 0.0, np.where(d >= 3.0, 1.0, (2.0 * d + 3.0) / 6.0))
-    return wrap(gy.data * slope.astype(gy.dtype), "hard_swish_backward")
+    slope = 2.0 * d
+    slope += 3.0
+    slope /= 6.0
+    slope[d <= -3.0] = 0.0
+    slope[d >= 3.0] = 1.0
+    slope *= gy.data
+    return wrap(slope, "hard_swish_backward")
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -490,20 +516,28 @@ def batch_norm(x: Tensor, s: NormState, train: bool = True,
     normalizes by the running averages and never mutates state.
     """
     d = x.data
+    axes = (0, 2, 3)
     if train:
-        mean = d.mean(axis=(0, 2, 3))
-        var = d.var(axis=(0, 2, 3))  # biased
+        mean = d.mean(axis=axes)
+        xhat = d - mean[None, :, None, None]
+        y = np.multiply(xhat, xhat)
+        # biased variance, rounded as ndarray.var rounds it: the sum divided
+        # by an intp count in float64, then cast to the array's dtype
+        var = np.add.reduce(y, axis=axes)
+        np.true_divide(var, np.intp(d.size // d.shape[1]), out=var, casting="unsafe")
         if step_key is None or step_key != s.last_step_key:
             m = s.momentum
             s.running_mean[...] = m * s.running_mean + (1.0 - m) * mean
             s.running_var[...] = m * s.running_var + (1.0 - m) * var
             s.last_step_key = step_key
     else:
-        mean = s.running_mean
+        xhat = d - s.running_mean[None, :, None, None]
+        y = np.empty_like(xhat)
         var = s.running_var
     inv_std = 1.0 / np.sqrt(var + np.asarray(s.epsilon, dtype=d.dtype))
-    xhat = (d - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    y = s.gamma[None, :, None, None] * xhat + s.beta[None, :, None, None]
+    xhat *= inv_std[None, :, None, None]
+    np.multiply(s.gamma[None, :, None, None], xhat, out=y)
+    y += s.beta[None, :, None, None]
     cache = (xhat, inv_std, train)
     return wrap(y, "batch_norm"), cache
 
@@ -517,15 +551,20 @@ def batch_norm_backward(
     """
     xhat, inv_std, train = cache
     g = gy.data
-    dgamma = (g * xhat).sum(axis=(0, 2, 3))
-    dbeta = g.sum(axis=(0, 2, 3))
-    dxhat = g * s.gamma[None, :, None, None]
+    axes = (0, 2, 3)
+    gx = g * xhat
+    dgamma = gx.sum(axis=axes)
+    dbeta = g.sum(axis=axes)
+    scale = (s.gamma * inv_std)[None, :, None, None]
     if train:
-        mu1 = dxhat.mean(axis=(0, 2, 3), keepdims=True)
-        mu2 = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
-        gx = inv_std[None, :, None, None] * (dxhat - mu1 - xhat * mu2)
+        # gamma * inv_std * (g - mean(g) - xhat * mean(g * xhat))
+        m = g.size // g.shape[1]
+        np.multiply(xhat, (dgamma / m)[None, :, None, None], out=gx)
+        gx += (dbeta / m)[None, :, None, None]
+        np.subtract(g, gx, out=gx)
+        gx *= scale
     else:
-        gx = inv_std[None, :, None, None] * dxhat
+        np.multiply(g, scale, out=gx)
     return wrap(gx, "batch_norm_backward"), dgamma, dbeta
 
 

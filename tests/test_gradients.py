@@ -10,6 +10,7 @@ Errors are measured relative to the gradient scale of the probed tensor.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from revfuse import kernels as K
 from revfuse.layers import MBConv, SqueezeExcite
@@ -104,6 +105,48 @@ def test_batch_norm_backward_fd_through_batch_stats():
     _probe(loss, x, gx.data, rng)
     _probe(loss, gamma, ggamma, rng)
     _probe(loss, beta, gbeta, rng)
+
+
+def test_batch_norm_backward_fd_eval_mode():
+    # eval mode normalizes by the running averages, which are constants
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((4, 3, 6, 6)) * 1.7 + 0.3
+    gamma = 1.0 + 0.2 * rng.standard_normal(3)
+    beta = 0.1 * rng.standard_normal(3)
+    r = rng.standard_normal((4, 3, 6, 6))
+
+    def make_state():
+        s = K.NormState.create(3, np.float64)
+        s.gamma[:] = gamma
+        s.beta[:] = beta
+        s.running_mean[:] = [0.5, -0.2, 0.1]
+        s.running_var[:] = [2.0, 0.7, 1.3]
+        return s
+
+    def loss():
+        y, _ = K.batch_norm(Tensor(x), make_state(), train=False)
+        return float(np.vdot(y.data, r)) / 10.0
+
+    s = make_state()
+    y, cache = K.batch_norm(Tensor(x), s, train=False)
+    gx, ggamma, gbeta = K.batch_norm_backward(cache, s, Tensor(r / 10.0))
+    _probe(loss, x, gx.data, rng)
+    _probe(loss, gamma, ggamma, rng)
+    _probe(loss, beta, gbeta, rng)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_hard_swish_backward_exact_at_kinks_and_negative_band(dtype):
+    # slope 0 at and below -3, 1 at and above 3, (2x + 3) / 6 between; the
+    # band (-3, -1.5) has negative slope.  All values are exact dyadics.
+    x = np.array([-3.5, -3.0, -2.625, -2.25, -1.875, 0.0, 1.5, 3.0, 4.0],
+                 dtype=dtype).reshape(1, 1, 1, -1)
+    slope = np.array([0.0, 0.0, -0.375, -0.25, -0.125, 0.5, 1.0, 1.0, 1.0],
+                     dtype=dtype).reshape(1, 1, 1, -1)
+    gy = np.full_like(x, 2.0)
+    gx = K.hard_swish_backward(Tensor(x), Tensor(gy)).data
+    assert gx.dtype == dtype
+    assert np.array_equal(gx, 2.0 * slope)
 
 
 def test_hard_swish_backward_fd_away_from_kinks():

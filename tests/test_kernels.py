@@ -361,3 +361,113 @@ def test_dense_one_hot_selects_columns():
 
 def test_dense_macs_single_sample():
     assert K.dense_macs(128, 10) == 1280
+
+
+# -- forward bit identity ------------------------------------------------------
+#
+# Inversion replays forward kernels, and float32 reconstruction drift sits
+# near the verify-inverse tolerance, so a forward kernel's bits are pinned:
+# each is compared, byte for byte, with the one-line formula it replaced.
+
+BOTH_DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64])
+
+
+def _bn_reference(d, s, train):
+    if train:
+        mean, var = d.mean(axis=(0, 2, 3)), d.var(axis=(0, 2, 3))
+    else:
+        mean, var = s.running_mean, s.running_var
+    inv_std = 1.0 / np.sqrt(var + np.asarray(s.epsilon, dtype=d.dtype))
+    xhat = (d - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    return s.gamma[None, :, None, None] * xhat + s.beta[None, :, None, None], xhat, mean, var
+
+
+@BOTH_DTYPES
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("shape", [(2, 5, 7, 9), (3, 4, 1, 1), (1, 3, 16, 16)])
+def test_batch_norm_forward_is_bit_identical_to_reference(dtype, train, shape):
+    rng = np.random.default_rng(20)
+    x = (rng.standard_normal(shape) * 3.0 + 1.5).astype(dtype)
+    c = shape[1]
+    s = K.NormState.create(c, dtype)
+    s.gamma[:] = rng.standard_normal(c)
+    s.beta[:] = rng.standard_normal(c)
+    s.running_mean[:] = rng.standard_normal(c)
+    s.running_var[:] = rng.uniform(0.5, 2.0, c)
+    rm0, rv0 = s.running_mean.copy(), s.running_var.copy()
+    y_ref, xhat_ref, mean, var = _bn_reference(x, s, train)
+    y, (xhat, _, _) = K.batch_norm(Tensor(x), s, train=train, step_key=0)
+    assert y.dtype == dtype
+    assert y.data.tobytes() == y_ref.tobytes()
+    assert xhat.tobytes() == xhat_ref.tobytes()
+    if train:   # the running averages fold in the same batch statistics
+        m = s.momentum
+        assert s.running_mean.tobytes() == (m * rm0 + (1.0 - m) * mean).tobytes()
+        assert s.running_var.tobytes() == (m * rv0 + (1.0 - m) * var).tobytes()
+
+
+@BOTH_DTYPES
+def test_hard_swish_forward_is_bit_identical_to_reference(dtype):
+    rng = np.random.default_rng(21)
+    x = (rng.standard_normal((2, 3, 8, 8)) * 3.0).astype(dtype)
+    x.flat[:6] = [-3.0, 3.0, -3.5, 3.5, -1.5, 0.0]
+    ref = x * np.clip(x + 3.0, 0.0, 6.0) / 6.0
+    y = K.hard_swish(Tensor(x)).data
+    assert y.dtype == dtype and y.tobytes() == ref.tobytes()
+
+
+def _bilinear_reference(x, factor):
+    iy0, iy1, fy = K._bilinear_axis(x.shape[2], factor)
+    ix0, ix1, fx = K._bilinear_axis(x.shape[3], factor)
+    fy = fy.astype(x.dtype)[:, None]
+    fx = fx.astype(x.dtype)[None, :]
+    top = (1 - fx) * x[:, :, iy0[:, None], ix0[None, :]] + fx * x[:, :, iy0[:, None], ix1[None, :]]
+    bot = (1 - fx) * x[:, :, iy1[:, None], ix0[None, :]] + fx * x[:, :, iy1[:, None], ix1[None, :]]
+    return (1 - fy) * top + fy * bot
+
+
+@BOTH_DTYPES
+@pytest.mark.parametrize("factor", [2, 4, 8])
+@pytest.mark.parametrize("shape", [(2, 3, 3, 5), (1, 2, 6, 4), (2, 2, 1, 1)])
+def test_bilinear_forward_is_bit_identical_to_reference(dtype, factor, shape):
+    x = np.random.default_rng(22).standard_normal(shape).astype(dtype)
+    y = K.bilinear_upsample(Tensor(x), factor).data
+    ref = _bilinear_reference(x, factor)
+    assert y.dtype == dtype and y.tobytes() == ref.tobytes()
+
+
+def _dw_stride1_reference(x, w, bias, pad):
+    """Stride-1 depthwise conv as one (c,1,1) @ (c,1,N) matmul per kernel tap,
+    each added into its clipped output window in row-major tap order."""
+    n, c, h, wd = x.shape
+    kh, kw = w.shape[2:]
+    oh, ow = h + 2 * pad - kh + 1, wd + 2 * pad - kw + 1
+    cols = x.transpose(1, 0, 2, 3).reshape(c, 1, -1)
+    out = np.zeros((n, c, oh, ow), dtype=x.dtype)
+    for ky, kx in itertools.product(range(kh), range(kw)):
+        z = (w[:, :, ky, kx][:, :, None] @ cols).reshape(c, n, h, wd).transpose(1, 0, 2, 3)
+        dy, dx = ky - pad, kx - pad
+        y0, y1 = max(0, -dy), min(oh, h - dy)
+        x0, x1 = max(0, -dx), min(ow, wd - dx)
+        if y0 < y1 and x0 < x1:
+            out[:, :, y0:y1, x0:x1] += z[:, :, y0 + dy : y1 + dy, x0 + dx : x1 + dx]
+    return out + bias[None, :, None, None]
+
+
+@BOTH_DTYPES
+@pytest.mark.parametrize("shape,kernel,padding", [
+    ((2, 5, 9, 7), 3, 1),
+    ((1, 4, 8, 8), 5, 2),
+    ((2, 3, 6, 5), 3, 0),
+    ((2, 3, 1, 1), 3, 1),
+])
+def test_depthwise_stride1_forward_is_bit_identical_to_matmul(dtype, shape, kernel, padding):
+    rng = np.random.default_rng(23)
+    c = shape[1]
+    x = rng.standard_normal(shape).astype(dtype)
+    w = rng.standard_normal((c, 1, kernel, kernel)).astype(dtype)
+    b = rng.standard_normal(c).astype(dtype)
+    p = K.ConvParams(weights=w, bias=b, stride=1, padding=padding, groups=c)
+    y = K.conv2d(Tensor(x), p).data
+    ref = _dw_stride1_reference(x, w, b, padding)
+    assert y.dtype == dtype and y.tobytes() == ref.tobytes()
