@@ -152,13 +152,13 @@ class StemStage(ReversibleBlock):
         y = K.space_to_depth(Tensor(d), STEM_BLOCK)
         return p.with_levels([y]), (() if want_cache else None)
 
-    def inverse(self, p_out, ctx=None, capture=False):
+    def inverse(self, p_out, ctx=None):
         y = self._check(p_out, self.out_channels)
         if ctx:
             ctx.count("depth_to_space")
         wide = K.depth_to_space(y, STEM_BLOCK)
         x = Tensor(np.ascontiguousarray(wide.data[:, : self.in_channels]))
-        return p_out.with_levels([x]), (() if capture else None)
+        return p_out.with_levels([x])
 
     def backward(self, cache, grad_out):
         g = K.depth_to_space(grad_out[0], STEM_BLOCK)
@@ -169,6 +169,10 @@ class StemStage(ReversibleBlock):
             ]
             g = Tensor(sum(parts[1:], parts[0]).copy())
         return [g], {}
+
+    def reverse(self, p_out, grad_out, ctx, registry):
+        g, grads = self.backward((), grad_out)
+        return self.inverse(p_out, ctx), g, grads
 
     @property
     def out_channels(self) -> int:

@@ -159,7 +159,7 @@ def _roundtrip_silo_chain(cfg, seed_parts, dtype, fresh: bool) -> tuple[int, flo
     for s in silos:
         cur, _ = s.forward(cur)
     for s in reversed(silos):
-        cur, _, _ = s.inverse(cur)
+        cur, _ = s.inverse(cur)
     return depth, pyramid_max_rel_diff(cur, p)
 
 

@@ -462,8 +462,7 @@ class Silo:
                  if want_cache else None)
         return p_out, cache
 
-    def inverse(self, p_out: FeaturePyramid, ctx: ExecContext | None = None,
-                capture: bool = False):
+    def inverse(self, p_out: FeaturePyramid, ctx: ExecContext | None = None):
         """Reconstruct the input pyramid from the output pyramid.
 
         Unlike the forward halves, reconstruction is strictly ordered:
@@ -471,42 +470,93 @@ class Silo:
         the coarser intermediates already recovered), then inputs
         finest-first.  Transforms are only ever evaluated forward.
 
-        Returns (p_in, cache, intermediates); with ``capture`` the cache has
-        the same layout as a forward cache, each transform evaluated exactly
-        once, so a backward pass can run from it directly.
+        Returns (p_in, intermediates).
         """
         self._check_pyramid(p_out)
+        m = self._undo(self.up, list(p_out.levels), ctx)
+        x = self._undo(self.down, list(m), ctx)
+        return p_out.with_levels(x), m
+
+    def reverse(self, p_out: FeaturePyramid, grad_out, ctx: ExecContext | None,
+                registry):
+        """Reconstruct the input and back-propagate, one transform at a time.
+
+        Walks ``inverse``'s order: each transform runs forward with a cache,
+        its output is subtracted and its VJP taken at once, so one transform
+        cache is alive at a time (RevNet's backward, Gomez et al. 2017,
+        Alg. 1).  This is valid because up-half VJPs need only ``grad_out``,
+        and down-half VJPs need ``gm``, complete once the up half is done.
+        ``registry`` holds each cache and reconstructed level while alive.
+        Gradients and their key order are ``backward``'s bit for bit: up-half
+        results are summed in ``up_pairs`` order, and down-half results
+        arrive in ``down_pairs`` order.
+
+        Returns (p_in, input gradients, parameter gradients).
+        """
+        self._check_pyramid(p_out)
+        tokens = []
+
+        def keep(level):
+            tokens.append(registry.add(level, f"{self.name}.reconstructed"))
+
+        def vjp(transform, cache, g):
+            token = registry.add(cache, f"{transform.name}.cache")
+            result = transform.backward(cache, g)
+            registry.remove(token)
+            return result
+
+        up = {}
+
+        def up_vjp(pair, cache):
+            up[pair] = vjp(self.up[pair], cache, grad_out[pair[1]])
+
+        m = self._undo(self.up, list(p_out.levels), ctx, up_vjp, keep)
+        grads: dict[str, np.ndarray] = {}
+        gm = list(grad_out)
+        for i, j in self.spec.up_pairs():
+            gin, gr = up.pop((i, j))
+            gm[i] = K.add(gm[i], gin)
+            grads.update(gr)
+        gx = list(gm)
+
+        def down_vjp(pair, cache):
+            gin, gr = vjp(self.down[pair], cache, gm[pair[1]])
+            gx[pair[0]] = K.add(gx[pair[0]], gin)
+            grads.update(gr)
+
+        x = self._undo(self.down, list(m), ctx, down_vjp, keep)
+        for token in tokens:
+            registry.remove(token)
+        return p_out.with_levels(x), gx, grads
+
+    def _undo(self, half, levels, ctx, vjp=None, keep=None):
+        """Subtract one half's transforms back out of ``levels``, in place.
+
+        The inverse's order, written once for ``inverse`` and ``reverse``:
+        the up half recovers intermediates coarsest-first, the down half
+        inputs finest-first, each destination from sources already
+        recovered.  With ``vjp``, each transform runs with a cache and
+        ``vjp(pair, cache)`` follows its subtraction; ``keep(level)`` sees
+        each recovered level.
+        """
         n = self.spec.levels
-        o = list(p_out.levels)
-        m: list = [None] * n
-        up_caches = {}
-        m[n - 1] = o[n - 1]
-        for j in range(n - 2, -1, -1):
-            acc = o[j]
-            for i in range(j + 1, n):
-                y, c = self.up[(i, j)].forward(m[i], ctx, capture)
-                if capture:
-                    up_caches[(i, j)] = c
+        is_up = half is self.up
+        for j in (range(n - 2, -1, -1) if is_up else range(1, n)):
+            acc = levels[j]
+            for i in (range(j + 1, n) if is_up else range(j)):
+                y, cache = half[(i, j)].forward(levels[i], ctx, vjp is not None)
                 acc = K.sub(acc, y)
-            m[j] = acc
-        x: list = [None] * n
-        down_caches = {}
-        x[0] = m[0]
-        for j in range(1, n):
-            acc = m[j]
-            for i in range(j):
-                y, c = self.down[(i, j)].forward(x[i], ctx, capture)
-                if capture:
-                    down_caches[(i, j)] = c
-                acc = K.sub(acc, y)
-            x[j] = acc
-        p_in = p_out.with_levels(x)
-        cache = ({"x": x, "m": m, "down": down_caches, "up": up_caches}
-                 if capture else None)
-        return p_in, cache, m
+                del y
+                if vjp is not None:
+                    vjp((i, j), cache)
+                del cache   # before the next transform runs: one cache alive
+            levels[j] = acc
+            if keep is not None:
+                keep(acc)
+        return levels
 
     def backward(self, cache, grad_out):
-        """VJP through the silo from a forward (or captured-inverse) cache.
+        """VJP through the silo from a forward cache.
 
         ``grad_out`` and the result are lists of per-level gradient tensors.
         No transform is re-evaluated: up-half VJPs fan gradient from outputs

@@ -8,11 +8,12 @@ backward strategies that must produce the same gradients:
   backward has consumed them.  Peak activation memory grows affinely with
   depth; the backward phase re-evaluates nothing.
 * ``recompute`` — reversible backprop: forward keeps only the final output
-  (and the original input).  Backward reconstructs each block's input by
-  running the block's inverse, capturing en route exactly the caches the
-  VJPs need — each transform re-evaluated exactly once.  Peak activation
-  memory is flat in depth: roughly two adjacent pyramids plus one block
-  cache, whatever the chain length.
+  (and the original input).  Backward runs each block's reverse step, which
+  reconstructs the block's input and back-propagates one transform at a
+  time: each transform is re-evaluated exactly once, with a cache that its
+  VJP consumes at once.  Peak activation memory is flat in depth: roughly
+  two adjacent pyramids plus one *transform* cache, whatever the chain
+  length.
 
 Live activation bytes are tracked by an explicit registry rather than by
 heap inspection.  The registry refcounts unique arrays, so aliased cache
@@ -148,10 +149,14 @@ class LiveBytesRegistry:
 class ReversibleBlock:
     """One reversible stage of a tape.
 
-    ``forward``/``inverse`` map whole pyramids; ``backward`` maps per-level
-    gradient lists from output side to input side using only cached values.
-    A cache produced by ``inverse(..., capture=True)`` must be accepted by
-    ``backward`` exactly like a forward cache.
+    ``forward``/``inverse`` map whole pyramids.  ``backward`` maps per-level
+    gradient lists from output side to input side using only a forward
+    cache (stored mode).  ``reverse`` is the recompute-mode step: from the
+    output pyramid and its gradient it reconstructs the input and
+    back-propagates in one pass, returning (p_in, grad_in, param_grads).
+    Its gradients equal ``backward``'s from a forward cache.  It registers
+    in ``registry`` whatever activations it keeps alive and releases them
+    before it returns; the tape registers ``p_in`` itself.
     """
 
     name = "block"
@@ -160,11 +165,14 @@ class ReversibleBlock:
                 want_cache: bool = False):
         raise NotImplementedError
 
-    def inverse(self, p_out: FeaturePyramid, ctx: ExecContext | None = None,
-                capture: bool = False):
+    def inverse(self, p_out: FeaturePyramid, ctx: ExecContext | None = None):
         raise NotImplementedError
 
     def backward(self, cache, grad_out: list[Tensor]):
+        raise NotImplementedError
+
+    def reverse(self, p_out: FeaturePyramid, grad_out: list[Tensor],
+                ctx: ExecContext | None, registry: "LiveBytesRegistry"):
         raise NotImplementedError
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
@@ -181,12 +189,14 @@ class SiloStage(ReversibleBlock):
     def forward(self, p, ctx=None, want_cache=False):
         return self.silo.forward(p, ctx, want_cache)
 
-    def inverse(self, p_out, ctx=None, capture=False):
-        p_in, cache, _ = self.silo.inverse(p_out, ctx, capture)
-        return p_in, cache
+    def inverse(self, p_out, ctx=None):
+        return self.silo.inverse(p_out, ctx)[0]
 
     def backward(self, cache, grad_out):
         return self.silo.backward(cache, grad_out)
+
+    def reverse(self, p_out, grad_out, ctx, registry):
+        return self.silo.reverse(p_out, grad_out, ctx, registry)
 
     def parameters(self):
         return self.silo.parameters()
@@ -202,15 +212,19 @@ class ExpandStage(ReversibleBlock):
     def forward(self, p, ctx=None, want_cache=False):
         return expand_pyramid(self.silo, p, ctx, want_cache)
 
-    def inverse(self, p_out, ctx=None, capture=False):
-        p_in, cache, _ = self.silo.inverse(p_out, ctx, capture)
-        # the recovered coarsest level is the injected zero (numerically);
-        # it is not part of the stage input
-        return p_out.with_levels(p_in.levels[:-1]), cache
+    # the recovered coarsest level is the injected zero (numerically); it is
+    # not part of the stage input, nor is its gradient
+    def inverse(self, p_out, ctx=None):
+        p_in, _ = self.silo.inverse(p_out, ctx)
+        return p_out.with_levels(p_in.levels[:-1])
 
     def backward(self, cache, grad_out):
         gx, grads = self.silo.backward(cache, grad_out)
         return gx[:-1], grads
+
+    def reverse(self, p_out, grad_out, ctx, registry):
+        p_in, gx, grads = self.silo.reverse(p_out, grad_out, ctx, registry)
+        return p_out.with_levels(p_in.levels[:-1]), gx[:-1], grads
 
     def parameters(self):
         return self.silo.parameters()
@@ -238,7 +252,7 @@ class Tape:
         self.mode = BackwardMode.parse(mode)
         self.counters = counters if counters is not None else OpCounters()
         self.registry = registry if registry is not None else LiveBytesRegistry()
-        self.saved_activations: list = []
+        self.saved_caches: list = []     # stored mode: each block's VJP cache
         self.input_pyramid: FeaturePyramid | None = None
         self.output_pyramid: FeaturePyramid | None = None
         self._phase = "idle"        # idle -> forwarded -> idle
@@ -276,7 +290,7 @@ class Tape:
     def _forward(self, p: FeaturePyramid, step_key, train: bool) -> FeaturePyramid:
         self.counters.reset()
         self.registry.reset_peak()
-        self.saved_activations = []
+        self.saved_caches = []
         self._pyramid_tokens = []
         self._cache_tokens = []
         self._step_key = step_key
@@ -293,13 +307,11 @@ class Tape:
             if stored:
                 self._cache_tokens.append(self.registry.add(cache, f"block{i}.cache"))
                 self._pyramid_tokens.append(out_token)
-                self.saved_activations.append((cur, cache))
-            else:
-                if cur_token != self._input_token:
-                    self.registry.remove(cur_token)
+                self.saved_caches.append(cache)
+            elif cur_token != self._input_token:
+                self.registry.remove(cur_token)
             cur, cur_token = out, out_token
         if not stored:
-            self.saved_activations = [cur]
             self._pyramid_tokens = [cur_token]
         self.output_pyramid = cur
         self._phase = "forwarded"
@@ -326,8 +338,8 @@ class Tape:
 
         if self.mode is BackwardMode.STORED:
             for i in range(len(self.blocks) - 1, -1, -1):
-                _, cache = self.saved_activations[i]
-                g, grads = self._run_block(self.blocks[i].backward, i, cache, g)
+                g, grads = self._run_block(self.blocks[i].backward, i,
+                                           self.saved_caches[i], g)
                 param_grads.update(grads)
                 self.registry.remove(self._pyramid_tokens[i])
                 self.registry.remove(self._cache_tokens[i])
@@ -335,20 +347,17 @@ class Tape:
             cur = self.output_pyramid
             cur_token = self._pyramid_tokens[0]
             for i in range(len(self.blocks) - 1, -1, -1):
-                block = self.blocks[i]
-                p_in, cache = self._run_block(block.inverse, i, cur, ctx, True)
+                p_in, g, grads = self._run_block(self.blocks[i].reverse, i,
+                                                 cur, g, ctx, self.registry)
                 in_token = self.registry.add(p_in, f"block{i}.reconstructed")
-                cache_token = self.registry.add(cache, f"block{i}.inverse_cache")
-                g, grads = self._run_block(block.backward, i, cache, g)
                 param_grads.update(grads)
                 self.registry.remove(cur_token)
-                self.registry.remove(cache_token)
                 cur, cur_token = p_in, in_token
             self.registry.remove(cur_token)
 
         self.registry.remove(self._input_token)
         self.registry.assert_empty()
-        self.saved_activations = []
+        self.saved_caches = []
         self._phase = "idle"
         return BackwardResult(input_grads=g, param_grads=param_grads)
 
@@ -356,7 +365,7 @@ class Tape:
         """Release a step without running backward, or after a block raised
         mid-forward or mid-backward; the tape is then ready for a new step."""
         self.registry.release_all()
-        self.saved_activations = []
+        self.saved_caches = []
         self._phase = "idle"
 
     # -- measurements --------------------------------------------------------
@@ -370,7 +379,7 @@ def invert_chain(blocks: list[ReversibleBlock], p_out: FeaturePyramid,
     """Reconstruct a chain's input from its output (no caches, no grads)."""
     cur = p_out
     for block in reversed(blocks):
-        cur, _ = block.inverse(cur, ctx, False)
+        cur = block.inverse(cur, ctx)
     return cur
 
 

@@ -81,7 +81,7 @@ def _silo_chain_roundtrip(rng, levels: int, dtype, depth: int) -> float:
     for s in silos:
         cur, _ = s.forward(cur)
     for s in reversed(silos):
-        cur, _, _ = s.inverse(cur)
+        cur, _ = s.inverse(cur)
     return pyramid_max_rel_diff(cur, p)
 
 
@@ -355,14 +355,14 @@ def test_c7_structural_invariants():
     fresh = Silo.build(spec, name="exp", rng=rng, dtype=np.float64)
     p64 = _pyramid(rng, (8, 16), batch=2)
     out, _ = expand_pyramid(fresh, p64)
-    back, _, _ = fresh.inverse(out)
+    back, _ = fresh.inverse(out)
     zero_exact = float(np.max(np.abs(back.levels[-1].data))) == 0.0
 
     noisy = Silo.build(spec, name="exp32", rng=rng, dtype=np.float32)
     randomize_parameters(noisy.parameters(), rng)
     p32 = _pyramid(rng, (8, 16), batch=2, dtype=np.float32)
     out, _ = expand_pyramid(noisy, p32)
-    back, _, _ = noisy.inverse(out)
+    back, _ = noisy.inverse(out)
     scale = max(1.0, max(float(np.max(np.abs(t.data))) for t in out.levels))
     zero_err = float(np.max(np.abs(back.levels[-1].data))) / scale
 

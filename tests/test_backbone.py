@@ -3,6 +3,7 @@ shapes, head behavior, full-model inversion, and toy training runs."""
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,10 +13,11 @@ from revfuse.backbone import (BackboneConfig, ClassifierHead, SGDMomentum,
                               StemStage, build, image_pyramid, neck_channels,
                               scale_channels, softmax_cross_entropy,
                               step_gradients, train_toy)
+from revfuse.context import BACKWARD, FORWARD
 from revfuse.coupling import (FeaturePyramid, pyramid_max_rel_diff,
                               randomize_parameters)
 from revfuse.dataset import make_synthetic_dataset
-from revfuse.engine import Tape, invert_chain
+from revfuse.engine import Tape, count_forward_evals, invert_chain
 from revfuse.errors import ConfigurationError, DivergenceError
 from revfuse.tensor import Tensor
 
@@ -84,7 +86,7 @@ def test_stem_round_trip_and_duplication():
     p = FeaturePyramid([Tensor(x)])
     out, _ = stem.forward(p)
     assert out.shapes == ((2, 16, 4, 4),)          # 16x channels, /4 spatial
-    back, _ = stem.inverse(out)
+    back = stem.inverse(out)
     assert np.array_equal(back.levels[0].data, x)
 
 
@@ -94,7 +96,7 @@ def test_stem_duplication_replicates_and_backward_sums():
     x = rng.standard_normal((1, 1, 8, 8))
     out, cache = stem.forward(FeaturePyramid([Tensor(x)]), want_cache=True)
     assert out.shapes == ((1, 32, 2, 2),)
-    back, _ = stem.inverse(out)
+    back = stem.inverse(out)
     assert np.array_equal(back.levels[0].data, x)
     # gradient of a duplicated input is the sum over the copies
     gy = Tensor(np.ones(out.shapes[0]))
@@ -268,6 +270,45 @@ def test_step_gradients_mode_parity_full_model():
     from revfuse.engine import count_forward_evals
     assert count_forward_evals(cs)[BACKWARD] == 0
     assert count_forward_evals(cr)[BACKWARD] == count_forward_evals(cr)[FORWARD]
+
+
+def test_model_silos_give_the_f_eval_contract():
+    # a benchmark derives its exact f-eval contract from ``Model.silos``
+    model = build(replace(TOY, extra_depth=2))
+    assert [s.name for s in model.silos] == [
+        "expand1", "expand2", "expand3", "fuse0", "fuse1"]
+    assert all(s is b.silo for s, b in zip(model.silos, model.blocks[1:]))
+    contract = sum(len(s.spec.down_pairs()) + len(s.spec.up_pairs())
+                   for s in model.silos)
+    ds = make_synthetic_dataset(4, 2, 32, 1, seed=12)
+    for mode in ("stored", "recompute"):
+        _, _, _, counters = step_gradients(model, mode, ds.images, ds.labels)
+        evals = count_forward_evals(counters)
+        assert evals[FORWARD] == contract
+        assert evals[BACKWARD] == (contract if mode == "recompute" else 0)
+
+
+def test_recompute_heap_is_flat_in_depth_once_param_grads_are_subtracted():
+    # The recompute heap peak holds two pyramids, one transform cache and
+    # kernel scratch, none of which grows with depth; what does grow is the
+    # O(params) gradient dict, so it is subtracted.  S0 widths at 64 px keep
+    # the arrays large enough that Python object overhead (which made a
+    # 26% spread at toy scale) does not swamp them.
+    cfg = BackboneConfig(channels=(48, 64, 80, 160), extra_depth=1, resolution=64,
+                         num_classes=10, in_channels=3, precision="single", seed=3)
+    ds = make_synthetic_dataset(10, 2, 64, 3, seed=13)
+    net = []
+    for depth in (1, 2, 4):
+        model = build(replace(cfg, extra_depth=depth))
+        step_gradients(model, "recompute", ds.images, ds.labels)   # warm-up
+        tracemalloc.start()
+        try:
+            _, grads, _, _ = step_gradients(model, "recompute", ds.images, ds.labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        net.append(peak - sum(g.nbytes for g in grads.values()))
+    assert max(net) <= 1.05 * min(net), net
 
 
 def test_train_toy_loss_decreases():

@@ -1,7 +1,7 @@
 """Properties of the fusion coupling module and the two-stream residual block:
 exact identity at fresh init, inverse round-trips, unitriangular structure in
 the scalar case, evaluation-order independence, strict inverse ordering, and
-gradient agreement between stored and captured-inverse caches."""
+the recompute reverse step's agreement with the inverse and with backward."""
 
 from __future__ import annotations
 
@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revfuse import kernels as K
 from revfuse.context import BACKWARD, F_EVAL, FORWARD, ExecContext, OpCounters
 from revfuse.coupling import (FeaturePyramid, RevBlock, RevBlockSpec, Silo,
                               SiloSpec, expand_pyramid, expanded_input,
                               pyramid_max_abs_diff, pyramid_max_rel_diff,
                               randomize_parameters)
+from revfuse.engine import ExpandStage, LiveBytesRegistry, SiloStage
 from revfuse.errors import ConfigurationError
 from revfuse.tensor import Tensor
 
@@ -59,7 +61,7 @@ def test_silo_round_trip_double(channels):
     p = _pyramid(rng, channels)
     out, _ = silo.forward(p)
     assert pyramid_max_abs_diff(out, p) > 0.0       # not an accidental identity
-    back, _, _ = silo.inverse(out)
+    back, _ = silo.inverse(out)
     assert pyramid_max_rel_diff(back, p) < 1e-13
 
 
@@ -73,7 +75,7 @@ def test_silo_round_trip_single_depth8():
     for s in silos:
         cur, _ = s.forward(cur)
     for s in reversed(silos):
-        cur, _, _ = s.inverse(cur)
+        cur, _ = s.inverse(cur)
     assert pyramid_max_rel_diff(cur, p) < 1e-5
 
 
@@ -101,7 +103,7 @@ def test_silo_round_trip_property(levels, spatial, seed):
     silo = _random_silo(rng, channels)
     p = _pyramid(rng, channels, spatial=spatial)
     out, _ = silo.forward(p)
-    back, _, _ = silo.inverse(out)
+    back, _ = silo.inverse(out)
     assert pyramid_max_rel_diff(back, p) < 1e-12
 
 
@@ -124,7 +126,7 @@ def test_expansion_appends_zero_level_and_round_trips():
     assert x.shapes[-1] == (2, 24, 4, 4)         # half the previous level
 
     out, _ = expand_pyramid(silo, p)
-    back, _, _ = silo.inverse(out)
+    back, _ = silo.inverse(out)
     # dropped-level reconstruction: the appended level comes back as zero
     assert float(np.max(np.abs(back.levels[-1].data))) < 1e-12
     assert pyramid_max_rel_diff(
@@ -139,7 +141,7 @@ def test_expansion_zero_level_recovery_single_precision():
     randomize_parameters(silo.parameters(), rng)
     p = _pyramid(rng, channels[:1], spatial=16, dtype=np.float32)
     out, _ = expand_pyramid(silo, p)
-    back, _, _ = silo.inverse(out)
+    back, _ = silo.inverse(out)
     scale = max(float(np.max(np.abs(t.data))) for t in out.levels)
     assert float(np.max(np.abs(back.levels[-1].data))) / scale < 1e-6
 
@@ -202,7 +204,7 @@ def test_scalar_silo_inverse_is_exact_linear_solve():
     v = rng.standard_normal(3)
     p = FeaturePyramid(_scalar_pyramid_from_vector(v), require_halving=False)
     out, _ = silo.forward(p)
-    back, _, _ = silo.inverse(out)
+    back, _ = silo.inverse(out)
     got = np.array([t.data.item() for t in back])
     assert np.allclose(got, v, rtol=0, atol=1e-13)
 
@@ -248,14 +250,14 @@ def test_inverse_strict_ordering_sensitivity():
     silo = _random_silo(rng, channels)
     p = _pyramid(rng, channels)
     out, _ = silo.forward(p)
-    _, _, m_ref = silo.inverse(out)
+    _, m_ref = silo.inverse(out)
 
     eps = 1e-3
     k = 1
     corrupted = [t.data.copy() for t in out.levels]
     corrupted[k] = corrupted[k] + eps
     out_bad = out.with_levels([Tensor(a) for a in corrupted])
-    _, _, m_bad = silo.inverse(out_bad)
+    _, m_bad = silo.inverse(out_bad)
 
     for i in range(k + 1, 4):
         assert np.array_equal(m_bad[i].data, m_ref[i].data)
@@ -268,24 +270,99 @@ def test_inverse_strict_ordering_sensitivity():
 # gradients
 # ---------------------------------------------------------------------------
 
-def test_silo_backward_same_from_forward_and_captured_inverse():
-    rng = np.random.default_rng(42)
-    channels = (8, 16, 24)
-    silo = _random_silo(rng, channels)
-    p = _pyramid(rng, channels)
+def _replayed_inverse_cache(silo, out):
+    """Reference: the inverse's evaluations, all kept, in a forward-layout
+    cache.  Each transform runs once on reconstructed values, in the
+    inverse's order; the reverse step must reproduce ``backward`` from this
+    cache bit for bit.  Returns (cache, reconstructed levels)."""
+    n = silo.spec.levels
+    m, up = list(out.levels), {}
+    for j in range(n - 2, -1, -1):
+        for i in range(j + 1, n):
+            y, up[(i, j)] = silo.up[(i, j)].forward(m[i])
+            m[j] = K.sub(m[j], y)
+    x, down = list(m), {}
+    for j in range(1, n):
+        for i in range(j):
+            y, down[(i, j)] = silo.down[(i, j)].forward(x[i])
+            x[j] = K.sub(x[j], y)
+    return {"x": x, "m": m, "down": down, "up": up}, m[:-1] + x[1:]
 
-    out, cache_fwd = silo.forward(p, want_cache=True)
-    _, cache_inv, _ = silo.inverse(out, capture=True)
 
-    grad_out = [Tensor(rng.standard_normal(t.shape)) for t in out.levels]
-    gx_f, grads_f = silo.backward(cache_fwd, grad_out)
-    gx_i, grads_i = silo.backward(cache_inv, grad_out)
+class _RecordingRegistry(LiveBytesRegistry):
+    """A registry that also keeps every object it was handed."""
 
-    for a, b in zip(gx_f, gx_i):
-        assert rel_diff(a.data, b.data) < 1e-13
-    assert grads_f.keys() == grads_i.keys()
-    for name in grads_f:
-        assert rel_diff(grads_f[name], grads_i[name]) < 1e-13
+    def __init__(self):
+        super().__init__()
+        self.added = []
+
+    def add(self, obj, label):
+        self.added.append(obj)
+        return super().add(obj, label)
+
+
+def _unique_bytes(obj):
+    reg = LiveBytesRegistry()
+    reg.add(obj, "probe")
+    return reg.current
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("case", ["silo3", "silo4", "expand3"])
+def test_reverse_step_matches_inverse_and_backward(case, dtype):
+    rng = np.random.default_rng({"silo3": 42, "silo4": 142, "expand3": 242}[case])
+    channels = (8, 16, 24, 32)[:int(case[-1])]
+    silo = _random_silo(rng, channels, dtype)
+    if case.startswith("expand"):
+        block = ExpandStage(silo)
+        p = _pyramid(rng, channels[:-1], spatial=32, dtype=dtype)
+    else:
+        block = SiloStage(silo)
+        p = _pyramid(rng, channels, spatial=32, dtype=dtype)
+    out, fwd_cache = block.forward(p, None, True)
+    grad_out = [Tensor(rng.standard_normal(t.shape).astype(dtype)) for t in out.levels]
+
+    registry = _RecordingRegistry()
+    out_token = registry.add(out, "out")
+    counters = OpCounters()
+    p_in, g_in, grads = block.reverse(out, grad_out, ExecContext(counters, BACKWARD),
+                                      registry)
+    peak = registry.peak
+    registry.remove(out_token)
+    registry.assert_empty()                    # the step released all it held
+    assert counters.get(BACKWARD, F_EVAL) == len(silo.down) + len(silo.up)
+
+    # reconstruction: byte-identical to the inverse
+    assert len(p_in.levels) == len(p.levels)
+    for a, b in zip(p_in.levels, block.inverse(out).levels):
+        assert a.data.tobytes() == b.data.tobytes()
+
+    # gradients: byte-identical to backward from the replayed cache, with
+    # the same key order, and equal to backward from the forward cache
+    ref_cache, rebuilt = _replayed_inverse_cache(silo, out)
+    g_ref, grads_ref = block.backward(ref_cache, grad_out)
+    assert len(g_in) == len(g_ref) == len(p.levels)
+    for a, b in zip(g_in, g_ref):
+        assert a.data.tobytes() == b.data.tobytes()
+    assert list(grads) == list(grads_ref)
+    for name in grads_ref:
+        assert grads[name].tobytes() == grads_ref[name].tobytes(), name
+    if dtype == np.float64:
+        g_fwd, grads_fwd = block.backward(fwd_cache, grad_out)
+        for a, b in zip(g_in, g_fwd):
+            assert rel_diff(a.data, b.data) < 1e-12
+        for name in grads_fwd:
+            assert rel_diff(grads[name], grads_fwd[name]) < 1e-12, name
+
+    # registry: every reconstructed level was registered, and the peak is
+    # the output, the reconstructed levels and one transform cache at most;
+    # keeping every cache alive would exceed it
+    assert all(any(obj is lv for obj in registry.added) for lv in p_in.levels)
+    caches = list(ref_cache["up"].values()) + list(ref_cache["down"].values())
+    largest = max(_unique_bytes(c) for c in caches)
+    bound = out.nbytes + sum(t.nbytes for t in rebuilt) + largest
+    assert peak <= bound
+    assert _unique_bytes(caches) > bound - out.nbytes
 
 
 def test_silo_backward_matches_finite_differences():
