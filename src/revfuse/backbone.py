@@ -22,7 +22,7 @@ from .engine import (BackwardMode, ExpandStage, LiveBytesRegistry, ReversibleBlo
                      SiloStage, Tape, count_forward_evals)
 from .errors import ConfigurationError, DivergenceError
 from .layers import MBConv, Conv2d, BatchNorm, Dense
-from .tensor import Tensor, precision_dtype
+from .tensor import Tensor, assert_finite, precision_dtype
 
 STEM_BLOCK = 4                      # stem reduces spatial by 4 => 16x channels
 TOTAL_STRIDE = 32                   # stem /4 then three further halvings
@@ -383,21 +383,30 @@ def step_gradients(model: Model, mode, images: np.ndarray, labels: np.ndarray,
                    step_key: object = 0):
     """One full forward+backward (no update): loss, gradients, measurements.
 
-    Returns (loss, grads, registry, counters) — the pieces gradient-parity
-    checks and memory sweeps need, using exactly the train_toy step path.
+    Returns (loss, grads, registry, counters), the one step body that
+    training, gradient-parity checks and memory sweeps share.  A non-finite
+    loss raises ``DivergenceError``.  Each activation is let go at its last
+    use: the head's cache, the logits and the chain output before the chain
+    runs backward.
     """
     counters = OpCounters()
     registry = LiveBytesRegistry()
     tape = Tape(model.blocks, mode=BackwardMode.parse(mode),
                 counters=counters, registry=registry)
-    batch = image_pyramid(images, model.config.dtype)
-    out = tape.forward(batch, step_key=step_key)
+    out = tape.forward(image_pyramid(images, model.config.dtype), step_key=step_key)
     head_ctx = ExecContext(counters, FORWARD, step_key=step_key, train=True)
     logits, head_cache = model.head.forward(out, head_ctx)
+    del out
     head_token = registry.add(head_cache, "head.cache")
     loss, glogits = softmax_cross_entropy(logits, labels)
+    del logits
+    if not math.isfinite(loss):
+        raise DivergenceError(step_key)
     glevels, head_grads = model.head.backward(head_cache, glogits)
     registry.remove(head_token)
+    del head_cache, glogits
+    for name, g in head_grads.items():
+        assert_finite(g, f"head backward, gradient of {name}")
     result = tape.backward(glevels)
     grads = dict(result.param_grads)
     grads.update(head_grads)
@@ -411,38 +420,19 @@ def train_toy(config: BackboneConfig, dataset, mode, steps: int, seed: int,
 
     ``dataset`` provides ``images`` (m, c, h, w) and integer ``labels`` (m,).
     Batches cycle through the dataset in a fixed order so the stored and
-    recompute runs see identical data.
+    recompute runs see identical data.  Each step is ``step_gradients``
+    followed by an SGD-momentum update.
     """
     mode = BackwardMode.parse(mode)
     model = build(replace(config, seed=seed))
-    counters = OpCounters()
-    registry = LiveBytesRegistry()
-    tape = Tape(model.blocks, mode=mode, counters=counters, registry=registry)
     opt = SGDMomentum(model.parameters(), lr=lr, momentum=momentum)
-    dtype = config.dtype
     m = dataset.images.shape[0]
     record = TrainRecord(mode=mode.value)
 
     for t in range(steps):
         idx = [(t * batch_size + i) % m for i in range(batch_size)]
-        batch = image_pyramid(dataset.images[idx], dtype)
-        labels = dataset.labels[idx]
-
-        out = tape.forward(batch, step_key=t)
-        head_ctx = ExecContext(counters, FORWARD, step_key=t, train=True)
-        logits, head_cache = model.head.forward(out, head_ctx)
-        head_token = registry.add(head_cache, "head.cache")
-
-        loss, glogits = softmax_cross_entropy(logits, labels)
-        if not math.isfinite(loss):
-            raise DivergenceError(t)
-
-        glevels, head_grads = model.head.backward(head_cache, glogits)
-        registry.remove(head_token)
-        result = tape.backward(glevels)
-
-        grads = dict(result.param_grads)
-        grads.update(head_grads)
+        loss, grads, registry, counters = step_gradients(
+            model, mode, dataset.images[idx], dataset.labels[idx], step_key=t)
         gnorm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
         opt.step(grads)
 

@@ -5,8 +5,9 @@ backward strategies that must produce the same gradients:
 
 * ``stored`` — conventional backprop: every block's input pyramid and VJP
   cache stay registered as live activations from forward until that block's
-  backward has consumed them.  Peak activation memory grows affinely with
-  depth; the backward phase re-evaluates nothing.
+  backward has consumed them, and the tape frees each cache then.  Peak
+  activation memory grows affinely with depth; the backward phase
+  re-evaluates nothing.
 * ``recompute`` — reversible backprop: forward keeps only the final output
   (and the original input).  Backward runs each block's reverse step, which
   reconstructs the block's input and back-propagates one transform at a
@@ -20,7 +21,16 @@ heap inspection.  The registry refcounts unique arrays, so aliased cache
 entries are never double-counted, and an unbalanced register/release is a
 loud ``AccountingError``.  Only engine-managed activations are counted:
 parameters, gradient buffers, and kernel-internal scratch are out of scope
-by design.
+by design.  While a step runs, the tape holds no activation past the
+point where the registry releases it, so the heap follows the registry: a
+recompute step's heap peak is about the registry peak plus the parameter
+gradients plus one kernel's scratch.
+
+Finiteness is checked at block boundaries, not in every kernel: each
+block's forward output, the gradient entering the chain, and after each
+backward or reverse step the input and parameter gradients (and, in
+recompute mode, the reconstructed input).  A NaN or an Inf raises
+``FloatingPointError`` naming the block and the phase.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ import numpy as np
 from .context import BACKWARD, F_EVAL, FORWARD, ExecContext, OpCounters
 from .coupling import FeaturePyramid, Silo, expand_pyramid
 from .errors import AccountingError, ConfigurationError, StateError
-from .tensor import Tensor
+from .tensor import Tensor, assert_finite
 
 
 class BackwardMode(str, Enum):
@@ -303,6 +313,7 @@ class Tape:
         cur_token = self._input_token
         for i, block in enumerate(self.blocks):
             out, cache = self._run_block(block.forward, i, cur, ctx, stored)
+            self._check_finite(i, "forward", out.levels)
             out_token = self.registry.add(out, f"block{i}.out")
             if stored:
                 self._cache_tokens.append(self.registry.add(cache, f"block{i}.cache"))
@@ -335,20 +346,29 @@ class Tape:
     def _backward(self, g: list[Tensor]) -> BackwardResult:
         ctx = ExecContext(self.counters, BACKWARD, self._step_key, True)
         param_grads: dict[str, np.ndarray] = {}
-
+        last = len(self.blocks) - 1
+        self._check_finite(last, "incoming gradient", g)
+        # the tape lets go of each array at its last use: of the chain output
+        # before the first block runs backward (stored caches hold what is
+        # needed of it), or once its reverse step has rebuilt the input; of
+        # each stored cache once its block has consumed it
         if self.mode is BackwardMode.STORED:
-            for i in range(len(self.blocks) - 1, -1, -1):
+            self.output_pyramid = None
+            for i in range(last, -1, -1):
                 g, grads = self._run_block(self.blocks[i].backward, i,
                                            self.saved_caches[i], g)
+                self.saved_caches[i] = None
+                self._check_finite(i, "backward", g, grads=grads)
                 param_grads.update(grads)
                 self.registry.remove(self._pyramid_tokens[i])
                 self.registry.remove(self._cache_tokens[i])
         else:
-            cur = self.output_pyramid
+            cur, self.output_pyramid = self.output_pyramid, None
             cur_token = self._pyramid_tokens[0]
-            for i in range(len(self.blocks) - 1, -1, -1):
+            for i in range(last, -1, -1):
                 p_in, g, grads = self._run_block(self.blocks[i].reverse, i,
                                                  cur, g, ctx, self.registry)
+                self._check_finite(i, "reverse", g, p_in.levels, grads=grads)
                 in_token = self.registry.add(p_in, f"block{i}.reconstructed")
                 param_grads.update(grads)
                 self.registry.remove(cur_token)
@@ -360,6 +380,16 @@ class Tape:
         self.saved_caches = []
         self._phase = "idle"
         return BackwardResult(input_grads=g, param_grads=param_grads)
+
+    def _check_finite(self, index: int, phase: str, *tensor_lists, grads=None) -> None:
+        """Raise ``FloatingPointError`` naming block ``index`` and ``phase``
+        if a tensor or a parameter gradient holds a NaN or an Inf."""
+        where = f"block {index} ({self.blocks[index].name}) {phase}"
+        for tensors in tensor_lists:
+            for t in tensors:
+                assert_finite(t.data, where)
+        for name, arr in (grads or {}).items():
+            assert_finite(arr, f"{where}, gradient of {name}")
 
     def discard(self) -> None:
         """Release a step without running backward, or after a block raised

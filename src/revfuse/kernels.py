@@ -10,10 +10,11 @@ convolution is polyphase: the unpadded input is split once into its
 stride phases, the kernel into a grid of at most D*D phase-weight blocks
 (D = 3 for every geometry the model builds), and each block offset is one
 channel-batched ``matmul`` added into a clipped output window, so no padded
-copy is made.  Its backward stacks the output gradient at those block
-offsets and takes both gradients with two matmuls.  Bilinear upsampling is
-a gather forward and a separable matrix product backward.  No FFT and no
-im2col.
+copy is made.  Its backward runs a channel chunk at a time: it stacks the
+chunk's output gradient at those block offsets, takes both gradients with
+two matmuls and writes the input gradient straight into place.  Bilinear
+upsampling is a gather forward and a separable matrix product backward.
+No FFT and no im2col.
 
 Forward kernels are bit-stable: a rewrite for speed may cut passes and
 temporaries, but keeps every float operation, its operands and its order,
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensor import Tensor, assert_finite, wrap
+from .tensor import Tensor
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +130,12 @@ def _offset_weights(p: ConvParams) -> np.ndarray:
 # (D = 3 for a (2s+1)-tap kernel with pad s).  Borders are handled by
 # clipping each block offset's window; no padded copy is made.
 
+# Fewest channels in a chunk of the depthwise backward: smaller chunks save
+# little heap, and their numpy calls each move too little data to pay for
+# the Python around them.
+_DW_CHUNK_CHANNELS = 16
+
+
 def _segments(size: int, s: int) -> list[tuple[int, int, int]]:
     """Row ranges of ``size`` as (first block, end block, rows per block):
     the whole s-row blocks, then the partial block, if any."""
@@ -139,9 +146,11 @@ def _segments(size: int, s: int) -> list[tuple[int, int, int]]:
 def _phase_views(img: np.ndarray, ph: np.ndarray, s: int, hq: int, wq: int):
     """Matching views of an (n, c, h, w) image and of its stride phases
     ph (c, s*s, n*hq*wq), where phase ry*s + rx at (n, i, j) is
-    img[n, c, s*i + ry, s*j + rx]; at most four pairs."""
+    img[n, c, s*i + ry, s*j + rx]; at most four pairs.  Channels lead both
+    views, and ph may hold fewer of them: a chunk's phases then match a
+    channel slice of the image view."""
     n, c, h, w = img.shape
-    grid = ph.reshape(c, s, s, n, hq, wq).transpose(0, 3, 4, 1, 5, 2)
+    grid = ph.reshape(-1, s, s, n, hq, wq).transpose(0, 3, 4, 1, 5, 2)
     for i0, i1, r in _segments(h, s):
         for j0, j1, q in _segments(w, s):
             a = img[:, :, i0 * s : i0 * s + (i1 - i0) * r, j0 * s : j0 * s + (j1 - j0) * q]
@@ -218,32 +227,44 @@ def _dwconv(x: np.ndarray, p: ConvParams, oh: int, ow: int) -> np.ndarray:
 
 def _dwconv_backward(x: np.ndarray, p: ConvParams,
                      gy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # gy is stacked at the D*D block-offset shifts; then the weight gradient
-    # is phases @ stackᵀ and the phases of the input gradient are
-    # phase weightsᵀ @ stack.  Channels run in chunks that keep the stack
-    # within the phase buffer's size; each chunk's phases are overwritten by
-    # its input-gradient phases once the weight gradient has read them.
+    # Channels run in chunks.  A chunk's gy is stacked at the D*D block-offset
+    # shifts; then the weight gradient is phases @ stackᵀ and the phases of
+    # the input gradient are phase weightsᵀ @ stack.  Those overwrite the
+    # chunk's input phases once the weight gradient has read them, and go
+    # straight into gx.  A chunk's stack and phases together stay within a
+    # quarter of the input's size, unless that would cut the chunk below
+    # _DW_CHUNK_CHANNELS.
     pp = _Polyphase(x, p, gy.shape[2], gy.shape[3])
-    n, c = x.shape[:2]
-    wb, ph = pp.weights(), pp.phases()
-    d2, s2, m = wb.shape[1], wb.shape[2], ph.shape[2]
-    step = max(1, c * s2 // d2)
+    n, c, h, w = x.shape
+    s, wb = pp.s, pp.weights()
+    d2, s2 = wb.shape[1:]
+    step = min(c, max(_DW_CHUNK_CHANNELS, c * s2 // (4 * (d2 + s2))))
     gblk = np.empty((c, s2, d2), dtype=gy.dtype)
-    stack = np.empty((min(c, step), d2, m), dtype=gy.dtype)
+    gx = np.empty_like(x)
+    # the matmuls never write the stack, so what lies outside the shifted
+    # windows stays zero for every chunk; the phases, where the image leaves
+    # a partial stride block, must be zeroed for each
+    stack = np.zeros((step, d2, n * pp.hq * pp.wq), dtype=gy.dtype)
+    phases = np.empty((step, s2, stack.shape[2]), dtype=x.dtype)
+    sv = stack.reshape(step, d2, n, pp.hq, pp.wq)
+    gyc = gy.transpose(1, 0, 2, 3)
+    shifts = [(sv[:, k][ph_win], gyc[out_win]) for k, out_win, ph_win in pp.offsets]
+    x_views = list(_phase_views(x, phases, s, pp.hq, pp.wq))
+    gx_views = list(_phase_views(gx, phases, s, pp.hq, pp.wq))
     for c0 in range(0, c, step):
         c1 = min(c, c0 + step)
-        st = stack[: c1 - c0]
-        st.fill(0)
-        sv = st.reshape(c1 - c0, d2, n, pp.hq, pp.wq)
-        gyc = gy[:, c0:c1].transpose(1, 0, 2, 3)
-        for k, out_win, ph_win in pp.offsets:
-            sv[:, k][ph_win] = gyc[out_win]
-        np.matmul(ph[c0:c1], st.transpose(0, 2, 1), out=gblk[c0:c1])
-        np.matmul(wb[c0:c1].transpose(0, 2, 1), st, out=ph[c0:c1])
-    del stack, st, sv
-    gx = np.empty_like(x)
-    for a, g in _phase_views(gx, ph, pp.s, pp.hq, pp.wq):
-        a[...] = g
+        nc = c1 - c0
+        for dst, src in shifts:
+            dst[:nc] = src[c0:c1]
+        if h % s or w % s:
+            phases.fill(0)
+        for a, g in x_views:
+            g[:nc] = a[c0:c1]
+        ph, st = phases[:nc], stack[:nc]
+        np.matmul(ph, st.transpose(0, 2, 1), out=gblk[c0:c1])
+        np.matmul(wb[c0:c1].transpose(0, 2, 1), st, out=ph)
+        for a, g in gx_views:
+            a[c0:c1] = g[:nc]
     return gx, pp.tap_grads(gblk)
 
 
@@ -271,7 +292,7 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
         out = out.reshape(n, p.out_channels, oh, ow)
     if p.bias is not None:
         out += p.bias[None, :, None, None]
-    return wrap(out, "conv2d")
+    return Tensor(out)
 
 
 def conv2d_backward(
@@ -302,7 +323,7 @@ def conv2d_backward(
                 wk[k].swapaxes(-1, -2), gyg).reshape(n, c, oh, ow)
         gx = gxp[:, :, pad : pad + h, pad : pad + w] if pad else gxp
     gb = gyd.sum(axis=(0, 2, 3)) if p.bias is not None else None
-    return wrap(np.ascontiguousarray(gx), "conv2d_backward"), gw, gb
+    return Tensor(np.ascontiguousarray(gx)), gw, gb
 
 
 def conv2d_macs(in_shape: tuple[int, int, int, int], p: ConvParams) -> int:
@@ -352,7 +373,7 @@ def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
     bot = cols[:, :, iy1]
     bot *= fy
     out += bot
-    return wrap(out, "bilinear_upsample")
+    return Tensor(out)
 
 
 def _bilinear_matrix(in_size: int, factor: int, dtype) -> np.ndarray:
@@ -375,7 +396,7 @@ def bilinear_upsample_backward(in_shape, factor: int, gy: Tensor) -> Tensor:
     ay = _bilinear_matrix(h, factor, gy.dtype)
     ax = _bilinear_matrix(w, factor, gy.dtype)
     gx = ay.T @ (gy.data.reshape(-1, gy.w) @ ax).reshape(n, c, gy.h, w)
-    return wrap(gx, "bilinear_upsample_backward")
+    return Tensor(gx)
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +433,13 @@ def depth_to_space(x: Tensor, block: int) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ConfigurationError(f"elementwise add shape mismatch {a.shape} vs {b.shape}")
-    return wrap(a.data + b.data, "add")
+    return Tensor(a.data + b.data)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ConfigurationError(f"elementwise sub shape mismatch {a.shape} vs {b.shape}")
-    return wrap(a.data - b.data, "sub")
+    return Tensor(a.data - b.data)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +453,7 @@ def hard_swish(x: Tensor) -> Tensor:
     np.clip(y, 0.0, 6.0, out=y)
     y *= d
     y /= 6.0
-    return wrap(y, "hard_swish")
+    return Tensor(y)
 
 
 def hard_swish_backward(x: Tensor, gy: Tensor) -> Tensor:
@@ -443,7 +464,7 @@ def hard_swish_backward(x: Tensor, gy: Tensor) -> Tensor:
     slope[d <= -3.0] = 0.0
     slope[d >= 3.0] = 1.0
     slope *= gy.data
-    return wrap(slope, "hard_swish_backward")
+    return Tensor(slope)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -539,7 +560,7 @@ def batch_norm(x: Tensor, s: NormState, train: bool = True,
     np.multiply(s.gamma[None, :, None, None], xhat, out=y)
     y += s.beta[None, :, None, None]
     cache = (xhat, inv_std, train)
-    return wrap(y, "batch_norm"), cache
+    return Tensor(y), cache
 
 
 def batch_norm_backward(
@@ -565,7 +586,7 @@ def batch_norm_backward(
         gx *= scale
     else:
         np.multiply(g, scale, out=gx)
-    return wrap(gx, "batch_norm_backward"), dgamma, dbeta
+    return Tensor(gx), dgamma, dbeta
 
 
 # ---------------------------------------------------------------------------
@@ -573,13 +594,13 @@ def batch_norm_backward(
 # ---------------------------------------------------------------------------
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    return wrap(x.data.mean(axis=(2, 3), keepdims=True), "global_avg_pool")
+    return Tensor(x.data.mean(axis=(2, 3), keepdims=True))
 
 
 def global_avg_pool_backward(in_shape, gy: Tensor) -> Tensor:
     n, c, h, w = in_shape
     gx = np.broadcast_to(gy.data / (h * w), (n, c, h, w))
-    return wrap(np.ascontiguousarray(gx), "global_avg_pool_backward")
+    return Tensor(np.ascontiguousarray(gx))
 
 
 def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
@@ -591,7 +612,6 @@ def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = None) ->
     y = x @ weights.T
     if bias is not None:
         y = y + bias[None, :]
-    assert_finite(y, "dense")
     return y
 
 

@@ -2,9 +2,9 @@
 
 All activations are rank-4 (batch, channels, height, width) numpy arrays in
 single or double precision.  The wrapper is deliberately thin: kernels do the
-math on ``.data`` directly and re-wrap their results, asserting finiteness at
-the boundary so a NaN is caught where it is born rather than three blocks
-later.
+math on ``.data`` directly and wrap their results.  Finiteness is checked
+at block boundaries (``engine.Tape``), not per kernel, so a NaN is reported
+at the block and phase where it first appears.
 """
 
 from __future__ import annotations
@@ -92,11 +92,6 @@ class Tensor:
 
 
 def assert_finite(arr: np.ndarray, where: str) -> None:
-    """Loudly reject NaN/Inf the moment a kernel produces one."""
+    """Loudly reject NaN/Inf, naming where it was found."""
     if not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"non-finite values produced by {where}")
-
-
-def wrap(arr: np.ndarray, where: str) -> Tensor:
-    assert_finite(arr, where)
-    return Tensor(arr)
+        raise FloatingPointError(f"non-finite values in {where}")

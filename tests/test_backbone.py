@@ -4,6 +4,7 @@ shapes, head behavior, full-model inversion, and toy training runs."""
 from __future__ import annotations
 
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from revfuse.context import BACKWARD, FORWARD
 from revfuse.coupling import (FeaturePyramid, pyramid_max_rel_diff,
                               randomize_parameters)
 from revfuse.dataset import make_synthetic_dataset
-from revfuse.engine import Tape, count_forward_evals, invert_chain
+from revfuse.engine import Tape, _iter_arrays, count_forward_evals, invert_chain
 from revfuse.errors import ConfigurationError, DivergenceError
 from revfuse.tensor import Tensor
 
@@ -309,6 +310,110 @@ def test_recompute_heap_is_flat_in_depth_once_param_grads_are_subtracted():
             tracemalloc.stop()
         net.append(peak - sum(g.nbytes for g in grads.values()))
     assert max(net) <= 1.05 * min(net), net
+
+
+def test_recompute_heap_follows_the_registry():
+    # Once param grads are subtracted, the recompute heap holds what the
+    # registry counts plus kernel scratch; it stays within twice the
+    # registry peak only if the step drops what the registry has released.
+    cfg = BackboneConfig(channels=(48, 64, 80, 160), extra_depth=1, resolution=64,
+                         num_classes=10, in_channels=3, precision="single", seed=3)
+    ds = make_synthetic_dataset(10, 2, 64, 3, seed=13)
+    for depth in (1, 2, 4):
+        model = build(replace(cfg, extra_depth=depth))
+        step_gradients(model, "recompute", ds.images, ds.labels)   # warm-up
+        tracemalloc.start()
+        try:
+            _, grads, registry, _ = step_gradients(model, "recompute",
+                                                   ds.images, ds.labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        net = peak - sum(g.nbytes for g in grads.values())
+        assert net <= 2 * registry.peak, (depth, net, registry.peak)
+
+
+# ---------------------------------------------------------------------------
+# release at last use
+# ---------------------------------------------------------------------------
+
+def _watch(obj, skip=frozenset()):
+    """Weak references to the arrays inside ``obj`` whose ids are not in
+    ``skip``."""
+    return [weakref.ref(a) for a in _iter_arrays(obj) if id(a) not in skip]
+
+
+def _alive(refs) -> int:
+    return sum(r() is not None for r in refs)
+
+
+def _watch_head(model):
+    """Wrap the head's forward; returns weak references to its input (the
+    chain output) and to the rest of its cache, filled in as it runs."""
+    chain_out, head_cache = [], []
+    forward = model.head.forward
+
+    def watched(p, ctx=None):
+        logits, cache = forward(p, ctx)
+        chain_out.extend(_watch(p))
+        head_cache.extend(_watch(cache, skip={id(t.data) for t in p.levels}))
+        return logits, cache
+
+    model.head.forward = watched
+    return chain_out, head_cache
+
+
+def _before(block, method, probe):
+    """Run ``probe()`` each time ``block.method`` is called, before it runs."""
+    inner = getattr(block, method)
+
+    def wrapped(*args):
+        probe()
+        return inner(*args)
+
+    setattr(block, method, wrapped)
+
+
+@pytest.mark.parametrize("mode", ["stored", "recompute"])
+def test_head_cache_is_freed_before_the_chain_runs_backward(mode):
+    model = build(TOY)
+    ds = make_synthetic_dataset(4, 2, 32, 1, seed=14)
+    _, head_cache = _watch_head(model)
+    seen = []
+    method = "backward" if mode == "stored" else "reverse"
+    _before(model.blocks[-1], method, lambda: seen.append(_alive(head_cache)))
+    step_gradients(model, mode, ds.images, ds.labels)
+    assert head_cache and seen == [0]
+
+
+def test_stored_backward_frees_each_cache_before_the_next_block_runs():
+    model = build(TOY)
+    ds = make_synthetic_dataset(4, 2, 32, 1, seed=15)
+    watched = {}
+    for i, block in enumerate(model.blocks):
+        def forward(p, ctx=None, want_cache=False, _inner=block.forward, _i=i):
+            out, cache = _inner(p, ctx, want_cache)
+            # block i's cache, less its input: that is block i - 1's output,
+            # which stays registered until block i - 1's backward is done
+            watched[_i] = _watch(cache, skip={id(t.data) for t in p.levels})
+            return out, cache
+        block.forward = forward
+    seen = {}
+    for i, block in enumerate(model.blocks[:-1]):
+        _before(block, "backward", lambda i=i: seen.setdefault(i, _alive(watched[i + 1])))
+    step_gradients(model, "stored", ds.images, ds.labels)
+    assert all(watched[i] for i in range(1, len(model.blocks)))
+    assert seen == {i: 0 for i in range(len(model.blocks) - 1)}
+
+
+def test_recompute_frees_the_chain_output_once_the_last_block_has_reversed():
+    model = build(TOY)
+    ds = make_synthetic_dataset(4, 2, 32, 1, seed=16)
+    chain_out, _ = _watch_head(model)
+    seen = []
+    _before(model.blocks[-2], "reverse", lambda: seen.append(_alive(chain_out)))
+    step_gradients(model, "recompute", ds.images, ds.labels)
+    assert chain_out and seen == [0]
 
 
 def test_train_toy_loss_decreases():

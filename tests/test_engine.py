@@ -312,3 +312,17 @@ def test_tape_recovers_after_a_block_raises(mode):
     result = tape.backward(grad)
     assert all(np.all(np.isfinite(g.data)) for g in result.input_grads)
     tape.registry.assert_empty()
+
+
+@pytest.mark.parametrize("mode", ["stored", "recompute"])
+def test_nan_parameter_is_reported_at_its_block(mode):
+    # kernels no longer check finiteness; the tape checks each block's
+    # output, so a NaN in a middle silo is named there, not blocks later
+    rng = np.random.default_rng(78)
+    blocks = _silo_chain(rng, 3)
+    _, weights = blocks[1].parameters()[0]
+    weights.flat[0] = np.nan
+    tape = Tape(blocks, mode=mode)
+    with pytest.raises(FloatingPointError, match=r"block 1 \(fuse1\) forward"):
+        tape.forward(_pyramid(np.random.default_rng(79)), step_key=0)
+    assert tape.registry.current == 0

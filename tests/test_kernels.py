@@ -96,6 +96,15 @@ DW_EDGE_GEOMETRIES = pytest.mark.parametrize("shape,kernel,stride,padding", [
     ((1, 2, 5, 6), 17, 8, 8),     # input smaller than the stride
     ((2, 3, 1, 1), 3, 1, 1),      # 1x1 spatial
     ((2, 3, 1, 1), 5, 2, 2),      # 1x1 spatial, strided
+    # More channels than K._DW_CHUNK_CHANNELS (16) and at most four times
+    # that, so the backward runs in 16-channel chunks.  The last chunk is
+    # one channel wide in the first four cases.  Past a ragged border a
+    # chunk reuses the phase buffer, which must be zeroed again each time.
+    ((2, 33, 9, 7), 3, 1, 1),     # chunked, stride 1
+    ((1, 33, 9, 7), 5, 2, 2),     # chunked, h % s != 0 and w % s != 0
+    ((1, 17, 10, 6), 9, 4, 4),    # chunked, stride 4, both ragged
+    ((1, 17, 10, 12), 17, 8, 8),  # chunked, stride 8, both ragged
+    ((2, 18, 8, 8), 5, 2, 2),     # chunked, whole stride blocks
 ])
 
 
