@@ -21,7 +21,7 @@ from .coupling import FeaturePyramid, Silo, SiloSpec
 from .engine import (BackwardMode, ExpandStage, LiveBytesRegistry, ReversibleBlock,
                      SiloStage, Tape, count_forward_evals)
 from .errors import ConfigurationError, DivergenceError
-from .layers import MBConv, Conv2d, BatchNorm, Dense
+from .layers import MBConv, Conv2d, BatchNorm, Dense, Rebuilt
 from .tensor import Tensor, assert_finite, precision_dtype
 
 STEM_BLOCK = 4                      # stem reduces spatial by 4 => 16x channels
@@ -160,7 +160,7 @@ class StemStage(ReversibleBlock):
         x = Tensor(np.ascontiguousarray(wide.data[:, : self.in_channels]))
         return p_out.with_levels([x])
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, registry=None):
         g = K.depth_to_space(grad_out[0], STEM_BLOCK)
         if self.duplication > 1:
             parts = [
@@ -234,25 +234,27 @@ class ClassifierHead:
             agg = K.add(y, neck_outs[i + 1])
         z, conv_cache = self.final_conv.forward(agg, ctx)
         z, norm_cache = self.final_norm.forward(z, ctx)
-        pre_act = z
         z = K.hard_swish(z)
         pooled = K.global_avg_pool(z)
         flat = pooled.data.reshape(pooled.n, pooled.c)
         logits, dense_cache = self.classifier.forward(flat, ctx)
         cache = {
             "necks": neck_caches, "downs": down_caches, "conv": conv_cache,
-            "norm": norm_cache, "pre_act": pre_act, "z_shape": z.shape,
+            "norm": norm_cache, "z_shape": z.shape,
             "dense": dense_cache,
         }
         return logits, cache
 
-    def backward(self, cache, grad_logits: np.ndarray):
+    def backward(self, cache, grad_logits: np.ndarray, registry=None):
+        """VJP from the forward cache; ``registry`` (or ``None``) holds
+        the activations the MBConvs and the final hard-swish rebuild."""
         grads: dict[str, np.ndarray] = {}
         gflat, gr = self.classifier.backward(cache["dense"], grad_logits)
         grads.update(gr)
         n, c = gflat.shape
         gz = K.global_avg_pool_backward(cache["z_shape"], Tensor(gflat.reshape(n, c, 1, 1)))
-        gz = K.hard_swish_backward(cache["pre_act"], gz)
+        gz = Rebuilt(registry, f"{self.name}.rebuilt").activation_backward(
+            self.final_norm, cache["norm"], gz)
         gz, gr = self.final_norm.backward(cache["norm"], gz)
         grads.update(gr)
         gagg, gr = self.final_conv.backward(cache["conv"], gz)
@@ -260,12 +262,12 @@ class ClassifierHead:
         gneck = [None] * len(self.necks)
         for i in range(len(self.downs) - 1, -1, -1):
             gneck[i + 1] = gagg
-            gagg, gr = self.downs[i].backward(cache["downs"][i], gagg)
+            gagg, gr = self.downs[i].backward(cache["downs"][i], gagg, registry)
             grads.update(gr)
         gneck[0] = gagg
         glevels = []
         for i, block in enumerate(self.necks):
-            g, gr = block.backward(cache["necks"][i], gneck[i])
+            g, gr = block.backward(cache["necks"][i], gneck[i], registry)
             grads.update(gr)
             glevels.append(g)
         return glevels, grads
@@ -402,7 +404,7 @@ def step_gradients(model: Model, mode, images: np.ndarray, labels: np.ndarray,
     del logits
     if not math.isfinite(loss):
         raise DivergenceError(step_key)
-    glevels, head_grads = model.head.backward(head_cache, glogits)
+    glevels, head_grads = model.head.backward(head_cache, glogits, registry)
     registry.remove(head_token)
     del head_cache, glogits
     for name, g in head_grads.items():

@@ -249,12 +249,12 @@ class MBConvTransform:
             y = K.bilinear_upsample(y, self.upsample_factor)
         return y, ((cache, pre_shape) if want_cache else None)
 
-    def backward(self, cache, gy: Tensor):
+    def backward(self, cache, gy: Tensor, registry=None):
         block_cache, pre_shape = cache
         g = gy
         if self.upsample_factor > 1:
             g = K.bilinear_upsample_backward(pre_shape, self.upsample_factor, g)
-        return self.block.backward(block_cache, g)
+        return self.block.backward(block_cache, g, registry)
 
     def parameters(self):
         return self.block.parameters()
@@ -281,7 +281,7 @@ class ScalarGain:
         y = Tensor(x.data * self.gain[0])
         return y, ((x,) if want_cache else None)
 
-    def backward(self, cache, gy: Tensor):
+    def backward(self, cache, gy: Tensor, registry=None):
         (x,) = cache
         gx = Tensor(gy.data * self.gain[0])
         ggain = np.array([float(np.sum(x.data * gy.data))], dtype=self.gain.dtype)
@@ -501,7 +501,7 @@ class Silo:
 
         def vjp(transform, cache, g):
             token = registry.add(cache, f"{transform.name}.cache")
-            result = transform.backward(cache, g)
+            result = transform.backward(cache, g, registry)
             registry.remove(token)
             return result
 
@@ -555,23 +555,25 @@ class Silo:
                 keep(acc)
         return levels
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, registry=None):
         """VJP through the silo from a forward cache.
 
         ``grad_out`` and the result are lists of per-level gradient tensors.
         No transform is re-evaluated: up-half VJPs fan gradient from outputs
         into intermediates, down-half VJPs fan it from intermediates into
-        inputs.
+        inputs.  ``registry`` (or ``None``) holds what the VJPs rebuild.
         """
         grads: dict[str, np.ndarray] = {}
         gm = list(grad_out)
         for i, j in self.spec.up_pairs():      # up[i->j] consumed m[i]
-            gin, gr = self.up[(i, j)].backward(cache["up"][(i, j)], grad_out[j])
+            gin, gr = self.up[(i, j)].backward(cache["up"][(i, j)], grad_out[j],
+                                               registry)
             gm[i] = K.add(gm[i], gin)
             grads.update(gr)
         gx = list(gm)
         for i, j in self.spec.down_pairs():    # down[i->j] consumed x[i]
-            gin, gr = self.down[(i, j)].backward(cache["down"][(i, j)], gm[j])
+            gin, gr = self.down[(i, j)].backward(cache["down"][(i, j)], gm[j],
+                                                 registry)
             gx[i] = K.add(gx[i], gin)
             grads.update(gr)
         return gx, grads
@@ -721,11 +723,11 @@ class RevBlock:
         cache = {"f": f_cache, "g": g_cache} if capture else None
         return self._join(xa, xb), cache
 
-    def backward(self, cache, gy: Tensor):
+    def backward(self, cache, gy: Tensor, registry=None):
         gya, gyb = self._split(gy)
-        g_in, g_grads = self.g.backward(cache["g"], gyb)
+        g_in, g_grads = self.g.backward(cache["g"], gyb, registry)
         gxa = K.add(gya, g_in)          # total gradient reaching y_a (== x_a's)
-        f_in, f_grads = self.f.backward(cache["f"], gxa)
+        f_in, f_grads = self.f.backward(cache["f"], gxa, registry)
         gxb = K.add(gyb, f_in)
         grads = dict(f_grads)
         grads.update(g_grads)

@@ -446,25 +446,57 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 # activations
 # ---------------------------------------------------------------------------
 
+# Elements in one channel chunk of hard-swish's or of its backward's
+# scratch: toy tensors run as one chunk, and at S0 widths the scratch is a
+# few percent of the input.
+_HSWISH_CHUNK_ELEMENTS = 1 << 16
+
+
+def _hswish_chunks(d: np.ndarray, *dtypes):
+    """Channel chunks of ``d`` with one scratch buffer per dtype, sized to
+    the chunk: yields (chunk of d, channel slice, buffers cut to it)."""
+    n, c, h, w = d.shape
+    step = min(c, max(1, _HSWISH_CHUNK_ELEMENTS // (n * h * w)))
+    bufs = [np.empty((n, step, h, w), dtype=dt) for dt in dtypes]
+    for c0 in range(0, c, step):
+        dc = d[:, c0 : c0 + step]
+        yield dc, slice(c0, c0 + step), [b[:, : dc.shape[1]] for b in bufs]
+
+
 def hard_swish(x: Tensor) -> Tensor:
-    """x * clamp(x + 3, 0, 6) / 6 — piecewise-polynomial swish."""
-    d = x.data
-    y = d + 3.0
-    np.clip(y, 0.0, 6.0, out=y)
-    y *= d
-    y /= 6.0
-    return Tensor(y)
+    """x * clamp(x + 3, 0, 6) / 6 — piecewise-polynomial swish, written over
+    ``x``, which the caller gives up.
+
+    It runs a channel chunk at a time, so the only scratch is a chunk of
+    ``clamp(x + 3, 0, 6)``.
+    """
+    for dc, _, (t,) in _hswish_chunks(x.data, x.dtype):
+        np.add(dc, 3.0, out=t)
+        np.clip(t, 0.0, 6.0, out=t)
+        dc *= t
+        dc /= 6.0
+    return x
 
 
 def hard_swish_backward(x: Tensor, gy: Tensor) -> Tensor:
-    d = x.data
-    slope = 2.0 * d
-    slope += 3.0
-    slope /= 6.0
-    slope[d <= -3.0] = 0.0
-    slope[d >= 3.0] = 1.0
-    slope *= gy.data
-    return Tensor(slope)
+    """VJP of hard_swish, written into ``gy``, which the caller gives up.
+
+    The slope is (2x + 3) / 6, set to 0 at and below -3 and to 1 at and
+    above 3.  It is built a channel chunk at a time in one slope and one
+    mask buffer, with the same float operations as the whole-tensor
+    formula, so the bits do not change.
+    """
+    g = gy.data
+    for dc, cs, (slope, mask) in _hswish_chunks(x.data, x.dtype, bool):
+        np.multiply(2.0, dc, out=slope)
+        slope += 3.0
+        slope /= 6.0
+        np.less_equal(dc, -3.0, out=mask)
+        np.copyto(slope, 0.0, where=mask)
+        np.greater_equal(dc, 3.0, out=mask)
+        np.copyto(slope, 1.0, where=mask)
+        g[:, cs] *= slope
+    return gy
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -557,10 +589,16 @@ def batch_norm(x: Tensor, s: NormState, train: bool = True,
         var = s.running_var
     inv_std = 1.0 / np.sqrt(var + np.asarray(s.epsilon, dtype=d.dtype))
     xhat *= inv_std[None, :, None, None]
-    np.multiply(s.gamma[None, :, None, None], xhat, out=y)
-    y += s.beta[None, :, None, None]
     cache = (xhat, inv_std, train)
-    return Tensor(y), cache
+    return Tensor(batch_norm_output(cache, s, out=y)), cache
+
+
+def batch_norm_output(cache: tuple, s: NormState, out: np.ndarray | None = None) -> np.ndarray:
+    """gamma * xhat + beta from a batch_norm cache: the forward's own last
+    step, so a backward that rebuilds the norm output gets its bits."""
+    y = np.multiply(s.gamma[None, :, None, None], cache[0], out=out)
+    y += s.beta[None, :, None, None]
+    return y
 
 
 def batch_norm_backward(
@@ -599,8 +637,9 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 def global_avg_pool_backward(in_shape, gy: Tensor) -> Tensor:
     n, c, h, w = in_shape
-    gx = np.broadcast_to(gy.data / (h * w), (n, c, h, w))
-    return Tensor(np.ascontiguousarray(gx))
+    # a copy, so the gradient is writable even at 1x1, where a contiguous
+    # broadcast would be returned as the read-only view itself
+    return Tensor(np.array(np.broadcast_to(gy.data / (h * w), (n, c, h, w))))
 
 
 def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:

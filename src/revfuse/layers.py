@@ -2,9 +2,16 @@
 
 Each layer owns its numpy parameter arrays (updated in place by the
 optimizer), exposes them as ordered ``(name, array)`` pairs, and implements
-an explicit forward-with-cache / backward-from-cache pair.  Caches hold
-exactly the tensors the hand-derived VJPs need, which is what lets a
-stored-mode backward run with zero forward re-evaluation.
+an explicit forward-with-cache / backward-from-cache pair, so a
+stored-mode backward re-evaluates no layer.  Caches hold what the
+hand-derived VJPs need, less what is cheap to rebuild exactly: an MBConv
+keeps its input, each batch norm's normalized input and statistics, and
+the squeeze-excite vectors.  Its backward rebuilds the norm outputs, the
+hard-swish outputs and the squeeze-excite product bit for bit from those,
+each just before the VJP that reads it and dropped right after (Pleiss et
+al. 2017, *Memory-Efficient Implementation of DenseNets*).  A rebuilt
+array is an activation: a backward given a live-bytes registry registers
+it while alive; given ``None`` it registers nothing.
 """
 
 from __future__ import annotations
@@ -91,6 +98,10 @@ class BatchNorm:
         y, cache = K.batch_norm(x, self.state, train=train, step_key=step_key)
         return y, cache
 
+    def output(self, cache, out: np.ndarray | None = None) -> Tensor:
+        """The forward's output, rebuilt bit for bit from its cache."""
+        return Tensor(K.batch_norm_output(cache, self.state, out=out))
+
     def backward(self, cache, gy: Tensor):
         gx, dgamma, dbeta = K.batch_norm_backward(cache, self.state, gy)
         return gx, {f"{self.name}.gamma": dgamma, f"{self.name}.beta": dbeta}
@@ -124,9 +135,13 @@ class SqueezeExcite:
         a1 = K.relu(z1)
         z2 = K.dense(a1, self.w2, self.b2)
         gate = K.sigmoid(z2)                       # (n, c)
-        y = Tensor(x.data * gate[:, :, None, None])
         cache = (x, s, z1, a1, gate)
-        return y, cache
+        return self.gated(x, gate), cache
+
+    @staticmethod
+    def gated(x: Tensor, gate: np.ndarray) -> Tensor:
+        """The output from the input and the gate, as forward makes it."""
+        return Tensor(x.data * gate[:, :, None, None])
 
     def backward(self, cache, gy: Tensor):
         x, s, z1, a1, gate = cache
@@ -153,6 +168,42 @@ class SqueezeExcite:
         n, c = in_shape[0], in_shape[1]
         hidden = self.w1.shape[0]
         return K.dense_macs(c, hidden, n) + K.dense_macs(hidden, c, n)
+
+
+class Rebuilt:
+    """Activations a backward rebuilds, each registered in ``registry``
+    while held; with no registry nothing is registered."""
+
+    def __init__(self, registry, label: str):
+        self.registry = registry
+        self.label = label
+        self.tokens: dict[int, int] = {}
+
+    def hold(self, t: Tensor) -> Tensor:
+        if self.registry is not None:
+            self.tokens[id(t.data)] = self.registry.add(t.data, self.label)
+        return t
+
+    def drop(self, t: Tensor) -> None:
+        if self.registry is not None:
+            self.registry.remove(self.tokens.pop(id(t.data)))
+
+    def activation(self, bn: BatchNorm, cache) -> Tensor:
+        """The hard-swish output that followed ``bn``, made in place over
+        the rebuilt norm output."""
+        return K.hard_swish(self.hold(bn.output(cache)))
+
+    def activation_backward(self, bn: BatchNorm, cache, g: Tensor,
+                            h: Tensor | None = None) -> Tensor:
+        """Hard-swish VJP at ``bn``'s rebuilt output; overwrites ``g``.
+        Given ``h``, a held hard-swish output the caller is done with, the
+        norm output is rebuilt into its buffer; ``h`` is dropped."""
+        pre = bn.output(cache, out=None if h is None else h.data)
+        if h is None:
+            self.hold(pre)
+        g = K.hard_swish_backward(pre, g)
+        self.drop(pre)
+        return g
 
 
 class MBConv:
@@ -192,42 +243,54 @@ class MBConv:
             self.project, self.bn_project]
 
     def forward(self, x: Tensor, ctx: ExecContext | None = None):
-        caches = []
+        # the cache: the input, each batch norm's cache, the squeeze-excite
+        # vectors (s, z1, a1, gate); every other activation is dropped here
+        # and rebuilt by backward
+        norms = []
+        se = None
         t = x
         if self.expand is not None:
-            t, c = self.expand.forward(t, ctx); caches.append(c)
-            t, c = self.bn_expand.forward(t, ctx); caches.append(c)
-            pre = t
-            t = K.hard_swish(t); caches.append((pre,))
-        t, c = self.dw.forward(t, ctx); caches.append(c)
-        t, c = self.bn_dw.forward(t, ctx); caches.append(c)
-        pre = t
-        t = K.hard_swish(t); caches.append((pre,))
+            t, _ = self.expand.forward(t, ctx)
+            t, c = self.bn_expand.forward(t, ctx); norms.append(c)
+            t = K.hard_swish(t)
+        t, _ = self.dw.forward(t, ctx)
+        t, c = self.bn_dw.forward(t, ctx); norms.append(c)
+        t = K.hard_swish(t)
         if self.se is not None:
-            t, c = self.se.forward(t, ctx); caches.append(c)
-        t, c = self.project.forward(t, ctx); caches.append(c)
-        t, c = self.bn_project.forward(t, ctx); caches.append(c)
+            t, c = self.se.forward(t, ctx); se = c[1:]
+        t, _ = self.project.forward(t, ctx)
+        t, c = self.bn_project.forward(t, ctx); norms.append(c)
         if ctx:
             ctx.count("hard_swish", 2 if self.expand is not None else 1)
-        return t, caches
+        return t, (x, norms, se)
 
-    def backward(self, cache, gy: Tensor):
-        caches = list(cache)
+    def backward(self, cache, gy: Tensor, registry=None):
+        """VJP from forward's cache.  Each activation a VJP reads is rebuilt
+        just before it and dropped after its last reader, held in
+        ``registry`` (if any) meanwhile; the hard-swish output's buffer
+        then takes the norm output the hard-swish VJP reads."""
+        x, norms, se = cache
+        live = Rebuilt(registry, f"{self.name}.rebuilt")
         grads: dict[str, np.ndarray] = {}
-        g = gy
-        g, gr = self.bn_project.backward(caches.pop(), g); grads.update(gr)
-        g, gr = self.project.backward(caches.pop(), g); grads.update(gr)
+        g, gr = self.bn_project.backward(norms[-1], gy); grads.update(gr)
+        h = live.activation(self.bn_dw, norms[-2])
         if self.se is not None:
-            g, gr = self.se.backward(caches.pop(), g); grads.update(gr)
-        (pre,) = caches.pop()
-        g = K.hard_swish_backward(pre, g)
-        g, gr = self.bn_dw.backward(caches.pop(), g); grads.update(gr)
-        g, gr = self.dw.backward(caches.pop(), g); grads.update(gr)
-        if self.expand is not None:
-            (pre,) = caches.pop()
-            g = K.hard_swish_backward(pre, g)
-            g, gr = self.bn_expand.backward(caches.pop(), g); grads.update(gr)
-            g, gr = self.expand.backward(caches.pop(), g); grads.update(gr)
+            q = live.hold(SqueezeExcite.gated(h, se[-1]))
+            g, gr = self.project.backward((q,), g); grads.update(gr)
+            live.drop(q); del q
+            g, gr = self.se.backward((h, *se), g); grads.update(gr)
+        else:
+            g, gr = self.project.backward((h,), g); grads.update(gr)
+        g = live.activation_backward(self.bn_dw, norms[-2], g, h); del h
+        g, gr = self.bn_dw.backward(norms[-2], g); grads.update(gr)
+        if self.expand is None:
+            g, gr = self.dw.backward((x,), g); grads.update(gr)
+            return g, grads
+        h = live.activation(self.bn_expand, norms[0])
+        g, gr = self.dw.backward((h,), g); grads.update(gr)
+        g = live.activation_backward(self.bn_expand, norms[0], g, h); del h
+        g, gr = self.bn_expand.backward(norms[0], g); grads.update(gr)
+        g, gr = self.expand.backward((x,), g); grads.update(gr)
         return g, grads
 
     def parameters(self):

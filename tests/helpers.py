@@ -6,6 +6,8 @@ are not the code under test.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 
@@ -47,3 +49,14 @@ def affine_fit(xs, ys) -> tuple[float, float, float]:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), r2
+
+
+def heap_peak(fn) -> tuple[object, int]:
+    """Run ``fn()`` under ``tracemalloc``; returns (its result, the most
+    bytes it held allocated at once)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -307,6 +307,17 @@ def _unique_bytes(obj):
     return reg.current
 
 
+def _working_set(cache):
+    """A transform's cache plus the most its MBConv backward may rebuild at
+    once: the depthwise stage's hard-swish output and squeeze-excite
+    product (each the size of that stage's normalized input), or the
+    expansion stage's hard-swish output alone."""
+    (_, norms, _), _ = cache
+    *stages, _ = norms                         # [expand,] depthwise; project
+    expand = stages[0][0].nbytes if len(stages) == 2 else 0
+    return _unique_bytes(cache) + max(2 * stages[-1][0].nbytes, expand)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("case", ["silo3", "silo4", "expand3"])
 def test_reverse_step_matches_inverse_and_backward(case, dtype):
@@ -355,11 +366,12 @@ def test_reverse_step_matches_inverse_and_backward(case, dtype):
             assert rel_diff(grads[name], grads_fwd[name]) < 1e-12, name
 
     # registry: every reconstructed level was registered, and the peak is
-    # the output, the reconstructed levels and one transform cache at most;
-    # keeping every cache alive would exceed it
+    # the output, the reconstructed levels and one transform's working set
+    # (its cache and what its VJP rebuilds) at most; keeping every cache
+    # alive would exceed it
     assert all(any(obj is lv for obj in registry.added) for lv in p_in.levels)
     caches = list(ref_cache["up"].values()) + list(ref_cache["down"].values())
-    largest = max(_unique_bytes(c) for c in caches)
+    largest = max(_working_set(c) for c in caches)
     bound = out.nbytes + sum(t.nbytes for t in rebuilt) + largest
     assert peak <= bound
     assert _unique_bytes(caches) > bound - out.nbytes

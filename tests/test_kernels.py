@@ -280,7 +280,7 @@ def test_elementwise_add_sub_cancel():
 
 def test_hard_swish_closed_form_values():
     x = np.array([[[[-4.0, -3.0, -1.0, 0.0, 1.0, 3.0, 4.0, 6.0]]]])
-    y = K.hard_swish(Tensor(x)).data.reshape(-1)
+    y = K.hard_swish(Tensor(x.copy())).data.reshape(-1)
     want = [0.0, 0.0, -1.0 / 3.0, 0.0, 2.0 / 3.0, 3.0, 4.0, 6.0]
     assert np.allclose(y, want, rtol=0, atol=1e-15)
 
@@ -421,7 +421,7 @@ def test_hard_swish_forward_is_bit_identical_to_reference(dtype):
     x = (rng.standard_normal((2, 3, 8, 8)) * 3.0).astype(dtype)
     x.flat[:6] = [-3.0, 3.0, -3.5, 3.5, -1.5, 0.0]
     ref = x * np.clip(x + 3.0, 0.0, 6.0) / 6.0
-    y = K.hard_swish(Tensor(x)).data
+    y = K.hard_swish(Tensor(x.copy())).data
     assert y.dtype == dtype and y.tobytes() == ref.tobytes()
 
 

@@ -1,0 +1,312 @@
+"""MBConv's small cache and the activations its backward rebuilds.
+
+An MBConv forward keeps its input, each batch norm's cache and the
+squeeze-excite vectors; its backward rebuilds the norm outputs, the
+hard-swish outputs and the squeeze-excite product.  The oracle below is the
+full-cache MBConv that kept every activation its VJPs read: the rebuilt
+arrays must equal its stored ones byte for byte, and so must the gradients.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from revfuse import kernels as K
+from revfuse.context import FORWARD, ExecContext
+from revfuse.coupling import randomize_parameters
+from revfuse.engine import LiveBytesRegistry, _iter_arrays
+from revfuse.layers import MBConv
+from revfuse.tensor import Tensor
+
+from helpers import heap_peak
+
+BOTH_DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64])
+BN_MODES = pytest.mark.parametrize("train", [True, False])
+
+
+# ---------------------------------------------------------------------------
+# the full-cache oracle
+# ---------------------------------------------------------------------------
+
+def _hard_swish_reference(x: np.ndarray) -> np.ndarray:
+    """The whole-tensor hard-swish formula, allocating its output."""
+    y = x + 3.0
+    np.clip(y, 0.0, 6.0, out=y)
+    y *= x
+    y /= 6.0
+    return y
+
+
+def _hard_swish_backward_reference(x: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """The whole-tensor slope formula, allocating a new gradient."""
+    slope = 2.0 * x
+    slope += 3.0
+    slope /= 6.0
+    slope[x <= -3.0] = 0.0
+    slope[x >= 3.0] = 1.0
+    slope *= gy
+    return slope
+
+
+def _full_cache_forward(block: MBConv, x: Tensor, ctx):
+    """MBConv forward keeping every activation a VJP reads."""
+    caches = []
+    t = x
+    if block.expand is not None:
+        t, c = block.expand.forward(t, ctx); caches.append(c)
+        t, c = block.bn_expand.forward(t, ctx); caches.append(c)
+        pre = t
+        t = Tensor(_hard_swish_reference(pre.data)); caches.append((pre,))
+    t, c = block.dw.forward(t, ctx); caches.append(c)
+    t, c = block.bn_dw.forward(t, ctx); caches.append(c)
+    pre = t
+    t = Tensor(_hard_swish_reference(pre.data)); caches.append((pre,))
+    if block.se is not None:
+        t, c = block.se.forward(t, ctx); caches.append(c)
+    t, c = block.project.forward(t, ctx); caches.append(c)
+    t, c = block.bn_project.forward(t, ctx); caches.append(c)
+    return t, caches
+
+
+def _full_cache_backward(block: MBConv, cache, gy: Tensor):
+    caches = list(cache)
+    grads = {}
+    g = gy
+    g, gr = block.bn_project.backward(caches.pop(), g); grads.update(gr)
+    g, gr = block.project.backward(caches.pop(), g); grads.update(gr)
+    if block.se is not None:
+        g, gr = block.se.backward(caches.pop(), g); grads.update(gr)
+    (pre,) = caches.pop()
+    g = Tensor(_hard_swish_backward_reference(pre.data, g.data))
+    g, gr = block.bn_dw.backward(caches.pop(), g); grads.update(gr)
+    g, gr = block.dw.backward(caches.pop(), g); grads.update(gr)
+    if block.expand is not None:
+        (pre,) = caches.pop()
+        g = Tensor(_hard_swish_backward_reference(pre.data, g.data))
+        g, gr = block.bn_expand.backward(caches.pop(), g); grads.update(gr)
+        g, gr = block.expand.backward(caches.pop(), g); grads.update(gr)
+    return g, grads
+
+
+def _stored_activations(block: MBConv, caches):
+    """(expand norm output, its hard-swish, dw norm output, its hard-swish,
+    squeeze-excite product) from a full cache; None where absent."""
+    caches = list(caches)
+    pre1 = caches[2][0] if block.expand is not None else None
+    h1 = caches[3][0] if block.expand is not None else None
+    k = 4 if block.expand is not None else 1
+    pre2 = caches[k + 1][0]
+    h2 = caches[k + 2][0]          # squeeze-excite's or project's input
+    q = caches[k + 3][0] if block.se is not None else None
+    return pre1, h1, pre2, h2, q
+
+
+def _block(rng, dtype, *, expansion=2, se=0.25, stride=1, in_c=4, out_c=6):
+    block = MBConv("mb", in_c, out_c, kernel=3 if stride == 1 else 5, stride=stride,
+                   padding=1 if stride == 1 else 2, expansion=expansion,
+                   se_ratio=se, zero_final_gamma=True, rng=rng, dtype=dtype)
+    randomize_parameters(block.parameters(), rng)
+    for bn in (block.bn_expand, block.bn_dw, block.bn_project):
+        if bn is not None:
+            c = bn.state.gamma.size
+            bn.state.running_mean[:] = rng.standard_normal(c)
+            bn.state.running_var[:] = rng.uniform(0.5, 2.0, c)
+    return block
+
+
+def _pin_to_kinks(block: MBConv) -> None:
+    """Make the first channels of each hard-swish input exactly -3 or +3:
+    gamma 0 leaves the norm output at beta."""
+    for bn in (block.bn_expand, block.bn_dw):
+        if bn is not None:
+            bn.state.gamma[:4] = 0.0
+            bn.state.beta[:4] = [-3.0, 3.0, -3.0, 3.0]
+
+
+def _ctx(train: bool) -> ExecContext:
+    return ExecContext(None, FORWARD, step_key=0, train=train)
+
+
+class _ByteLog(LiveBytesRegistry):
+    """A registry that logs, in order, ("add" or "remove", the bytes of
+    each array) as an object is added and as it is released (an in-place
+    rebuild changes the bytes in between)."""
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+        self._arrays = {}
+
+    def add(self, obj, label):
+        arrays = list(_iter_arrays(obj))
+        token = super().add(obj, label)
+        self._arrays[token] = arrays
+        self.events.append(("add", [a.tobytes() for a in arrays]))
+        return token
+
+    def remove(self, token):
+        self.events.append(("remove", [a.tobytes() for a in self._arrays.pop(token)]))
+        super().remove(token)
+
+
+# ---------------------------------------------------------------------------
+# kernels behind the rebuilds
+# ---------------------------------------------------------------------------
+
+@BOTH_DTYPES
+@BN_MODES
+def test_batch_norm_output_rebuilds_the_forward_bits(dtype, train):
+    rng = np.random.default_rng(60)
+    x = (rng.standard_normal((2, 5, 7, 9)) * 2.0 + 0.5).astype(dtype)
+    s = K.NormState.create(5, dtype)
+    s.gamma[:] = rng.standard_normal(5)
+    s.beta[:] = rng.standard_normal(5)
+    s.running_mean[:] = rng.standard_normal(5)
+    s.running_var[:] = rng.uniform(0.5, 2.0, 5)
+    y, cache = K.batch_norm(Tensor(x), s, train=train, step_key=0)
+    rebuilt = K.batch_norm_output(cache, s)
+    assert rebuilt.dtype == dtype
+    assert rebuilt.tobytes() == y.data.tobytes()
+
+
+@BOTH_DTYPES
+@pytest.mark.parametrize("shape", [(2, 3, 8, 8), (2, 37, 40, 40)])
+def test_hard_swish_in_place_keeps_the_formula_bits(dtype, shape):
+    # (2, 37, 40, 40) runs in chunks of 20 and 17 channels
+    rng = np.random.default_rng(61)
+    x = (rng.standard_normal(shape) * 3.0).astype(dtype)
+    x.flat[:6] = [-3.0, 3.0, -3.5, 3.5, -1.5, 0.0]
+    want = _hard_swish_reference(x)
+    t = Tensor(x.copy())
+    y = K.hard_swish(t)
+    assert y is t and y.data.tobytes() == want.tobytes()
+
+
+@BOTH_DTYPES
+@pytest.mark.parametrize("shape", [(2, 3, 8, 8), (2, 37, 40, 40), (1, 3, 300, 300)])
+def test_hard_swish_backward_chunks_keep_the_formula_bits(dtype, shape):
+    # kinks at exactly +-3 and negative gradients, whose sign a zero slope
+    # keeps (-0.0); (1, 3, 300, 300) is one channel a chunk
+    rng = np.random.default_rng(62)
+    x = (rng.standard_normal(shape) * 3.0).astype(dtype)
+    x[:, :, 0, :4] = [-3.0, 3.0, -3.5, 3.5]
+    gy = rng.standard_normal(shape).astype(dtype)
+    want = _hard_swish_backward_reference(x, gy)
+    g = Tensor(gy.copy())
+    gx = K.hard_swish_backward(Tensor(x), g)
+    assert gx is g and gx.data.tobytes() == want.tobytes()
+
+
+def test_hard_swish_backward_scratch_is_a_chunk():
+    # the whole-tensor formula allocated a slope and a mask as large as the
+    # input (1.25x its bytes in float32); the chunked one, 320 KiB
+    rng = np.random.default_rng(63)
+    x = Tensor(rng.standard_normal((2, 192, 32, 32)).astype(np.float32))
+    g = Tensor(rng.standard_normal(x.shape).astype(np.float32))
+    _, peak = heap_peak(lambda: K.hard_swish_backward(x, g))
+    assert peak <= x.nbytes // 4, (peak, x.nbytes)
+
+
+# ---------------------------------------------------------------------------
+# MBConv
+# ---------------------------------------------------------------------------
+
+GEOMETRIES = pytest.mark.parametrize("expansion,se,stride", [
+    (1, None, 1), (1, None, 2), (1, 0.5, 1), (1, 0.5, 2),
+    (3, None, 1), (3, None, 2), (3, 0.5, 1), (3, 0.5, 2),
+])
+
+
+@BOTH_DTYPES
+@BN_MODES
+@GEOMETRIES
+def test_mbconv_backward_is_the_full_cache_backward_bit_for_bit(
+        dtype, train, expansion, se, stride):
+    rng = np.random.default_rng(64)
+    block = _block(rng, dtype, expansion=expansion, se=se, stride=stride)
+    _pin_to_kinks(block)
+    x = Tensor(rng.standard_normal((2, 4, 8, 8)).astype(dtype))
+    y_ref, full = _full_cache_forward(block, x, _ctx(train))
+    y, cache = block.forward(x, _ctx(train))
+    assert y.data.tobytes() == y_ref.data.tobytes()
+    gy = Tensor(rng.standard_normal(y.shape).astype(dtype))
+    gx_ref, grads_ref = _full_cache_backward(block, full, Tensor(gy.data.copy()))
+    gx, grads = block.backward(cache, gy)
+    assert gx.data.tobytes() == gx_ref.data.tobytes()
+    assert list(grads) == list(grads_ref)
+    for name, g in grads_ref.items():
+        assert grads[name].tobytes() == g.tobytes(), name
+
+
+def _watch_vjp_inputs(block: MBConv, monkeypatch) -> list:
+    """Log (VJP, bytes of the activation it reads) as the backward runs."""
+    seen = []
+
+    def watch(owner, name, tag, read):
+        inner = getattr(owner, name)
+
+        def wrapped(*args):
+            seen.append((tag, read(args).data.tobytes()))
+            return inner(*args)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    watch(block.project, "backward", "project", lambda a: a[0][0])
+    watch(block.dw, "backward", "dw", lambda a: a[0][0])
+    if block.se is not None:
+        watch(block.se, "backward", "se", lambda a: a[0][0])
+    watch(K, "hard_swish_backward", "hard_swish", lambda a: a[0])
+    return seen
+
+
+@BOTH_DTYPES
+@BN_MODES
+@pytest.mark.parametrize("expansion,se", [(1, None), (3, 0.5)])
+def test_rebuilt_activations_are_the_forward_bits_and_registered(
+        dtype, train, expansion, se, monkeypatch):
+    rng = np.random.default_rng(65)
+    block = _block(rng, dtype, expansion=expansion, se=se)
+    _pin_to_kinks(block)
+    x = Tensor(rng.standard_normal((2, 4, 8, 8)).astype(dtype))
+    _, full = _full_cache_forward(block, x, _ctx(train))
+    pre1, h1, pre2, h2, q = _stored_activations(block, full)
+    for pre in (pre1, pre2):
+        assert pre is None or (np.any(pre.data == -3.0) and np.any(pre.data == 3.0))
+    y, cache = block.forward(x, _ctx(train))
+    seen = _watch_vjp_inputs(block, monkeypatch)
+    log = _ByteLog()
+    block.backward(cache, Tensor(rng.standard_normal(y.shape).astype(dtype)), log)
+    log.assert_empty()
+    # each VJP reads the forward's activation: the project conv the
+    # squeeze-excite product or the hard-swish output, squeeze-excite the
+    # hard-swish output, the hard-swish VJP the norm output, the dw conv
+    # the expansion stage's hard-swish output or the input
+    want = [("project", q if se else h2)] + ([("se", h2)] if se else []) + [
+        ("hard_swish", pre2), ("dw", h1 if h1 is not None else x)] + (
+        [("hard_swish", pre1)] if pre1 is not None else [])
+    assert seen == [(tag, t.data.tobytes()) for tag, t in want]
+    # each rebuild is registered as it is made and released after its last
+    # VJP, before the next stage's is made: a norm output, turned into its
+    # hard-swish in place and back into the norm output for the hard-swish
+    # VJP; the squeeze-excite product while the hard-swish output is held
+    def held(t):
+        return [("add", [t.data.tobytes()]), ("remove", [t.data.tobytes()])]
+
+    want = held(pre2)
+    if se:
+        want[1:1] = held(q)
+    if pre1 is not None:
+        want += held(pre1)
+    assert log.events == want
+
+
+@pytest.mark.parametrize("expansion,se", [(1, None), (3, None), (3, 0.5)])
+def test_mbconv_cache_holds_one_activation_per_batch_norm(expansion, se):
+    rng = np.random.default_rng(66)
+    block = _block(rng, np.float64, expansion=expansion, se=se)
+    x = Tensor(rng.standard_normal((2, 4, 8, 8)))
+    _, cache = block.forward(x)
+    norms = 3 if expansion > 1 else 2
+    held = [a for a in _iter_arrays(cache) if a.ndim == 4 and a is not x.data]
+    assert len(held) <= norms, [a.shape for a in held]
