@@ -18,8 +18,7 @@ import numpy as np
 from . import kernels as K
 from .context import BACKWARD, FORWARD, ExecContext, OpCounters
 from .coupling import FeaturePyramid, Silo, SiloSpec
-from .engine import (BackwardMode, ExpandStage, LiveBytesRegistry, ReversibleBlock,
-                     SiloStage, Tape, count_forward_evals)
+from .engine import BackwardMode, LiveBytesRegistry, Tape, count_forward_evals
 from .errors import ConfigurationError, DivergenceError
 from .layers import MBConv, Conv2d, BatchNorm, Dense, Rebuilt
 from .tensor import Tensor, assert_finite, precision_dtype
@@ -119,7 +118,7 @@ class BackboneConfig:
 # stem
 # ---------------------------------------------------------------------------
 
-class StemStage(ReversibleBlock):
+class StemStage:
     """Channel duplication followed by space-to-depth — exactly invertible.
 
     Duplication widens narrow inputs so downstream widths stay reachable
@@ -144,8 +143,6 @@ class StemStage(ReversibleBlock):
 
     def forward(self, p, ctx=None, want_cache=False):
         x = self._check(p, self.in_channels)
-        if ctx:
-            ctx.count("space_to_depth")
         d = x.data
         if self.duplication > 1:
             d = np.concatenate([d] * self.duplication, axis=1)
@@ -154,11 +151,9 @@ class StemStage(ReversibleBlock):
 
     def inverse(self, p_out, ctx=None):
         y = self._check(p_out, self.out_channels)
-        if ctx:
-            ctx.count("depth_to_space")
         wide = K.depth_to_space(y, STEM_BLOCK)
         x = Tensor(np.ascontiguousarray(wide.data[:, : self.in_channels]))
-        return p_out.with_levels([x])
+        return p_out.with_levels([x]), None
 
     def backward(self, cache, grad_out, registry=None):
         g = K.depth_to_space(grad_out[0], STEM_BLOCK)
@@ -172,7 +167,10 @@ class StemStage(ReversibleBlock):
 
     def reverse(self, p_out, grad_out, ctx, registry):
         g, grads = self.backward((), grad_out)
-        return self.inverse(p_out, ctx), g, grads
+        return self.inverse(p_out, ctx)[0], g, grads
+
+    def parameters(self):
+        return []
 
     @property
     def out_channels(self) -> int:
@@ -286,7 +284,7 @@ class ClassifierHead:
 @dataclass
 class Model:
     config: BackboneConfig
-    blocks: list[ReversibleBlock]       # the reversible portion, in order
+    blocks: list       # the reversible portion: the stem, then silos
     head: ClassifierHead
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
@@ -298,7 +296,7 @@ class Model:
 
     @property
     def silos(self) -> list[Silo]:
-        return [b.silo for b in self.blocks if hasattr(b, "silo")]
+        return [b for b in self.blocks if isinstance(b, Silo)]
 
 
 def build(config: BackboneConfig) -> Model:
@@ -306,15 +304,14 @@ def build(config: BackboneConfig) -> Model:
     rng = np.random.default_rng(config.seed)
     dtype = config.dtype
     eff = config.effective_channels
-    blocks: list[ReversibleBlock] = [
-        StemStage(config.in_channels, config.stem_duplication)
-    ]
+    blocks: list = [StemStage(config.in_channels, config.stem_duplication)]
     for k in range(1, 4):  # grow the pyramid one level at a time
         spec = SiloSpec(levels=k + 1, channels=eff[: k + 1])
-        blocks.append(ExpandStage(Silo.build(spec, name=f"expand{k}", rng=rng, dtype=dtype)))
+        blocks.append(Silo.build(spec, name=f"expand{k}", rng=rng, dtype=dtype,
+                                 expands=True))
     full = SiloSpec(levels=4, channels=eff)
     for i in range(config.extra_depth):
-        blocks.append(SiloStage(Silo.build(full, name=f"fuse{i}", rng=rng, dtype=dtype)))
+        blocks.append(Silo.build(full, name=f"fuse{i}", rng=rng, dtype=dtype))
     head = ClassifierHead(eff, config.num_classes, rng=rng, dtype=dtype)
     return Model(config, blocks, head)
 

@@ -1,7 +1,7 @@
 """Execution context threaded through forward/backward code paths.
 
-``OpCounters`` tallies forward kernel evaluations, bucketed by the phase of
-the training step in which they ran.  The counters are the measurement side
+``OpCounters`` tallies forward evaluations of coupling transforms, bucketed
+by the phase of the training step in which they ran.  The counters are the measurement side
 of the compute cost model: a recompute-mode backward pass re-executes every
 fusion transform exactly once, and that surcharge has to show up here, in the
 ``backward`` phase bucket, while a stored-mode backward must show zero.
@@ -15,8 +15,7 @@ FORWARD = "forward"
 BACKWARD = "backward"
 
 # Counter key for one evaluation of a coupling transform (the unit the
-# analytic compute model predicts).  Kernel-level keys ("conv2d", ...) are
-# tallied too, but f_eval is the contract-bearing one.
+# analytic compute model predicts); the only kind anything tallies.
 F_EVAL = "f_eval"
 
 

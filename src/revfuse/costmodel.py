@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import math
 
 from .backbone import Model, scale_channels
-from .engine import ExpandStage, SiloStage
+from .coupling import Silo
 from .errors import ConfigurationError
 
 SGD_BASELINE = "sgd_baseline"
@@ -23,29 +23,18 @@ CHECKPOINTING = "checkpointing"
 REVERSIBLE = "reversible"
 METHODS = (SGD_BASELINE, CHECKPOINTING, REVERSIBLE)
 
-LAYER_SEQUENTIAL = "layer_sequential"
-PIPELINED_PARALLEL = "pipelined_parallel"
-SCHEDULES = (LAYER_SEQUENTIAL, PIPELINED_PARALLEL)
 
-
-def activation_memory_model(method: str, depth: int, unit_bytes: float = 1.0,
-                            schedule: str = LAYER_SEQUENTIAL) -> float:
-    """Peak activation bytes for a depth-D chain under a training method.
-
-    Layer-sequential: baseline D, checkpointing sqrt(D), reversible 1.
-    Pipelined-parallel: D^2, D^1.5, D.  All scaled by the per-layer unit.
+def activation_memory_model(method: str, depth: int, unit_bytes: float = 1.0) -> float:
+    """Peak activation bytes for a depth-D chain under a training method,
+    one block's activations live at a time: baseline D, checkpointing
+    sqrt(D), reversible 1, scaled by the per-layer unit.
     """
     if depth < 1:
         raise ConfigurationError(f"depth must be >= 1, got {depth}")
     if method not in METHODS:
         raise ConfigurationError(f"method must be one of {METHODS}, got {method!r}")
-    if schedule not in SCHEDULES:
-        raise ConfigurationError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
     d = float(depth)
-    if schedule == LAYER_SEQUENTIAL:
-        factor = {SGD_BASELINE: d, CHECKPOINTING: math.sqrt(d), REVERSIBLE: 1.0}[method]
-    else:
-        factor = {SGD_BASELINE: d * d, CHECKPOINTING: d ** 1.5, REVERSIBLE: d}[method]
+    factor = {SGD_BASELINE: d, CHECKPOINTING: math.sqrt(d), REVERSIBLE: 1.0}[method]
     return unit_bytes * factor
 
 
@@ -184,10 +173,9 @@ def model_costs(model: Model, batch: int = 1) -> list[CostItem]:
     shapes = model.config.pyramid_shapes(batch=batch)
     items = [CostItem("stem", 0, 0)]  # permutation + duplication: no MACs, no params
     for block in model.blocks[1:]:
-        if isinstance(block, (SiloStage, ExpandStage)):
-            silo = block.silo
-            level_shapes = shapes[: silo.spec.levels]
-            items.append(CostItem(block.name, silo.macs(level_shapes), _params_of(block)))
+        if isinstance(block, Silo):
+            level_shapes = shapes[: block.spec.levels]
+            items.append(CostItem(block.name, block.macs(level_shapes), _params_of(block)))
         else:
             items.append(CostItem(block.name, 0, _params_of(block)))
     items.append(CostItem("head", _head_macs(model.head, shapes),

@@ -244,8 +244,6 @@ class MBConvTransform:
         y, cache = self.block.forward(x, ctx)
         pre_shape = y.shape
         if self.upsample_factor > 1:
-            if ctx:
-                ctx.count("bilinear_upsample")
             y = K.bilinear_upsample(y, self.upsample_factor)
         return y, ((cache, pre_shape) if want_cache else None)
 
@@ -366,18 +364,26 @@ class SiloSpec:
 
 
 class Silo:
-    """A built silo: one transform object per (src, dst) level pair."""
+    """A built silo: one transform object per (src, dst) level pair.
 
-    def __init__(self, spec: SiloSpec, down: dict, up: dict, name: str = "silo"):
+    A silo is a tape block itself.  An expanding silo (``expands``) takes
+    one level fewer than its spec: ``forward`` appends a zero coarsest
+    level, and ``inverse``, ``backward`` and ``reverse`` drop that level,
+    which is reconstructed as numerical zeros, and its gradient.
+    """
+
+    def __init__(self, spec: SiloSpec, down: dict, up: dict, name: str = "silo",
+                 expands: bool = False):
         self.spec = spec
         self.down = down      # (src, dst) -> transform, src < dst
         self.up = up          # (src, dst) -> transform, src > dst
         self.name = name
+        self.expands = expands
 
     # -- construction ------------------------------------------------------
     @staticmethod
     def build(spec: SiloSpec, *, name: str = "silo",
-              rng: np.random.Generator, dtype) -> "Silo":
+              rng: np.random.Generator, dtype, expands: bool = False) -> "Silo":
         down = {}
         for i, j in spec.down_pairs():
             down[(i, j)] = make_resample_transform(
@@ -386,7 +392,7 @@ class Silo:
         for i, j in spec.up_pairs():
             up[(i, j)] = make_resample_transform(
                 spec.resample_spec(i, j), name=f"{name}.up{i}{j}", rng=rng, dtype=dtype)
-        return Silo(spec, down, up, name)
+        return Silo(spec, down, up, name, expands)
 
     @staticmethod
     def build_scalar(levels: int, *, name: str = "scalar_silo",
@@ -400,6 +406,10 @@ class Silo:
         return Silo(spec, down, up, name)
 
     # -- validation ----------------------------------------------------------
+    def _outer(self, levels: list) -> list:
+        """The levels outside the silo: without an expanding silo's zero level."""
+        return levels[:-1] if self.expands else levels
+
     def _check_pyramid(self, p: FeaturePyramid) -> None:
         if p.num_levels != self.spec.levels:
             raise ConfigurationError(
@@ -453,6 +463,8 @@ class Silo:
     # -- public API ------------------------------------------------------------
     def forward(self, p: FeaturePyramid, ctx: ExecContext | None = None,
                 want_cache: bool = False, down_order=None, up_order=None):
+        if self.expands:
+            p = expanded_input(self, p)
         self._check_pyramid(p)
         x = list(p.levels)
         m, down_caches = self.down_phase(x, ctx, want_cache, down_order)
@@ -475,7 +487,7 @@ class Silo:
         self._check_pyramid(p_out)
         m = self._undo(self.up, list(p_out.levels), ctx)
         x = self._undo(self.down, list(m), ctx)
-        return p_out.with_levels(x), m
+        return p_out.with_levels(self._outer(x)), m
 
     def reverse(self, p_out: FeaturePyramid, grad_out, ctx: ExecContext | None,
                 registry):
@@ -527,7 +539,7 @@ class Silo:
         x = self._undo(self.down, list(m), ctx, down_vjp, keep)
         for token in tokens:
             registry.remove(token)
-        return p_out.with_levels(x), gx, grads
+        return p_out.with_levels(self._outer(x)), self._outer(gx), grads
 
     def _undo(self, half, levels, ctx, vjp=None, keep=None):
         """Subtract one half's transforms back out of ``levels``, in place.
@@ -576,7 +588,7 @@ class Silo:
                                                  registry)
             gx[i] = K.add(gx[i], gin)
             grads.update(gr)
-        return gx, grads
+        return self._outer(gx), grads
 
     def parameters(self):
         out = []
@@ -618,10 +630,12 @@ def expanded_input(silo: Silo, p: FeaturePyramid) -> FeaturePyramid:
 
 def expand_pyramid(silo: Silo, p: FeaturePyramid,
                    ctx: ExecContext | None = None, want_cache: bool = False):
-    """Run a silo as a pyramid expander: inject a zero coarsest level, fuse.
+    """Run a non-expanding silo as a pyramid expander: inject a zero
+    coarsest level, fuse.
 
     The zero level is reconstructed (as numerical zeros) by the ordinary
     silo inverse, which is what keeps expansion inside the reversible chain.
+    A silo built with ``expands=True`` does this in its own ``forward``.
     """
     return silo.forward(expanded_input(silo, p), ctx, want_cache)
 
@@ -714,14 +728,14 @@ class RevBlock:
         cache = {"f": f_cache, "g": g_cache} if want_cache else None
         return self._join(ya, yb), cache
 
-    def inverse(self, y: Tensor, ctx: ExecContext | None = None, capture: bool = False):
+    def inverse(self, y: Tensor, ctx: ExecContext | None = None):
+        """Returns (x, None), a pair like ``Silo.inverse``'s (input, intermediates)."""
         ya, yb = self._split(y)
-        g_out, g_cache = self.g.forward(ya, ctx, capture)
+        g_out, _ = self.g.forward(ya, ctx, False)
         xb = K.sub(yb, g_out)
-        f_out, f_cache = self.f.forward(xb, ctx, capture)
+        f_out, _ = self.f.forward(xb, ctx, False)
         xa = K.sub(ya, f_out)
-        cache = {"f": f_cache, "g": g_cache} if capture else None
-        return self._join(xa, xb), cache
+        return self._join(xa, xb), None
 
     def backward(self, cache, gy: Tensor, registry=None):
         gya, gyb = self._split(gy)

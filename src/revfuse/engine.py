@@ -49,7 +49,7 @@ from enum import Enum
 import numpy as np
 
 from .context import BACKWARD, F_EVAL, FORWARD, ExecContext, OpCounters
-from .coupling import FeaturePyramid, Silo, expand_pyramid
+from .coupling import FeaturePyramid, Silo
 from .errors import AccountingError, ConfigurationError, StateError
 from .tensor import Tensor, assert_finite
 
@@ -161,94 +161,6 @@ class LiveBytesRegistry:
 
 
 # ---------------------------------------------------------------------------
-# reversible block protocol and adapters
-# ---------------------------------------------------------------------------
-
-class ReversibleBlock:
-    """One reversible stage of a tape.
-
-    ``forward``/``inverse`` map whole pyramids.  ``backward`` maps per-level
-    gradient lists from output side to input side using only a forward
-    cache (stored mode).  ``reverse`` is the recompute-mode step: from the
-    output pyramid and its gradient it reconstructs the input and
-    back-propagates in one pass, returning (p_in, grad_in, param_grads).
-    Its gradients equal ``backward``'s from a forward cache.  Both register
-    in ``registry`` whatever activations they rebuild or keep alive and
-    release them before they return; the tape registers ``p_in`` itself.
-    """
-
-    name = "block"
-
-    def forward(self, p: FeaturePyramid, ctx: ExecContext | None = None,
-                want_cache: bool = False):
-        raise NotImplementedError
-
-    def inverse(self, p_out: FeaturePyramid, ctx: ExecContext | None = None):
-        raise NotImplementedError
-
-    def backward(self, cache, grad_out: list[Tensor], registry=None):
-        raise NotImplementedError
-
-    def reverse(self, p_out: FeaturePyramid, grad_out: list[Tensor],
-                ctx: ExecContext | None, registry: "LiveBytesRegistry"):
-        raise NotImplementedError
-
-    def parameters(self) -> list[tuple[str, np.ndarray]]:
-        return []
-
-
-class SiloStage(ReversibleBlock):
-    """A fusion silo as a tape stage (level count preserved)."""
-
-    def __init__(self, silo: Silo):
-        self.silo = silo
-        self.name = silo.name
-
-    def forward(self, p, ctx=None, want_cache=False):
-        return self.silo.forward(p, ctx, want_cache)
-
-    def inverse(self, p_out, ctx=None):
-        return self.silo.inverse(p_out, ctx)[0]
-
-    def backward(self, cache, grad_out, registry=None):
-        return self.silo.backward(cache, grad_out, registry)
-
-    def reverse(self, p_out, grad_out, ctx, registry):
-        return self.silo.reverse(p_out, grad_out, ctx, registry)
-
-    def parameters(self):
-        return self.silo.parameters()
-
-
-class ExpandStage(ReversibleBlock):
-    """A silo run as a pyramid expander: N-1 levels in, N levels out."""
-
-    def __init__(self, silo: Silo):
-        self.silo = silo
-        self.name = silo.name
-
-    def forward(self, p, ctx=None, want_cache=False):
-        return expand_pyramid(self.silo, p, ctx, want_cache)
-
-    # the recovered coarsest level is the injected zero (numerically); it is
-    # not part of the stage input, nor is its gradient
-    def inverse(self, p_out, ctx=None):
-        p_in, _ = self.silo.inverse(p_out, ctx)
-        return p_out.with_levels(p_in.levels[:-1])
-
-    def backward(self, cache, grad_out, registry=None):
-        gx, grads = self.silo.backward(cache, grad_out, registry)
-        return gx[:-1], grads
-
-    def reverse(self, p_out, grad_out, ctx, registry):
-        p_in, gx, grads = self.silo.reverse(p_out, grad_out, ctx, registry)
-        return p_out.with_levels(p_in.levels[:-1]), gx[:-1], grads
-
-    def parameters(self):
-        return self.silo.parameters()
-
-
-# ---------------------------------------------------------------------------
 # the tape
 # ---------------------------------------------------------------------------
 
@@ -259,9 +171,24 @@ class BackwardResult:
 
 
 class Tape:
-    """Executes a block chain forward and backward under one of two modes."""
+    """Executes a block chain forward and backward under one of two modes.
 
-    def __init__(self, blocks: list[ReversibleBlock], mode=BackwardMode.STORED,
+    A block (a ``Silo`` or the backbone's stem) has a ``name`` and five
+    methods.  ``forward(p, ctx, want_cache)`` returns (p_out, cache), the
+    cache ``None`` unless asked for.  ``inverse(p_out, ctx)`` returns
+    (p_in, extra), ``extra`` whatever else the block reconstructed.
+    ``backward(cache, grad_out, registry)`` maps per-level gradient lists
+    from output side to input side using only a forward cache (stored
+    mode) and returns (grad_in, param_grads).  ``reverse(p_out, grad_out,
+    ctx, registry)`` is the recompute-mode step: from the output pyramid
+    and its gradient it reconstructs the input and back-propagates in one
+    pass, returning (p_in, grad_in, param_grads) with ``backward``'s
+    gradients.  Both register in ``registry`` whatever activations they
+    rebuild or keep alive and release them before they return; the tape
+    registers ``p_in`` itself.  ``parameters()`` lists (name, array) pairs.
+    """
+
+    def __init__(self, blocks: list, mode=BackwardMode.STORED,
                  counters: OpCounters | None = None,
                  registry: LiveBytesRegistry | None = None):
         if not blocks:
@@ -412,12 +339,17 @@ class Tape:
         return self.registry.peak
 
 
-def invert_chain(blocks: list[ReversibleBlock], p_out: FeaturePyramid,
+def SiloStage(silo: Silo) -> Silo:
+    """A silo as a tape block: the silo itself, which implements the protocol."""
+    return silo
+
+
+def invert_chain(blocks: list, p_out: FeaturePyramid,
                  ctx: ExecContext | None = None) -> FeaturePyramid:
     """Reconstruct a chain's input from its output (no caches, no grads)."""
     cur = p_out
     for block in reversed(blocks):
-        cur = block.inverse(cur, ctx)
+        cur, _ = block.inverse(cur, ctx)
     return cur
 
 

@@ -47,8 +47,6 @@ class Conv2d:
             )
 
     def forward(self, x: Tensor, ctx: ExecContext | None = None):
-        if ctx:
-            ctx.count("conv2d")
         y = K.conv2d(x, self.params)
         return y, (x,)
 
@@ -91,8 +89,6 @@ class BatchNorm:
         self.state = K.NormState.create(channels, dtype, momentum, epsilon, zero_gamma)
 
     def forward(self, x: Tensor, ctx: ExecContext | None = None):
-        if ctx:
-            ctx.count("batch_norm")
         train = ctx.train if ctx else True
         step_key = ctx.step_key if ctx else None
         y, cache = K.batch_norm(x, self.state, train=train, step_key=step_key)
@@ -126,8 +122,6 @@ class SqueezeExcite:
         self.b2 = np.zeros(channels, dtype=dtype)
 
     def forward(self, x: Tensor, ctx: ExecContext | None = None):
-        if ctx:
-            ctx.count("squeeze_excite")
         n, c, h, w = x.shape
         pooled = K.global_avg_pool(x)              # (n, c, 1, 1)
         s = pooled.data.reshape(n, c)
@@ -260,8 +254,6 @@ class MBConv:
             t, c = self.se.forward(t, ctx); se = c[1:]
         t, _ = self.project.forward(t, ctx)
         t, c = self.bn_project.forward(t, ctx); norms.append(c)
-        if ctx:
-            ctx.count("hard_swish", 2 if self.expand is not None else 1)
         return t, (x, norms, se)
 
     def backward(self, cache, gy: Tensor, registry=None):
@@ -330,8 +322,6 @@ class Dense:
         self.bias = np.zeros(out_features, dtype=dtype)
 
     def forward(self, x: np.ndarray, ctx: ExecContext | None = None):
-        if ctx:
-            ctx.count("dense")
         return K.dense(x, self.weights, self.bias), (x,)
 
     def backward(self, cache, gy: np.ndarray):

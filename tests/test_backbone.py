@@ -87,7 +87,8 @@ def test_stem_round_trip_and_duplication():
     p = FeaturePyramid([Tensor(x)])
     out, _ = stem.forward(p)
     assert out.shapes == ((2, 16, 4, 4),)          # 16x channels, /4 spatial
-    back = stem.inverse(out)
+    back, extra = stem.inverse(out)
+    assert extra is None
     assert np.array_equal(back.levels[0].data, x)
 
 
@@ -97,7 +98,7 @@ def test_stem_duplication_replicates_and_backward_sums():
     x = rng.standard_normal((1, 1, 8, 8))
     out, cache = stem.forward(FeaturePyramid([Tensor(x)]), want_cache=True)
     assert out.shapes == ((1, 32, 2, 2),)
-    back = stem.inverse(out)
+    back, _ = stem.inverse(out)
     assert np.array_equal(back.levels[0].data, x)
     # gradient of a duplicated input is the sum over the copies
     gy = Tensor(np.ones(out.shapes[0]))
@@ -278,7 +279,8 @@ def test_model_silos_give_the_f_eval_contract():
     model = build(replace(TOY, extra_depth=2))
     assert [s.name for s in model.silos] == [
         "expand1", "expand2", "expand3", "fuse0", "fuse1"]
-    assert all(s is b.silo for s, b in zip(model.silos, model.blocks[1:]))
+    assert model.silos == model.blocks[1:]
+    assert [s.expands for s in model.silos] == [True, True, True, False, False]
     contract = sum(len(s.spec.down_pairs()) + len(s.spec.up_pairs())
                    for s in model.silos)
     ds = make_synthetic_dataset(4, 2, 32, 1, seed=12)

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from revfuse.backbone import BackboneConfig, build
-from revfuse.costmodel import (CHECKPOINTING, LAYER_SEQUENTIAL,
-                               PIPELINED_PARALLEL, REVERSIBLE, SGD_BASELINE,
+from revfuse.costmodel import (CHECKPOINTING, REVERSIBLE, SGD_BASELINE,
                                ScaleRow, activation_memory_model,
                                activation_ratio, compute_cost_model,
                                mac_count, model_costs, param_count,
@@ -20,22 +19,15 @@ from revfuse.errors import ConfigurationError
 # activation-memory scaling laws
 # ---------------------------------------------------------------------------
 
-def _growth(method: str, schedule: str) -> float:
+def _growth(method: str) -> float:
     """Memory growth factor when depth quadruples (4 -> 16)."""
-    return (activation_memory_model(method, 16, schedule=schedule)
-            / activation_memory_model(method, 4, schedule=schedule))
+    return activation_memory_model(method, 16) / activation_memory_model(method, 4)
 
 
 def test_memory_law_layer_sequential():
-    assert _growth(SGD_BASELINE, LAYER_SEQUENTIAL) == 4.0     # linear
-    assert _growth(CHECKPOINTING, LAYER_SEQUENTIAL) == 2.0    # sqrt
-    assert _growth(REVERSIBLE, LAYER_SEQUENTIAL) == 1.0       # constant
-
-
-def test_memory_law_pipelined():
-    assert _growth(SGD_BASELINE, PIPELINED_PARALLEL) == 16.0  # quadratic
-    assert _growth(CHECKPOINTING, PIPELINED_PARALLEL) == 8.0  # d ** 1.5
-    assert _growth(REVERSIBLE, PIPELINED_PARALLEL) == 4.0     # linear
+    assert _growth(SGD_BASELINE) == 4.0     # linear
+    assert _growth(CHECKPOINTING) == 2.0    # sqrt
+    assert _growth(REVERSIBLE) == 1.0       # constant
 
 
 def test_memory_model_unit_scaling():
@@ -56,8 +48,6 @@ def test_compute_cost_table():
 def test_cost_model_validation():
     with pytest.raises(ConfigurationError):
         activation_memory_model("nonsense", 4)
-    with pytest.raises(ConfigurationError):
-        activation_memory_model(SGD_BASELINE, 4, schedule="nonsense")
     with pytest.raises(ConfigurationError):
         activation_memory_model(SGD_BASELINE, 0)
     with pytest.raises(ConfigurationError):

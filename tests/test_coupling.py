@@ -18,7 +18,7 @@ from revfuse.coupling import (FeaturePyramid, RevBlock, RevBlockSpec, Silo,
                               SiloSpec, expand_pyramid, expanded_input,
                               pyramid_max_abs_diff, pyramid_max_rel_diff,
                               randomize_parameters)
-from revfuse.engine import ExpandStage, LiveBytesRegistry, SiloStage
+from revfuse.engine import LiveBytesRegistry
 from revfuse.errors import ConfigurationError
 from revfuse.tensor import Tensor
 
@@ -33,9 +33,9 @@ def _pyramid(rng, channels, spatial=16, batch=2, dtype=np.float64):
     ])
 
 
-def _random_silo(rng, channels, dtype=np.float64, name="silo"):
+def _random_silo(rng, channels, dtype=np.float64, name="silo", expands=False):
     spec = SiloSpec(levels=len(channels), channels=tuple(channels))
-    silo = Silo.build(spec, name=name, rng=rng, dtype=dtype)
+    silo = Silo.build(spec, name=name, rng=rng, dtype=dtype, expands=expands)
     randomize_parameters(silo.parameters(), rng)
     return silo
 
@@ -323,21 +323,17 @@ def _working_set(cache):
 def test_reverse_step_matches_inverse_and_backward(case, dtype):
     rng = np.random.default_rng({"silo3": 42, "silo4": 142, "expand3": 242}[case])
     channels = (8, 16, 24, 32)[:int(case[-1])]
-    silo = _random_silo(rng, channels, dtype)
-    if case.startswith("expand"):
-        block = ExpandStage(silo)
-        p = _pyramid(rng, channels[:-1], spatial=32, dtype=dtype)
-    else:
-        block = SiloStage(silo)
-        p = _pyramid(rng, channels, spatial=32, dtype=dtype)
-    out, fwd_cache = block.forward(p, None, True)
+    expands = case.startswith("expand")
+    silo = _random_silo(rng, channels, dtype, expands=expands)
+    p = _pyramid(rng, channels[:-1] if expands else channels, spatial=32, dtype=dtype)
+    out, fwd_cache = silo.forward(p, None, True)
     grad_out = [Tensor(rng.standard_normal(t.shape).astype(dtype)) for t in out.levels]
 
     registry = _RecordingRegistry()
     out_token = registry.add(out, "out")
     counters = OpCounters()
-    p_in, g_in, grads = block.reverse(out, grad_out, ExecContext(counters, BACKWARD),
-                                      registry)
+    p_in, g_in, grads = silo.reverse(out, grad_out, ExecContext(counters, BACKWARD),
+                                     registry)
     peak = registry.peak
     registry.remove(out_token)
     registry.assert_empty()                    # the step released all it held
@@ -345,13 +341,13 @@ def test_reverse_step_matches_inverse_and_backward(case, dtype):
 
     # reconstruction: byte-identical to the inverse
     assert len(p_in.levels) == len(p.levels)
-    for a, b in zip(p_in.levels, block.inverse(out).levels):
+    for a, b in zip(p_in.levels, silo.inverse(out)[0].levels):
         assert a.data.tobytes() == b.data.tobytes()
 
     # gradients: byte-identical to backward from the replayed cache, with
     # the same key order, and equal to backward from the forward cache
     ref_cache, rebuilt = _replayed_inverse_cache(silo, out)
-    g_ref, grads_ref = block.backward(ref_cache, grad_out)
+    g_ref, grads_ref = silo.backward(ref_cache, grad_out)
     assert len(g_in) == len(g_ref) == len(p.levels)
     for a, b in zip(g_in, g_ref):
         assert a.data.tobytes() == b.data.tobytes()
@@ -359,7 +355,7 @@ def test_reverse_step_matches_inverse_and_backward(case, dtype):
     for name in grads_ref:
         assert grads[name].tobytes() == grads_ref[name].tobytes(), name
     if dtype == np.float64:
-        g_fwd, grads_fwd = block.backward(fwd_cache, grad_out)
+        g_fwd, grads_fwd = silo.backward(fwd_cache, grad_out)
         for a, b in zip(g_in, g_fwd):
             assert rel_diff(a.data, b.data) < 1e-12
         for name in grads_fwd:
@@ -411,21 +407,37 @@ def test_silo_backward_matches_finite_differences():
             assert abs(fd - gflat[idx]) / scale < 1e-4, f"level {lvl}"
 
 
-def test_revblock_backward_from_forward_and_captured_inverse():
+def test_revblock_backward_matches_finite_differences():
     rng = np.random.default_rng(44)
     spec = RevBlockSpec(channels_a=4, channels_b=8, kernel=3, expansion=2,
                         se_ratio=0.25)
     block = RevBlock.build(spec, name="rb", rng=rng, dtype=np.float64)
     randomize_parameters(block.parameters(), rng)
-    x = Tensor(rng.standard_normal((2, 12, 8, 8)))
-    y, cache_fwd = block.forward(x, want_cache=True)
-    _, cache_inv = block.inverse(y, capture=True)
-    gy = Tensor(rng.standard_normal(y.shape))
-    gx_f, grads_f = block.backward(cache_fwd, gy)
-    gx_i, grads_i = block.backward(cache_inv, gy)
-    assert rel_diff(gx_f.data, gx_i.data) < 1e-13
-    for name in grads_f:
-        assert rel_diff(grads_f[name], grads_i[name]) < 1e-13
+    x = Tensor(rng.standard_normal((1, 12, 8, 8)))
+    r = rng.standard_normal((1, 12, 8, 8))
+
+    def loss():
+        y, _ = block.forward(x)
+        return float(np.vdot(y.data, r)) / 10.0
+
+    _, cache = block.forward(x, want_cache=True)
+    gx, grads = block.backward(cache, Tensor(r / 10.0))
+
+    params = dict(block.parameters())
+    assert sorted(grads) == sorted(params)
+    for name in sorted(params):
+        arr, grad = params[name], grads[name]
+        scale = max(float(np.max(np.abs(grad))), 1e-10)
+        flat, gflat = arr.reshape(-1), grad.reshape(-1)
+        for idx in rng.choice(flat.size, size=min(3, flat.size), replace=False):
+            fd = central_fd(loss, flat, int(idx), 1e-5)
+            assert abs(fd - gflat[idx]) / scale < 1e-4, name
+
+    flat, gflat = x.data.reshape(-1), gx.data.reshape(-1)
+    scale = max(float(np.max(np.abs(gx.data))), 1e-10)
+    for idx in rng.choice(flat.size, size=6, replace=False):
+        fd = central_fd(loss, flat, int(idx), 1e-5)
+        assert abs(fd - gflat[idx]) / scale < 1e-4, "input"
 
 
 def test_identity_silo_backward_passes_gradient_through():

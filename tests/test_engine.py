@@ -11,8 +11,8 @@ from revfuse.context import BACKWARD, FORWARD
 from revfuse.coupling import (FeaturePyramid, Silo, SiloSpec,
                               pyramid_max_abs_diff, pyramid_max_rel_diff,
                               randomize_parameters)
-from revfuse.engine import (BackwardMode, ExpandStage, LiveBytesRegistry,
-                            SiloStage, Tape, count_forward_evals, invert_chain)
+from revfuse.engine import (BackwardMode, LiveBytesRegistry, Tape,
+                            count_forward_evals, invert_chain)
 from revfuse.errors import (AccountingError, ConfigurationError, StateError)
 from revfuse.tensor import Tensor
 
@@ -35,7 +35,7 @@ def _silo_chain(rng, depth, channels=CHANNELS, dtype=np.float64):
     for i in range(depth):
         silo = Silo.build(spec, name=f"fuse{i}", rng=rng, dtype=dtype)
         randomize_parameters(silo.parameters(), rng)
-        stages.append(SiloStage(silo))
+        stages.append(silo)
     return stages
 
 
@@ -73,11 +73,11 @@ def test_mode_parity_with_expansion_stages():
     rng = np.random.default_rng(52)
     spec2 = SiloSpec(levels=2, channels=CHANNELS[:2])
     spec3 = SiloSpec(levels=3, channels=CHANNELS)
-    s2 = Silo.build(spec2, name="expand1", rng=rng, dtype=np.float64)
-    s3 = Silo.build(spec3, name="expand2", rng=rng, dtype=np.float64)
+    s2 = Silo.build(spec2, name="expand1", rng=rng, dtype=np.float64, expands=True)
+    s3 = Silo.build(spec3, name="expand2", rng=rng, dtype=np.float64, expands=True)
     randomize_parameters(s2.parameters(), rng)
     randomize_parameters(s3.parameters(), rng)
-    blocks = [ExpandStage(s2), ExpandStage(s3)] + _silo_chain(rng, 1)
+    blocks = [s2, s3] + _silo_chain(rng, 1)
 
     p = _pyramid(rng, CHANNELS[:1])
     grng = np.random.default_rng(53)
@@ -92,7 +92,7 @@ def test_mode_parity_with_expansion_stages():
 def test_identity_chain_passes_gradient_through():
     rng = np.random.default_rng(54)
     spec = SiloSpec(levels=3, channels=CHANNELS)
-    blocks = [SiloStage(Silo.build(spec, name=f"id{i}", rng=rng, dtype=np.float64))
+    blocks = [Silo.build(spec, name=f"id{i}", rng=rng, dtype=np.float64)
               for i in range(3)]     # fresh init: exact identity
     p = _pyramid(rng)
     grng = np.random.default_rng(55)
@@ -269,13 +269,17 @@ def test_tape_names_offending_block_on_shape_error():
     spec_a = SiloSpec(levels=2, channels=(8, 16))
     spec_b = SiloSpec(levels=2, channels=(8, 24))    # mismatched second block
     blocks = [
-        SiloStage(Silo.build(spec_a, name="ok", rng=rng, dtype=np.float64)),
-        SiloStage(Silo.build(spec_b, name="bad", rng=rng, dtype=np.float64)),
+        Silo.build(spec_a, name="ok", rng=rng, dtype=np.float64),
+        Silo.build(spec_b, name="bad", rng=rng, dtype=np.float64),
     ]
     tape = Tape(blocks)
     p = _pyramid(np.random.default_rng(72), channels=(8, 16))
     with pytest.raises(ConfigurationError, match=r"block 1"):
         tape.forward(p)
+    # an expanding silo takes one level fewer than its spec, not all of them
+    grow = Silo.build(spec_a, name="grow", rng=rng, dtype=np.float64, expands=True)
+    with pytest.raises(ConfigurationError, match=r"block 0 \(grow\): grow: expansion"):
+        Tape([grow]).forward(p)
 
 
 def test_backward_rejects_wrong_gradient_arity():
