@@ -8,8 +8,7 @@ from .backbone import BackboneConfig, Model, build, train_toy
 from .context import ExecContext, OpCounters
 from .costmodel import (activation_memory_model, activation_ratio,
                         compute_cost_model, scale_row, scale_table)
-from .coupling import (FeaturePyramid, RevBlock, RevBlockSpec, Silo, SiloSpec,
-                       expand_pyramid)
+from .coupling import FeaturePyramid, RevBlock, RevBlockSpec, Silo, SiloSpec
 from .engine import BackwardMode, LiveBytesRegistry, Tape
 from .errors import (AccountingError, ConfigurationError, DivergenceError,
                      RevfuseError, StateError)
@@ -40,7 +39,6 @@ __all__ = [
     "activation_ratio",
     "build",
     "compute_cost_model",
-    "expand_pyramid",
     "scale_row",
     "scale_table",
     "train_toy",

@@ -230,12 +230,12 @@ class ClassifierHead:
             y, c = block.forward(agg, ctx)
             down_caches.append(c)
             agg = K.add(y, neck_outs[i + 1])
-        z, conv_cache = self.final_conv.forward(agg, ctx)
+        z, conv_cache = self.final_conv.forward(agg)
         z, norm_cache = self.final_norm.forward(z, ctx)
         z = K.hard_swish(z)
         pooled = K.global_avg_pool(z)
         flat = pooled.data.reshape(pooled.n, pooled.c)
-        logits, dense_cache = self.classifier.forward(flat, ctx)
+        logits, dense_cache = self.classifier.forward(flat)
         cache = {
             "necks": neck_caches, "downs": down_caches, "conv": conv_cache,
             "norm": norm_cache, "z_shape": z.shape,

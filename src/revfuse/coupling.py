@@ -15,7 +15,7 @@ the down half).  In the all-scalar case each half is a unit-triangular
 matrix, hence determinant one.
 
 ``RevBlock`` is the classic two-stream residual coupling on a single tensor,
-included as the single-scale counterpart.
+the single-scale counterpart: a two-level silo at one resolution.
 """
 
 from __future__ import annotations
@@ -82,10 +82,6 @@ class FeaturePyramid:
         return len(self.levels)
 
     @property
-    def batch(self) -> int:
-        return self.levels[0].n
-
-    @property
     def dtype(self):
         return self.levels[0].dtype
 
@@ -100,9 +96,6 @@ class FeaturePyramid:
     @property
     def nbytes(self) -> int:
         return sum(lv.nbytes for lv in self.levels)
-
-    def arrays(self):
-        return [lv.data for lv in self.levels]
 
     def with_levels(self, levels) -> "FeaturePyramid":
         return FeaturePyramid(levels, require_halving=self.require_halving)
@@ -384,14 +377,10 @@ class Silo:
     @staticmethod
     def build(spec: SiloSpec, *, name: str = "silo",
               rng: np.random.Generator, dtype, expands: bool = False) -> "Silo":
-        down = {}
-        for i, j in spec.down_pairs():
-            down[(i, j)] = make_resample_transform(
-                spec.resample_spec(i, j), name=f"{name}.down{i}{j}", rng=rng, dtype=dtype)
-        up = {}
-        for i, j in spec.up_pairs():
-            up[(i, j)] = make_resample_transform(
-                spec.resample_spec(i, j), name=f"{name}.up{i}{j}", rng=rng, dtype=dtype)
+        make = lambda kind, i, j: make_resample_transform(
+            spec.resample_spec(i, j), name=f"{name}.{kind}{i}{j}", rng=rng, dtype=dtype)
+        down = {(i, j): make("down", i, j) for i, j in spec.down_pairs()}
+        up = {(i, j): make("up", i, j) for i, j in spec.up_pairs()}
         return Silo(spec, down, up, name, expands)
 
     @staticmethod
@@ -423,41 +412,33 @@ class Silo:
     # -- the two halves ------------------------------------------------------
     def down_phase(self, x_levels, ctx=None, want_cache=False, order=None):
         """Intermediates from original inputs; contributions order-free."""
-        pairs = list(order) if order is not None else self.spec.down_pairs()
-        if sorted(pairs) != sorted(self.spec.down_pairs()):
-            raise ConfigurationError(f"{self.name}: bad down-half evaluation order")
-        contrib, caches = {}, {}
-        for i, j in pairs:  # every argument is an original input
-            y, c = self.down[(i, j)].forward(x_levels[i], ctx, want_cache)
-            contrib[(i, j)] = y
-            if want_cache:
-                caches[(i, j)] = c
-        m = [x_levels[0]]
-        for j in range(1, self.spec.levels):
-            acc = x_levels[j]
-            for i in range(j):  # fixed reduction order regardless of eval order
-                acc = K.add(acc, contrib[(i, j)])
-            m.append(acc)
-        return m, caches
+        return self._half_forward(self.down, x_levels, ctx, want_cache, order)
 
     def up_phase(self, m_levels, ctx=None, want_cache=False, order=None):
         """Outputs from intermediates; contributions order-free."""
-        n = self.spec.levels
-        pairs = list(order) if order is not None else self.spec.up_pairs()
-        if sorted(pairs) != sorted(self.spec.up_pairs()):
-            raise ConfigurationError(f"{self.name}: bad up-half evaluation order")
+        return self._half_forward(self.up, m_levels, ctx, want_cache, order)
+
+    def _pairs(self, half) -> list:
+        """One half's (src, dst) pairs in canonical order."""
+        return self.spec.up_pairs() if half is self.up else self.spec.down_pairs()
+
+    def _half_forward(self, half, levels, ctx, want_cache, order):
+        """``levels[j]`` plus each ``half[(i, j)](levels[i])``.  Every
+        argument is an input of the half, so the transforms may run in any
+        ``order``; their outputs are summed in canonical order."""
+        pairs = self._pairs(half)
+        order = pairs if order is None else list(order)
+        if sorted(order) != sorted(pairs):
+            kind = "up" if half is self.up else "down"
+            raise ConfigurationError(f"{self.name}: bad {kind}-half evaluation order")
         contrib, caches = {}, {}
-        for i, j in pairs:  # every argument is an intermediate
-            y, c = self.up[(i, j)].forward(m_levels[i], ctx, want_cache)
-            contrib[(i, j)] = y
+        for i, j in order:
+            contrib[(i, j)], c = half[(i, j)].forward(levels[i], ctx, want_cache)
             if want_cache:
                 caches[(i, j)] = c
-        out = []
-        for j in range(n):
-            acc = m_levels[j]
-            for i in range(j + 1, n):
-                acc = K.add(acc, contrib[(i, j)])
-            out.append(acc)
+        out = list(levels)
+        for i, j in pairs:  # fixed reduction order regardless of eval order
+            out[j] = K.add(out[j], contrib.pop((i, j)))
         return out, caches
 
     # -- public API ------------------------------------------------------------
@@ -485,9 +466,13 @@ class Silo:
         Returns (p_in, intermediates).
         """
         self._check_pyramid(p_out)
-        m = self._undo(self.up, list(p_out.levels), ctx)
-        x = self._undo(self.down, list(m), ctx)
-        return p_out.with_levels(self._outer(x)), m
+        levels = list(p_out.levels)
+        for _ in self._undo(self.up, levels, ctx):
+            pass
+        m = list(levels)
+        for _ in self._undo(self.down, levels, ctx):
+            pass
+        return p_out.with_levels(self._outer(levels)), m
 
     def reverse(self, p_out: FeaturePyramid, grad_out, ctx: ExecContext | None,
                 registry):
@@ -499,9 +484,8 @@ class Silo:
         Alg. 1).  This is valid because up-half VJPs need only ``grad_out``,
         and down-half VJPs need ``gm``, complete once the up half is done.
         ``registry`` holds each cache and reconstructed level while alive.
-        Gradients and their key order are ``backward``'s bit for bit: up-half
-        results are summed in ``up_pairs`` order, and down-half results
-        arrive in ``down_pairs`` order.
+        The VJPs go through ``backward``'s walk, so gradients and their key
+        order are ``backward``'s bit for bit.
 
         Returns (p_in, input gradients, parameter gradients).
         """
@@ -511,61 +495,40 @@ class Silo:
         def keep(level):
             tokens.append(registry.add(level, f"{self.name}.reconstructed"))
 
-        def vjp(transform, cache, g):
-            token = registry.add(cache, f"{transform.name}.cache")
-            result = transform.backward(cache, g, registry)
-            registry.remove(token)
-            return result
-
-        up = {}
-
-        def up_vjp(pair, cache):
-            up[pair] = vjp(self.up[pair], cache, grad_out[pair[1]])
-
-        m = self._undo(self.up, list(p_out.levels), ctx, up_vjp, keep)
-        grads: dict[str, np.ndarray] = {}
-        gm = list(grad_out)
-        for i, j in self.spec.up_pairs():
-            gin, gr = up.pop((i, j))
-            gm[i] = K.add(gm[i], gin)
-            grads.update(gr)
-        gx = list(gm)
-
-        def down_vjp(pair, cache):
-            gin, gr = vjp(self.down[pair], cache, gm[pair[1]])
-            gx[pair[0]] = K.add(gx[pair[0]], gin)
-            grads.update(gr)
-
-        x = self._undo(self.down, list(m), ctx, down_vjp, keep)
+        # the down half's replay starts once the up half's has recovered
+        # the intermediates in ``levels``; it then recovers the inputs there
+        levels = list(p_out.levels)
+        gx, grads = self._vjp_walk(self._undo(self.up, levels, ctx, True, keep),
+                                   self._undo(self.down, levels, ctx, True, keep),
+                                   grad_out, registry, hold=True)
         for token in tokens:
             registry.remove(token)
-        return p_out.with_levels(self._outer(x)), self._outer(gx), grads
+        return p_out.with_levels(self._outer(levels)), self._outer(gx), grads
 
-    def _undo(self, half, levels, ctx, vjp=None, keep=None):
+    def _undo(self, half, levels, ctx, want_cache=False, keep=None):
         """Subtract one half's transforms back out of ``levels``, in place.
 
         The inverse's order, written once for ``inverse`` and ``reverse``:
         the up half recovers intermediates coarsest-first, the down half
         inputs finest-first, each destination from sources already
-        recovered.  With ``vjp``, each transform runs with a cache and
-        ``vjp(pair, cache)`` follows its subtraction; ``keep(level)`` sees
-        each recovered level.
+        recovered.  A generator: after each subtraction it yields
+        ``(pair, cache)``, the cache ``None`` unless ``want_cache``, and
+        drops the cache before the next transform runs.  ``keep(level)``
+        sees each recovered level.
         """
         n = self.spec.levels
         is_up = half is self.up
         for j in (range(n - 2, -1, -1) if is_up else range(1, n)):
             acc = levels[j]
             for i in (range(j + 1, n) if is_up else range(j)):
-                y, cache = half[(i, j)].forward(levels[i], ctx, vjp is not None)
+                y, cache = half[(i, j)].forward(levels[i], ctx, want_cache)
                 acc = K.sub(acc, y)
                 del y
-                if vjp is not None:
-                    vjp((i, j), cache)
+                yield (i, j), cache
                 del cache   # before the next transform runs: one cache alive
             levels[j] = acc
             if keep is not None:
                 keep(acc)
-        return levels
 
     def backward(self, cache, grad_out, registry=None):
         """VJP through the silo from a forward cache.
@@ -575,36 +538,60 @@ class Silo:
         into intermediates, down-half VJPs fan it from intermediates into
         inputs.  ``registry`` (or ``None``) holds what the VJPs rebuild.
         """
+        steps = lambda half, caches: ((pair, caches[pair]) for pair in self._pairs(half))
+        gx, grads = self._vjp_walk(steps(self.up, cache["up"]),
+                                   steps(self.down, cache["down"]), grad_out, registry)
+        return self._outer(gx), grads
+
+    def _vjp_walk(self, up_steps, down_steps, grad_out, registry, hold=False):
+        """The silo's VJP, one transform at a time, from each half's
+        ``(pair, cache)`` steps; written once for ``backward`` and
+        ``reverse``.
+
+        Up-half VJPs need only ``grad_out`` and may come in any order; their
+        input gradients are summed into ``gm`` in ``up_pairs`` order.
+        Down-half steps must come in ``down_pairs`` order, which fixes the
+        sums into ``gx``.  Parameter gradients come in ``up_pairs`` then
+        ``down_pairs`` order.  With ``hold``, ``registry`` holds each cache
+        during its VJP.  No step's cache is kept once its VJP returns.
+        Returns (gx, parameter gradients).
+        """
+        def vjp(transform, cache, g):
+            token = registry.add(cache, f"{transform.name}.cache") if hold else None
+            result = transform.backward(cache, g, registry)
+            if hold:
+                registry.remove(token)
+            return result
+
+        up = {}
+        for pair, cache in up_steps:
+            up[pair] = vjp(self.up[pair], cache, grad_out[pair[1]])
+            del cache        # before the next step runs its transform
         grads: dict[str, np.ndarray] = {}
         gm = list(grad_out)
-        for i, j in self.spec.up_pairs():      # up[i->j] consumed m[i]
-            gin, gr = self.up[(i, j)].backward(cache["up"][(i, j)], grad_out[j],
-                                               registry)
+        for i, j in self.spec.up_pairs():       # up[i->j] consumed m[i]
+            gin, gr = up.pop((i, j))
             gm[i] = K.add(gm[i], gin)
             grads.update(gr)
         gx = list(gm)
-        for i, j in self.spec.down_pairs():    # down[i->j] consumed x[i]
-            gin, gr = self.down[(i, j)].backward(cache["down"][(i, j)], gm[j],
-                                                 registry)
+        for (i, j), cache in down_steps:        # down[i->j] consumed x[i]
+            gin, gr = vjp(self.down[(i, j)], cache, gm[j])
             gx[i] = K.add(gx[i], gin)
             grads.update(gr)
-        return self._outer(gx), grads
+            del cache, gin   # before the next step runs its transform
+        return gx, grads
+
+    def _transforms(self):
+        """((src, dst), transform) of the down half, then of the up half,
+        each in canonical order."""
+        return [((i, j), half[(i, j)]) for half in (self.down, self.up)
+                for i, j in self._pairs(half)]
 
     def parameters(self):
-        out = []
-        for pair in self.spec.down_pairs():
-            out.extend(self.down[pair].parameters())
-        for pair in self.spec.up_pairs():
-            out.extend(self.up[pair].parameters())
-        return out
+        return [kv for _, t in self._transforms() for kv in t.parameters()]
 
     def macs(self, level_shapes) -> int:
-        total = 0
-        for i, j in self.spec.down_pairs():
-            total += self.down[(i, j)].macs(level_shapes[i])
-        for i, j in self.spec.up_pairs():
-            total += self.up[(i, j)].macs(level_shapes[i])
-        return total
+        return sum(t.macs(level_shapes[i]) for (i, _), t in self._transforms())
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +622,9 @@ def expand_pyramid(silo: Silo, p: FeaturePyramid,
 
     The zero level is reconstructed (as numerical zeros) by the ordinary
     silo inverse, which is what keeps expansion inside the reversible chain.
-    A silo built with ``expands=True`` does this in its own ``forward``.
+    A silo built with ``expands=True`` does this in its own ``forward``,
+    which is what the backbone uses; this function stays for acceptance
+    c7, which imports it from here.
     """
     return silo.forward(expanded_input(silo, p), ctx, want_cache)
 
@@ -680,10 +669,14 @@ class RevBlockSpec:
 
 
 class RevBlock:
-    """Additive two-stream coupling on one tensor.
+    """Additive two-stream coupling on one tensor: a two-level silo at one
+    resolution.
 
-    Forward: y_a = x_a + F(x_b); y_b = x_b + G(y_a).
-    Inverse subtracts the same (forward-only) evaluations in reverse order.
+    Forward: y_a = x_a + F(x_b); y_b = x_b + G(y_a) (RevNet, Gomez et al.
+    2017).  The channels split into x_a and x_b, and the silo runs on the
+    levels (x_b, x_a): its one down transform F gives m_1 = y_a, its one up
+    transform G gives o_0 = y_b.  Inverse, backward and their arithmetic
+    are the silo's.
     """
 
     def __init__(self, spec: RevBlockSpec, f_transform, g_transform, name: str = "revblock"):
@@ -691,6 +684,8 @@ class RevBlock:
         self.f = f_transform   # maps channels_b -> channels_a
         self.g = g_transform   # maps channels_a -> channels_b
         self.name = name
+        self.silo = Silo(SiloSpec(2, (spec.channels_b, spec.channels_a)),
+                         {(0, 1): f_transform}, {(1, 0): g_transform}, name)
 
     @staticmethod
     def build(spec: RevBlockSpec, *, name: str = "revblock",
@@ -706,51 +701,39 @@ class RevBlock:
                         make("f", spec.channels_b, spec.channels_a),
                         make("g", spec.channels_a, spec.channels_b), name)
 
-    def _split(self, x: Tensor):
+    def _split(self, x: Tensor) -> FeaturePyramid:
+        """The silo levels (x_b, x_a) of a tensor."""
         ca = self.spec.channels_a
         if x.c != ca + self.spec.channels_b:
             raise ConfigurationError(
                 f"{self.name}: expected {ca + self.spec.channels_b} channels, got {x.c}"
             )
-        return Tensor(np.ascontiguousarray(x.data[:, :ca])), \
-               Tensor(np.ascontiguousarray(x.data[:, ca:]))
+        return FeaturePyramid([Tensor(np.ascontiguousarray(x.data[:, ca:])),
+                               Tensor(np.ascontiguousarray(x.data[:, :ca]))],
+                              require_halving=False)
 
     @staticmethod
-    def _join(a: Tensor, b: Tensor) -> Tensor:
+    def _join(levels) -> Tensor:
+        b, a = levels
         return Tensor(np.concatenate([a.data, b.data], axis=1))
 
     def forward(self, x: Tensor, ctx: ExecContext | None = None, want_cache: bool = False):
-        xa, xb = self._split(x)
-        f_out, f_cache = self.f.forward(xb, ctx, want_cache)
-        ya = K.add(xa, f_out)
-        g_out, g_cache = self.g.forward(ya, ctx, want_cache)
-        yb = K.add(xb, g_out)
-        cache = {"f": f_cache, "g": g_cache} if want_cache else None
-        return self._join(ya, yb), cache
+        y, cache = self.silo.forward(self._split(x), ctx, want_cache)
+        return self._join(y), cache
 
     def inverse(self, y: Tensor, ctx: ExecContext | None = None):
         """Returns (x, None), a pair like ``Silo.inverse``'s (input, intermediates)."""
-        ya, yb = self._split(y)
-        g_out, _ = self.g.forward(ya, ctx, False)
-        xb = K.sub(yb, g_out)
-        f_out, _ = self.f.forward(xb, ctx, False)
-        xa = K.sub(ya, f_out)
-        return self._join(xa, xb), None
+        x, _ = self.silo.inverse(self._split(y), ctx)
+        return self._join(x), None
 
     def backward(self, cache, gy: Tensor, registry=None):
-        gya, gyb = self._split(gy)
-        g_in, g_grads = self.g.backward(cache["g"], gyb, registry)
-        gxa = K.add(gya, g_in)          # total gradient reaching y_a (== x_a's)
-        f_in, f_grads = self.f.backward(cache["f"], gxa, registry)
-        gxb = K.add(gyb, f_in)
-        grads = dict(f_grads)
-        grads.update(g_grads)
-        return self._join(gxa, gxb), grads
+        gx, grads = self.silo.backward(cache, self._split(gy).levels, registry)
+        return self._join(gx), grads
 
     def parameters(self):
-        return list(self.f.parameters()) + list(self.g.parameters())
+        return self.silo.parameters()
 
     def macs(self, in_shape) -> int:
-        n, c, h, w = in_shape
-        return (self.f.macs((n, self.spec.channels_b, h, w))
-                + self.g.macs((n, self.spec.channels_a, h, w)))
+        n, _, h, w = in_shape
+        return self.silo.macs([(n, self.spec.channels_b, h, w),
+                               (n, self.spec.channels_a, h, w)])

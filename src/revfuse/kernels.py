@@ -3,18 +3,20 @@
 Every kernel here is a pure function of its inputs, so repeated evaluation
 is bit-identical for given shapes and BLAS thread count — a property the
 reversible engine leans on (inversion tests, byte-identical CSV runs).
-Convolution is the direct algorithm.  A conv that mixes channels loops
-over kernel offsets with strided slices of the padded input, and mixes
-channels at each offset with one batched BLAS ``matmul``.  Depthwise
-convolution is polyphase: the unpadded input is split once into its
-stride phases, the kernel into a grid of at most D*D phase-weight blocks
-(D = 3 for every geometry the model builds), and each block offset is one
-channel-batched ``matmul`` added into a clipped output window, so no padded
-copy is made.  Its backward runs a channel chunk at a time: it stacks the
-chunk's output gradient at those block offsets, takes both gradients with
-two matmuls and writes the input gradient straight into place.  Bilinear
-upsampling is a gather forward and a separable matrix product backward.
-No FFT and no im2col.
+Convolution comes in the two geometries the model builds.  A 1x1 conv
+(stride 1, no padding, one group) is one batched BLAS ``matmul`` of the
+(out, in) weight matrix with the (n, in, h*w) input; its backward is two
+more, ``Wᵀ·gy`` and ``gy·xᵀ`` summed over the batch.  Any other conv
+that mixes channels is rejected.  Depthwise convolution is polyphase:
+the unpadded input is split once into its stride phases, the kernel into
+a grid of at most D*D phase-weight blocks (D = 3 for every geometry the
+model builds), and each block offset is one channel-batched ``matmul``
+added into a clipped output window, so no padded copy is made.  Its
+backward runs a channel chunk at a time: it stacks the chunk's output
+gradient at those block offsets, takes both gradients with two matmuls
+and writes the input gradient straight into place.  Bilinear upsampling
+is a gather forward and a separable matrix product backward.  No FFT and
+no im2col.
 
 Forward kernels are bit-stable: a rewrite for speed may cut passes and
 temporaries, but keeps every float operation, its operands and its order,
@@ -98,26 +100,18 @@ def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def _patch(xp: np.ndarray, ky: int, kx: int, oh: int, ow: int, s: int) -> np.ndarray:
-    # strided view of the padded input aligned with kernel offset (ky, kx)
-    return xp[:, :, ky : ky + (oh - 1) * s + 1 : s, kx : kx + (ow - 1) * s + 1 : s]
-
-
-def _pad(x: np.ndarray, pad: int) -> np.ndarray:
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-
-
 def _is_depthwise(p: ConvParams) -> bool:
-    return p.groups == p.in_channels == p.out_channels
-
-
-def _offset_weights(p: ConvParams) -> np.ndarray:
-    """Weights as (kh*kw, groups, out_c/groups, in_c/groups), one contiguous
-    matrix stack per kernel offset, so each feeds BLAS without a copy."""
-    oc, icg, kh, kw = p.weights.shape
-    g = p.groups
-    w = p.weights.reshape(g, oc // g, icg, kh * kw)
-    return np.ascontiguousarray(w.transpose(3, 0, 1, 2))
+    """True for a depthwise conv, False for a 1x1 one; any other geometry
+    raises ``ConfigurationError``."""
+    if p.groups == p.in_channels == p.out_channels:
+        return True
+    if p.kernel == (1, 1) and p.stride == 1 and p.padding == 0 and p.groups == 1:
+        return False
+    raise ConfigurationError(
+        f"conv2d runs depthwise and 1x1 (stride 1, padding 0, groups 1) convs, "
+        f"not kernel {p.kernel} stride {p.stride} padding {p.padding} "
+        f"groups {p.groups} from {p.in_channels} to {p.out_channels} channels"
+    )
 
 
 # -- depthwise: polyphase ----------------------------------------------------
@@ -275,20 +269,14 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
             f"conv expects {p.in_channels} input channels, got {c}"
         )
     kh, kw = p.kernel
-    s, pad, g = p.stride, p.padding, p.groups
-    oh = conv_out_size(h, kh, s, pad)
-    ow = conv_out_size(w, kw, s, pad)
+    oh = conv_out_size(h, kh, p.stride, p.padding)
+    ow = conv_out_size(w, kw, p.stride, p.padding)
 
     if _is_depthwise(p):
         out = _dwconv(x.data, p, oh, ow)
     else:
-        # (n, g, ocg, oh*ow) = sum over offsets of (g, ocg, icg) @ (n, g, icg, oh*ow)
-        xp = _pad(x.data, pad)
-        wk = _offset_weights(p)
-        cols = lambda k: _patch(xp, k // kw, k % kw, oh, ow, s).reshape(n, g, -1, oh * ow)
-        out = np.matmul(wk[0], cols(0))
-        for k in range(1, kh * kw):
-            out += np.matmul(wk[k], cols(k))
+        # (n, oc, h*w) = (oc, c) @ (n, c, h*w)
+        out = np.matmul(p.weights.reshape(p.out_channels, c), x.data.reshape(n, c, h * w))
         out = out.reshape(n, p.out_channels, oh, ow)
     if p.bias is not None:
         out += p.bias[None, :, None, None]
@@ -300,28 +288,17 @@ def conv2d_backward(
 ) -> tuple[Tensor, np.ndarray, np.ndarray | None]:
     """VJP of conv2d: returns (grad_x, grad_weights, grad_bias)."""
     n, c, h, w = x.shape
-    kh, kw = p.kernel
-    s, pad, g = p.stride, p.padding, p.groups
-    oh, ow = gy.h, gy.w
     gyd = gy.data
 
     if _is_depthwise(p):
         gx, gw = _dwconv_backward(x.data, p, gyd)
     else:
-        # grad_x: Wᵀ·gy; grad_w: gy·patchᵀ summed over the batch
-        xp = _pad(x.data, pad)
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(p.weights)
-        wk = _offset_weights(p)
-        gyg = gyd.reshape(n, g, -1, oh * ow)
-        gwg = gw.reshape(g, p.out_channels // g, c // g, kh, kw)
-        for k in range(kh * kw):
-            ky, kx = divmod(k, kw)
-            patch = _patch(xp, ky, kx, oh, ow, s).reshape(n, g, -1, oh * ow)
-            gwg[..., ky, kx] = np.matmul(gyg, patch.swapaxes(-1, -2)).sum(axis=0)
-            _patch(gxp, ky, kx, oh, ow, s)[...] += np.matmul(
-                wk[k].swapaxes(-1, -2), gyg).reshape(n, c, oh, ow)
-        gx = gxp[:, :, pad : pad + h, pad : pad + w] if pad else gxp
+        # grad_x: Wᵀ·gy; grad_w: gy·xᵀ summed over the batch
+        wm = p.weights.reshape(p.out_channels, c)
+        g = gyd.reshape(n, p.out_channels, h * w)
+        gx = np.matmul(wm.T, g).reshape(n, c, h, w)
+        gw = np.matmul(g, x.data.reshape(n, c, h * w).swapaxes(-1, -2)).sum(axis=0)
+        gw = gw.reshape(p.weights.shape)
     gb = gyd.sum(axis=(0, 2, 3)) if p.bias is not None else None
     return Tensor(np.ascontiguousarray(gx)), gw, gb
 

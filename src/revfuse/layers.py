@@ -46,7 +46,7 @@ class Conv2d:
                 f"{name}: groups {groups} do not divide in_channels {in_c}"
             )
 
-    def forward(self, x: Tensor, ctx: ExecContext | None = None):
+    def forward(self, x: Tensor):
         y = K.conv2d(x, self.params)
         return y, (x,)
 
@@ -121,7 +121,7 @@ class SqueezeExcite:
         self.w2 = _kaiming(rng, (channels, hidden), hidden, dtype)
         self.b2 = np.zeros(channels, dtype=dtype)
 
-    def forward(self, x: Tensor, ctx: ExecContext | None = None):
+    def forward(self, x: Tensor):
         n, c, h, w = x.shape
         pooled = K.global_avg_pool(x)              # (n, c, 1, 1)
         s = pooled.data.reshape(n, c)
@@ -244,15 +244,15 @@ class MBConv:
         se = None
         t = x
         if self.expand is not None:
-            t, _ = self.expand.forward(t, ctx)
+            t, _ = self.expand.forward(t)
             t, c = self.bn_expand.forward(t, ctx); norms.append(c)
             t = K.hard_swish(t)
-        t, _ = self.dw.forward(t, ctx)
+        t, _ = self.dw.forward(t)
         t, c = self.bn_dw.forward(t, ctx); norms.append(c)
         t = K.hard_swish(t)
         if self.se is not None:
-            t, c = self.se.forward(t, ctx); se = c[1:]
-        t, _ = self.project.forward(t, ctx)
+            t, c = self.se.forward(t); se = c[1:]
+        t, _ = self.project.forward(t)
         t, c = self.bn_project.forward(t, ctx); norms.append(c)
         return t, (x, norms, se)
 
@@ -321,7 +321,7 @@ class Dense:
         self.weights = _kaiming(rng, (out_features, in_features), in_features, dtype)
         self.bias = np.zeros(out_features, dtype=dtype)
 
-    def forward(self, x: np.ndarray, ctx: ExecContext | None = None):
+    def forward(self, x: np.ndarray):
         return K.dense(x, self.weights, self.bias), (x,)
 
     def backward(self, cache, gy: np.ndarray):

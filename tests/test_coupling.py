@@ -6,6 +6,7 @@ the recompute reverse step's agreement with the inverse and with backward."""
 from __future__ import annotations
 
 import configparser
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from revfuse.coupling import (FeaturePyramid, RevBlock, RevBlockSpec, Silo,
                               SiloSpec, expand_pyramid, expanded_input,
                               pyramid_max_abs_diff, pyramid_max_rel_diff,
                               randomize_parameters)
-from revfuse.engine import LiveBytesRegistry
+from revfuse.engine import LiveBytesRegistry, _iter_arrays
 from revfuse.errors import ConfigurationError
 from revfuse.tensor import Tensor
 
@@ -89,6 +90,55 @@ def test_revblock_round_trip():
     assert rel_diff(y.data, x.data) > 1e-3
     back, _ = block.inverse(y)
     assert rel_diff(back.data, x.data) < 1e-13
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("channels_a,channels_b", [(8, 8), (4, 8)])
+def test_revblock_is_the_two_stream_coupling(channels_a, channels_b, dtype):
+    # forward, inverse and VJP are byte-identical to y_a = x_a + F(x_b),
+    # y_b = x_b + G(y_a) and their VJP taken straight from the block's F
+    # and G, so F and G cannot swap roles or streams unnoticed
+    rng = np.random.default_rng(50)
+    spec = RevBlockSpec(channels_a=channels_a, channels_b=channels_b, kernel=3,
+                        expansion=2, se_ratio=0.25)
+    block = RevBlock.build(spec, name="rb", rng=rng, dtype=dtype)
+    randomize_parameters(block.parameters(), rng)
+    shape = (2, channels_a + channels_b, 8, 8)
+    x = Tensor(rng.standard_normal(shape).astype(dtype))
+    gy = Tensor(rng.standard_normal(shape).astype(dtype))
+
+    def split(t):
+        return (Tensor(np.ascontiguousarray(t.data[:, :channels_a])),
+                Tensor(np.ascontiguousarray(t.data[:, channels_a:])))
+
+    def joined(a, b):
+        return np.concatenate([a.data, b.data], axis=1).tobytes()
+
+    xa, xb = split(x)
+    f_out, f_cache = block.f.forward(xb)
+    ya = K.add(xa, f_out)
+    g_out, g_cache = block.g.forward(ya)
+    yb = K.add(xb, g_out)
+    y, cache = block.forward(x, want_cache=True)
+    assert y.data.tobytes() == joined(ya, yb)
+
+    rb = K.sub(yb, block.g.forward(ya)[0])
+    ra = K.sub(ya, block.f.forward(rb)[0])
+    back, extra = block.inverse(y)
+    assert extra is None
+    assert back.data.tobytes() == joined(ra, rb)
+
+    gya, gyb = split(gy)
+    g_in, g_grads = block.g.backward(g_cache, gyb)
+    gxa = K.add(gya, g_in)                   # all the gradient reaching y_a
+    f_in, f_grads = block.f.backward(f_cache, gxa)
+    gxb = K.add(gyb, f_in)
+    gx, grads = block.backward(cache, gy)
+    assert gx.data.tobytes() == joined(gxa, gxb)
+    want = {**g_grads, **f_grads}
+    assert list(grads) == list(want)
+    for name in want:
+        assert grads[name].tobytes() == want[name].tobytes(), name
 
 
 @settings(max_examples=15, deadline=None)
@@ -218,7 +268,9 @@ def test_forward_is_bit_identical_under_any_evaluation_order():
     channels = (8, 16, 24, 32)
     silo = _random_silo(rng, channels)
     p = _pyramid(rng, channels)
-    base, _ = silo.forward(p)
+    base, base_cache = silo.forward(p, want_cache=True)
+    grad_out = [Tensor(rng.standard_normal(t.shape)) for t in base.levels]
+    g_base, grads_base = silo.backward(base_cache, grad_out)
 
     spec = silo.spec
     orders = np.random.default_rng(7)
@@ -227,8 +279,16 @@ def test_forward_is_bit_identical_under_any_evaluation_order():
         up = list(spec.up_pairs())
         orders.shuffle(down)
         orders.shuffle(up)
-        out, _ = silo.forward(p, down_order=down, up_order=up)
+        out, cache = silo.forward(p, want_cache=True, down_order=down, up_order=up)
         assert pyramid_max_abs_diff(out, base) == 0.0
+        # backward walks the caches in canonical order, whatever order
+        # the forward filled them in
+        g, grads = silo.backward(cache, grad_out)
+        for a, b in zip(g, g_base):
+            assert a.data.tobytes() == b.data.tobytes()
+        assert list(grads) == list(grads_base)
+        for name in grads_base:
+            assert grads[name].tobytes() == grads_base[name].tobytes(), name
 
 
 def test_forward_rejects_bad_evaluation_order():
@@ -371,6 +431,33 @@ def test_reverse_step_matches_inverse_and_backward(case, dtype):
     bound = out.nbytes + sum(t.nbytes for t in rebuilt) + largest
     assert peak <= bound
     assert _unique_bytes(caches) > bound - out.nbytes
+
+
+@pytest.mark.parametrize("expands", [False, True])
+def test_reverse_step_keeps_no_earlier_cache_alive(expands):
+    # no reference, registered or not, keeps a transform's cache alive once
+    # the next transform runs: weak references to each cache's arrays (less
+    # the transform's input, a level the step keeps) must all be dead then
+    rng = np.random.default_rng(243)
+    channels = (8, 16, 24, 32)
+    silo = _random_silo(rng, channels, expands=expands)
+    p = _pyramid(rng, channels[:-1] if expands else channels, spatial=32)
+    out, _ = silo.forward(p)
+    grad_out = [Tensor(rng.standard_normal(t.shape)) for t in out.levels]
+    earlier, alive = [], []
+    for transform in [*silo.down.values(), *silo.up.values()]:
+        def forward(x, ctx=None, want_cache=True, _inner=transform.forward):
+            alive.append(sum(r() is not None for r in earlier))
+            y, cache = _inner(x, ctx, want_cache)
+            earlier.extend(weakref.ref(a) for a in _iter_arrays(cache)
+                           if a is not x.data)
+            return y, cache
+        transform.forward = forward
+    registry = LiveBytesRegistry()
+    token = registry.add(out, "out")
+    silo.reverse(out, grad_out, None, registry)
+    registry.remove(token)
+    assert earlier and alive == [0] * (len(silo.down) + len(silo.up))
 
 
 def test_silo_backward_matches_finite_differences():

@@ -54,17 +54,17 @@ def _full_cache_forward(block: MBConv, x: Tensor, ctx):
     caches = []
     t = x
     if block.expand is not None:
-        t, c = block.expand.forward(t, ctx); caches.append(c)
+        t, c = block.expand.forward(t); caches.append(c)
         t, c = block.bn_expand.forward(t, ctx); caches.append(c)
         pre = t
         t = Tensor(_hard_swish_reference(pre.data)); caches.append((pre,))
-    t, c = block.dw.forward(t, ctx); caches.append(c)
+    t, c = block.dw.forward(t); caches.append(c)
     t, c = block.bn_dw.forward(t, ctx); caches.append(c)
     pre = t
     t = Tensor(_hard_swish_reference(pre.data)); caches.append((pre,))
     if block.se is not None:
-        t, c = block.se.forward(t, ctx); caches.append(c)
-    t, c = block.project.forward(t, ctx); caches.append(c)
+        t, c = block.se.forward(t); caches.append(c)
+    t, c = block.project.forward(t); caches.append(c)
     t, c = block.bn_project.forward(t, ctx); caches.append(c)
     return t, caches
 
