@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels as K
-from .context import BACKWARD, FORWARD, ExecContext, OpCounters
+from .context import BACKWARD, FORWARD, ExecContext
 from .coupling import FeaturePyramid, Silo, SiloSpec
-from .engine import BackwardMode, LiveBytesRegistry, Tape, count_forward_evals
+from .engine import Tape, count_forward_evals
 from .errors import ConfigurationError, DivergenceError
 from .layers import MBConv, Conv2d, BatchNorm, Dense, Rebuilt
 from .tensor import Tensor, assert_finite, precision_dtype
@@ -361,8 +361,6 @@ class SGDMomentum:
 class StepRecord:
     step: int
     loss: float
-    grad_norm: float
-    mode: str
     forward_evals: int
     backward_evals: int
     peak_bytes: int
@@ -370,7 +368,6 @@ class StepRecord:
 
 @dataclass
 class TrainRecord:
-    mode: str
     steps: list[StepRecord] = field(default_factory=list)
 
     @property
@@ -388,10 +385,8 @@ def step_gradients(model: Model, mode, images: np.ndarray, labels: np.ndarray,
     use: the head's cache, the logits and the chain output before the chain
     runs backward.
     """
-    counters = OpCounters()
-    registry = LiveBytesRegistry()
-    tape = Tape(model.blocks, mode=BackwardMode.parse(mode),
-                counters=counters, registry=registry)
+    tape = Tape(model.blocks, mode=mode)
+    counters, registry = tape.counters, tape.registry
     out = tape.forward(image_pyramid(images, model.config.dtype), step_key=step_key)
     head_ctx = ExecContext(counters, FORWARD, step_key=step_key, train=True)
     logits, head_cache = model.head.forward(out, head_ctx)
@@ -413,8 +408,7 @@ def step_gradients(model: Model, mode, images: np.ndarray, labels: np.ndarray,
 
 
 def train_toy(config: BackboneConfig, dataset, mode, steps: int, seed: int,
-              lr: float = 0.05, batch_size: int = 8,
-              momentum: float = 0.9) -> TrainRecord:
+              lr: float = 0.05, batch_size: int = 8) -> TrainRecord:
     """Deterministic toy training run; same seed + same mode => same record.
 
     ``dataset`` provides ``images`` (m, c, h, w) and integer ``labels`` (m,).
@@ -422,22 +416,20 @@ def train_toy(config: BackboneConfig, dataset, mode, steps: int, seed: int,
     recompute runs see identical data.  Each step is ``step_gradients``
     followed by an SGD-momentum update.
     """
-    mode = BackwardMode.parse(mode)
     model = build(replace(config, seed=seed))
-    opt = SGDMomentum(model.parameters(), lr=lr, momentum=momentum)
+    opt = SGDMomentum(model.parameters(), lr=lr)
     m = dataset.images.shape[0]
-    record = TrainRecord(mode=mode.value)
+    record = TrainRecord()
 
     for t in range(steps):
         idx = [(t * batch_size + i) % m for i in range(batch_size)]
         loss, grads, registry, counters = step_gradients(
             model, mode, dataset.images[idx], dataset.labels[idx], step_key=t)
-        gnorm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
         opt.step(grads)
 
         evals = count_forward_evals(counters)
         record.steps.append(StepRecord(
-            step=t, loss=loss, grad_norm=gnorm, mode=mode.value,
+            step=t, loss=loss,
             forward_evals=evals[FORWARD], backward_evals=evals[BACKWARD],
             peak_bytes=registry.peak,
         ))

@@ -158,9 +158,7 @@ def _roundtrip_silo_chain(cfg, seed_parts, dtype, fresh: bool) -> tuple[int, flo
     cur = p
     for s in silos:
         cur, _ = s.forward(cur)
-    for s in reversed(silos):
-        cur, _ = s.inverse(cur)
-    return depth, pyramid_max_rel_diff(cur, p)
+    return depth, pyramid_max_rel_diff(invert_chain(silos, cur), p)
 
 
 def _roundtrip_revblock_chain(cfg, seed_parts, dtype, fresh: bool) -> tuple[int, float]:
@@ -179,10 +177,9 @@ def _roundtrip_revblock_chain(cfg, seed_parts, dtype, fresh: bool) -> tuple[int,
     cur = x
     for b in blocks:
         cur, _ = b.forward(cur)
-    for b in reversed(blocks):
-        cur, _ = b.inverse(cur)
+    rec = invert_chain(blocks, cur)
     scale = max(float(np.max(np.abs(x.data))), 1e-30)
-    return depth, float(np.max(np.abs(cur.data - x.data))) / scale
+    return depth, float(np.max(np.abs(rec.data - x.data))) / scale
 
 
 def _roundtrip_backbone(cfg, seed_parts, precision, fresh: bool) -> tuple[int, float]:

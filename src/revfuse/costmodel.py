@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import math
 
 from .backbone import Model, scale_channels
-from .coupling import Silo
 from .errors import ConfigurationError
 
 SGD_BASELINE = "sgd_baseline"
@@ -172,12 +171,9 @@ def model_costs(model: Model, batch: int = 1) -> list[CostItem]:
     """Per-component exact MAC and parameter counts for a built model."""
     shapes = model.config.pyramid_shapes(batch=batch)
     items = [CostItem("stem", 0, 0)]  # permutation + duplication: no MACs, no params
-    for block in model.blocks[1:]:
-        if isinstance(block, Silo):
-            level_shapes = shapes[: block.spec.levels]
-            items.append(CostItem(block.name, block.macs(level_shapes), _params_of(block)))
-        else:
-            items.append(CostItem(block.name, 0, _params_of(block)))
+    for silo in model.silos:
+        level_shapes = shapes[: silo.spec.levels]
+        items.append(CostItem(silo.name, silo.macs(level_shapes), _params_of(silo)))
     items.append(CostItem("head", _head_macs(model.head, shapes),
                           _params_of(model.head)))
     return items

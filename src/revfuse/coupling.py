@@ -20,7 +20,7 @@ the single-scale counterpart: a two-level silo at one resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,16 +123,14 @@ def pyramid_max_rel_diff(a: FeaturePyramid, b: FeaturePyramid) -> float:
     return worst
 
 
-def randomize_parameters(named_params, rng: np.random.Generator,
-                         weight_gain: float = 1.0, gamma_jitter: float = 0.3,
-                         beta_scale: float = 0.1) -> None:
+def randomize_parameters(named_params, rng: np.random.Generator) -> None:
     """Overwrite parameters in place with a random (non-identity) setting.
 
     The draw mimics a standard fresh initialization rather than arbitrary
     noise: weights are fan-in-scaled normals, norm scales are jittered around
-    1 within a bounded window (including the zero-initialized final norms, so
-    every residual branch becomes active), and norm shifts and biases stay
-    small.  Bounded jitter matters for reconstruction accuracy: an inverse
+    1 within ±0.3 (including the zero-initialized final norms, so every
+    residual branch becomes active), and norm shifts and biases stay within
+    ±0.1.  Bounded jitter matters for reconstruction accuracy: an inverse
     pass replays transforms on reconstructed values, so per-transform
     Jacobian gain compounds across levels and blocks, and unbounded scale
     draws would make deep single-precision round-trips arbitrarily badly
@@ -147,14 +145,14 @@ def randomize_parameters(named_params, rng: np.random.Generator,
             # full-scale branches compound the activation magnitude
             # multiplicatively over a deep chain and with it the
             # reconstruction error floor
-            new = 0.5 + gamma_jitter * uniform(arr.shape)
+            new = 0.5 + 0.3 * uniform(arr.shape)
         elif name.endswith(".gamma"):
-            new = 1.0 + gamma_jitter * uniform(arr.shape)
+            new = 1.0 + 0.3 * uniform(arr.shape)
         elif name.endswith((".beta", ".bias", ".b1", ".b2")):
-            new = beta_scale * uniform(arr.shape)
+            new = 0.1 * uniform(arr.shape)
         else:
             fan_in = int(np.prod(arr.shape[1:])) or 1
-            new = rng.standard_normal(arr.shape) * (weight_gain / np.sqrt(fan_in))
+            new = rng.standard_normal(arr.shape) * (1.0 / np.sqrt(fan_in))
         arr[...] = new.astype(arr.dtype)
 
 
@@ -250,11 +248,6 @@ class MBConvTransform:
     def parameters(self):
         return self.block.parameters()
 
-    def out_shape(self, in_shape):
-        n, c, h, w = self.block.out_shape(in_shape)
-        f = self.upsample_factor
-        return (n, c, h * f, w * f)
-
     def macs(self, in_shape) -> int:
         return self.block.macs(in_shape)
 
@@ -280,12 +273,6 @@ class ScalarGain:
 
     def parameters(self):
         return [(f"{self.name}.gain", self.gain)]
-
-    def out_shape(self, in_shape):
-        return in_shape
-
-    def macs(self, in_shape) -> int:
-        return 0
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +320,6 @@ class SiloSpec:
             expansion=self.expansion[dst],
             se_ratio=self.se_ratio if dst in self.se_levels else None,
         )
-
-    def to_config(self) -> dict[str, str]:
-        """Flat string mapping, round-trippable through an INI section."""
-        return {
-            "levels": str(self.levels),
-            "channels": ", ".join(str(c) for c in self.channels),
-            "expansion": ", ".join(str(e) for e in self.expansion),
-            "se_ratio": repr(self.se_ratio),
-            "se_levels": ", ".join(str(v) for v in self.se_levels),
-        }
 
     @staticmethod
     def from_config(section) -> "SiloSpec":
@@ -451,8 +428,7 @@ class Silo:
         m, down_caches = self.down_phase(x, ctx, want_cache, down_order)
         out, up_caches = self.up_phase(m, ctx, want_cache, up_order)
         p_out = p.with_levels(out)
-        cache = ({"x": x, "m": m, "down": down_caches, "up": up_caches}
-                 if want_cache else None)
+        cache = {"down": down_caches, "up": up_caches} if want_cache else None
         return p_out, cache
 
     def inverse(self, p_out: FeaturePyramid, ctx: ExecContext | None = None):
@@ -647,15 +623,6 @@ class RevBlockSpec:
         if self.channels_a < 1 or self.channels_b < 1:
             raise ConfigurationError("RevBlock needs two non-empty channel groups")
 
-    def to_config(self) -> dict[str, str]:
-        return {
-            "channels_a": str(self.channels_a),
-            "channels_b": str(self.channels_b),
-            "kernel": str(self.kernel),
-            "expansion": str(self.expansion),
-            "se_ratio": repr(self.se_ratio) if self.se_ratio else "",
-        }
-
     @staticmethod
     def from_config(section) -> "RevBlockSpec":
         se = section.get("se_ratio", "")
@@ -732,8 +699,3 @@ class RevBlock:
 
     def parameters(self):
         return self.silo.parameters()
-
-    def macs(self, in_shape) -> int:
-        n, _, h, w = in_shape
-        return self.silo.macs([(n, self.spec.channels_b, h, w),
-                               (n, self.spec.channels_a, h, w)])

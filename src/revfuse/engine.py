@@ -3,11 +3,12 @@
 A ``Tape`` executes a fixed sequence of reversible blocks and supports two
 backward strategies that must produce the same gradients:
 
-* ``stored`` — conventional backprop: every block's input pyramid and VJP
-  cache stay registered as live activations from forward until that block's
-  backward has consumed them, and the tape frees each cache then.  Peak
-  activation memory grows affinely with depth; the backward phase
-  re-evaluates nothing.
+* ``stored`` — conventional backprop: every block's VJP cache stays
+  registered as live activations from forward until that block's backward
+  has consumed it, and the tape frees each cache then.  A block's output
+  is kept only as far as the next block's cache holds it.  Peak activation
+  memory grows affinely with depth; the backward phase re-evaluates
+  nothing.
 * ``recompute`` — reversible backprop: forward keeps only the final output
   (and the original input).  Backward runs each block's reverse step, which
   reconstructs the block's input and back-propagates one transform at a
@@ -188,31 +189,22 @@ class Tape:
     registers ``p_in`` itself.  ``parameters()`` lists (name, array) pairs.
     """
 
-    def __init__(self, blocks: list, mode=BackwardMode.STORED,
-                 counters: OpCounters | None = None,
-                 registry: LiveBytesRegistry | None = None):
+    def __init__(self, blocks: list, mode=BackwardMode.STORED):
         if not blocks:
             raise ConfigurationError("tape needs at least one block")
         self.blocks = list(blocks)
         self.mode = BackwardMode.parse(mode)
-        self.counters = counters if counters is not None else OpCounters()
-        self.registry = registry if registry is not None else LiveBytesRegistry()
+        self.counters = OpCounters()
+        self.registry = LiveBytesRegistry()
         self.saved_caches: list = []     # stored mode: each block's VJP cache
-        self.input_pyramid: FeaturePyramid | None = None
         self.output_pyramid: FeaturePyramid | None = None
         self._phase = "idle"        # idle -> forwarded -> idle
         self._step_key: object | None = None
         self._input_token: int | None = None
-        self._pyramid_tokens: list[int] = []
+        self._output_token: int | None = None
         self._cache_tokens: list[int] = []
 
     # -- helpers -----------------------------------------------------------
-    def parameters(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for b in self.blocks:
-            out.extend(b.parameters())
-        return out
-
     def _run_block(self, fn, index: int, *args, **kwargs):
         try:
             return fn(*args, **kwargs)
@@ -236,13 +228,11 @@ class Tape:
         self.counters.reset()
         self.registry.reset_peak()
         self.saved_caches = []
-        self._pyramid_tokens = []
         self._cache_tokens = []
         self._step_key = step_key
         ctx = ExecContext(self.counters, FORWARD, step_key, train)
         stored = self.mode is BackwardMode.STORED
 
-        self.input_pyramid = p
         self._input_token = self.registry.add(p, "input")
         cur = p
         cur_token = self._input_token
@@ -252,13 +242,11 @@ class Tape:
             out_token = self.registry.add(out, f"block{i}.out")
             if stored:
                 self._cache_tokens.append(self.registry.add(cache, f"block{i}.cache"))
-                self._pyramid_tokens.append(out_token)
                 self.saved_caches.append(cache)
-            elif cur_token != self._input_token:
+            if cur_token != self._input_token:
                 self.registry.remove(cur_token)
             cur, cur_token = out, out_token
-        if not stored:
-            self._pyramid_tokens = [cur_token]
+        self._output_token = cur_token
         self.output_pyramid = cur
         self._phase = "forwarded"
         return cur
@@ -289,17 +277,17 @@ class Tape:
         # each stored cache once its block has consumed it
         if self.mode is BackwardMode.STORED:
             self.output_pyramid = None
+            self.registry.remove(self._output_token)
             for i in range(last, -1, -1):
                 g, grads = self._run_block(self.blocks[i].backward, i,
                                            self.saved_caches[i], g, self.registry)
                 self.saved_caches[i] = None
                 self._check_finite(i, "backward", g, grads=grads)
                 param_grads.update(grads)
-                self.registry.remove(self._pyramid_tokens[i])
                 self.registry.remove(self._cache_tokens[i])
         else:
             cur, self.output_pyramid = self.output_pyramid, None
-            cur_token = self._pyramid_tokens[0]
+            cur_token = self._output_token
             for i in range(last, -1, -1):
                 p_in, g, grads = self._run_block(self.blocks[i].reverse, i,
                                                  cur, g, ctx, self.registry)
@@ -333,20 +321,15 @@ class Tape:
         self.saved_caches = []
         self._phase = "idle"
 
-    # -- measurements --------------------------------------------------------
-    @property
-    def peak_live_bytes(self) -> int:
-        return self.registry.peak
-
 
 def SiloStage(silo: Silo) -> Silo:
     """A silo as a tape block: the silo itself, which implements the protocol."""
     return silo
 
 
-def invert_chain(blocks: list, p_out: FeaturePyramid,
-                 ctx: ExecContext | None = None) -> FeaturePyramid:
-    """Reconstruct a chain's input from its output (no caches, no grads)."""
+def invert_chain(blocks: list, p_out, ctx: ExecContext | None = None):
+    """Reconstruct a chain's input from its output (no caches, no grads);
+    ``p_out`` is a pyramid, or a tensor for a chain of ``RevBlock``."""
     cur = p_out
     for block in reversed(blocks):
         cur, _ = block.inverse(cur, ctx)

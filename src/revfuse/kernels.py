@@ -3,11 +3,13 @@
 Every kernel here is a pure function of its inputs, so repeated evaluation
 is bit-identical for given shapes and BLAS thread count — a property the
 reversible engine leans on (inversion tests, byte-identical CSV runs).
-Convolution comes in the two geometries the model builds.  A 1x1 conv
-(stride 1, no padding, one group) is one batched BLAS ``matmul`` of the
-(out, in) weight matrix with the (n, in, h*w) input; its backward is two
-more, ``Wᵀ·gy`` and ``gy·xᵀ`` summed over the batch.  Any other conv
-that mixes channels is rejected.  Depthwise convolution is polyphase:
+Convolution comes in the two geometries the model builds, and has no
+bias: every conv feeds a batch norm, whose shift would absorb one.  A 1x1
+conv (stride 1, no padding, one group) is one batched BLAS ``matmul`` of
+the (out, in) weight matrix with the (n, in, h*w) input; its backward is
+two more, ``Wᵀ·gy`` and ``gy·xᵀ`` summed over the batch.  ``ConvParams``
+refuses any other conv that mixes channels when it is made.  Depthwise
+convolution is polyphase:
 the unpadded input is split once into its stride phases, the kernel into
 a grid of at most D*D phase-weight blocks (D = 3 for every geometry the
 model builds), and each block offset is one channel-batched ``matmul``
@@ -49,17 +51,17 @@ from .tensor import Tensor
 class ConvParams:
     """Weights and geometry for a 2-D convolution.
 
-    ``weights`` has shape (out_c, in_c // groups, kh, kw).  ``groups`` splits
-    both channel axes: group g consumes input channels [g*icg, (g+1)*icg) and
-    produces output channels [g*ocg, (g+1)*ocg).  Depthwise convolution is
-    the special case groups == in_c with one input channel per group.
+    ``weights`` has shape (out_c, in_c // groups, kh, kw).  Two geometries
+    run: depthwise (groups == in_c == out_c, one input channel per group)
+    and 1x1 (stride 1, padding 0, one group); ``depthwise`` records which.
+    Any other geometry raises ``ConfigurationError`` here.
     """
 
     weights: np.ndarray
-    bias: np.ndarray | None = None
     stride: int = 1
     padding: int = 0
     groups: int = 1
+    depthwise: bool = field(init=False)
 
     def __post_init__(self):
         w = self.weights
@@ -70,12 +72,16 @@ class ConvParams:
                 f"invalid conv geometry: stride={self.stride} "
                 f"padding={self.padding} groups={self.groups}"
             )
-        if w.shape[0] % self.groups != 0:
+        self.depthwise = self.groups == self.in_channels == self.out_channels
+        pointwise = (self.kernel == (1, 1) and self.stride == 1
+                     and self.padding == 0 and self.groups == 1)
+        if not (self.depthwise or pointwise):
             raise ConfigurationError(
-                f"out_channels {w.shape[0]} not divisible by groups {self.groups}"
+                f"conv2d runs depthwise and 1x1 (stride 1, padding 0, groups 1) "
+                f"convs, not kernel {self.kernel} stride {self.stride} padding "
+                f"{self.padding} groups {self.groups} from {self.in_channels} to "
+                f"{self.out_channels} channels"
             )
-        if self.bias is not None and self.bias.shape != (w.shape[0],):
-            raise ConfigurationError("conv bias shape must be (out_channels,)")
 
     @property
     def out_channels(self) -> int:
@@ -98,20 +104,6 @@ def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
             f"stride={stride} padding={padding}"
         )
     return out
-
-
-def _is_depthwise(p: ConvParams) -> bool:
-    """True for a depthwise conv, False for a 1x1 one; any other geometry
-    raises ``ConfigurationError``."""
-    if p.groups == p.in_channels == p.out_channels:
-        return True
-    if p.kernel == (1, 1) and p.stride == 1 and p.padding == 0 and p.groups == 1:
-        return False
-    raise ConfigurationError(
-        f"conv2d runs depthwise and 1x1 (stride 1, padding 0, groups 1) convs, "
-        f"not kernel {p.kernel} stride {p.stride} padding {p.padding} "
-        f"groups {p.groups} from {p.in_channels} to {p.out_channels} channels"
-    )
 
 
 # -- depthwise: polyphase ----------------------------------------------------
@@ -272,25 +264,21 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     oh = conv_out_size(h, kh, p.stride, p.padding)
     ow = conv_out_size(w, kw, p.stride, p.padding)
 
-    if _is_depthwise(p):
+    if p.depthwise:
         out = _dwconv(x.data, p, oh, ow)
     else:
         # (n, oc, h*w) = (oc, c) @ (n, c, h*w)
         out = np.matmul(p.weights.reshape(p.out_channels, c), x.data.reshape(n, c, h * w))
         out = out.reshape(n, p.out_channels, oh, ow)
-    if p.bias is not None:
-        out += p.bias[None, :, None, None]
     return Tensor(out)
 
 
-def conv2d_backward(
-    x: Tensor, p: ConvParams, gy: Tensor
-) -> tuple[Tensor, np.ndarray, np.ndarray | None]:
-    """VJP of conv2d: returns (grad_x, grad_weights, grad_bias)."""
+def conv2d_backward(x: Tensor, p: ConvParams, gy: Tensor) -> tuple[Tensor, np.ndarray]:
+    """VJP of conv2d: returns (grad_x, grad_weights)."""
     n, c, h, w = x.shape
     gyd = gy.data
 
-    if _is_depthwise(p):
+    if p.depthwise:
         gx, gw = _dwconv_backward(x.data, p, gyd)
     else:
         # grad_x: Wᵀ·gy; grad_w: gy·xᵀ summed over the batch
@@ -299,8 +287,7 @@ def conv2d_backward(
         gx = np.matmul(wm.T, g).reshape(n, c, h, w)
         gw = np.matmul(g, x.data.reshape(n, c, h * w).swapaxes(-1, -2)).sum(axis=0)
         gw = gw.reshape(p.weights.shape)
-    gb = gyd.sum(axis=(0, 2, 3)) if p.bias is not None else None
-    return Tensor(np.ascontiguousarray(gx)), gw, gb
+    return Tensor(np.ascontiguousarray(gx)), gw
 
 
 def conv2d_macs(in_shape: tuple[int, int, int, int], p: ConvParams) -> int:
@@ -334,8 +321,6 @@ def _bilinear_axis(in_size: int, factor: int) -> tuple[np.ndarray, np.ndarray, n
 def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
     if factor < 1:
         raise ConfigurationError(f"upsample factor must be >= 1, got {factor}")
-    if factor == 1:
-        return Tensor(x.data.copy())
     iy0, iy1, fy = _bilinear_axis(x.h, factor)
     ix0, ix1, fx = _bilinear_axis(x.w, factor)
     fy = fy.astype(x.dtype)[:, None]
@@ -367,8 +352,6 @@ def _bilinear_matrix(in_size: int, factor: int, dtype) -> np.ndarray:
 
 def bilinear_upsample_backward(in_shape, factor: int, gy: Tensor) -> Tensor:
     """Transpose of bilinear_upsample as separable matrix products Ayᵀ·g·Ax."""
-    if factor == 1:
-        return Tensor(gy.data.copy())
     n, c, h, w = in_shape
     ay = _bilinear_matrix(h, factor, gy.dtype)
     ax = _bilinear_matrix(w, factor, gy.dtype)
@@ -524,16 +507,13 @@ class NormState:
             raise ConfigurationError(f"batch-norm epsilon must be > 0, got {self.epsilon}")
 
     @staticmethod
-    def create(channels: int, dtype, momentum: float = 0.9, epsilon: float = 1e-3,
-               zero_gamma: bool = False) -> "NormState":
+    def create(channels: int, dtype, zero_gamma: bool = False) -> "NormState":
         init = np.zeros if zero_gamma else np.ones
         return NormState(
             gamma=init(channels, dtype=dtype),
             beta=np.zeros(channels, dtype=dtype),
             running_mean=np.zeros(channels, dtype=dtype),
             running_var=np.ones(channels, dtype=dtype),
-            momentum=momentum,
-            epsilon=epsilon,
         )
 
 
@@ -619,24 +599,23 @@ def global_avg_pool_backward(in_shape, gy: Tensor) -> Tensor:
     return Tensor(np.array(np.broadcast_to(gy.data / (h * w), (n, c, h, w))))
 
 
-def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Affine map on flat features; ``weights`` is (out_features, in_features)."""
     if x.ndim != 2 or weights.ndim != 2 or x.shape[1] != weights.shape[1]:
         raise ConfigurationError(
             f"dense shape mismatch: x {x.shape} vs weights {weights.shape}"
         )
     y = x @ weights.T
-    if bias is not None:
-        y = y + bias[None, :]
+    y = y + bias[None, :]
     return y
 
 
 def dense_backward(
-    x: np.ndarray, weights: np.ndarray, gy: np.ndarray, has_bias: bool = True
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    x: np.ndarray, weights: np.ndarray, gy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     gx = gy @ weights
     gw = gy.T @ x
-    gb = gy.sum(axis=0) if has_bias else None
+    gb = gy.sum(axis=0)
     return gx, gw, gb
 
 

@@ -31,16 +31,16 @@ def _kaiming(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
 
 
 class Conv2d:
-    """Convolution layer; weights use Kaiming-normal init, bias optional."""
+    """Bias-free 1x1 or depthwise convolution (see ``kernels.ConvParams``);
+    weights use Kaiming-normal init."""
 
     def __init__(self, name: str, in_c: int, out_c: int, kernel: int, *,
                  stride: int = 1, padding: int = 0, groups: int = 1,
-                 bias: bool = False, rng: np.random.Generator, dtype):
+                 rng: np.random.Generator, dtype):
         fan_in = (in_c // groups) * kernel * kernel
         weights = _kaiming(rng, (out_c, in_c // groups, kernel, kernel), fan_in, dtype)
-        b = np.zeros(out_c, dtype=dtype) if bias else None
         self.name = name
-        self.params = K.ConvParams(weights, b, stride, padding, groups)
+        self.params = K.ConvParams(weights, stride, padding, groups)
         if in_c != self.params.in_channels:
             raise ConfigurationError(
                 f"{name}: groups {groups} do not divide in_channels {in_c}"
@@ -52,17 +52,11 @@ class Conv2d:
 
     def backward(self, cache, gy: Tensor):
         (x,) = cache
-        gx, gw, gb = K.conv2d_backward(x, self.params, gy)
-        grads = {f"{self.name}.weight": gw}
-        if gb is not None:
-            grads[f"{self.name}.bias"] = gb
-        return gx, grads
+        gx, gw = K.conv2d_backward(x, self.params, gy)
+        return gx, {f"{self.name}.weight": gw}
 
     def parameters(self):
-        out = [(f"{self.name}.weight", self.params.weights)]
-        if self.params.bias is not None:
-            out.append((f"{self.name}.bias", self.params.bias))
-        return out
+        return [(f"{self.name}.weight", self.params.weights)]
 
     def out_shape(self, in_shape):
         n, c, h, w = in_shape
@@ -83,10 +77,9 @@ class BatchNorm:
     residual fusion transforms.
     """
 
-    def __init__(self, name: str, channels: int, *, dtype, momentum: float = 0.9,
-                 epsilon: float = 1e-3, zero_gamma: bool = False):
+    def __init__(self, name: str, channels: int, *, dtype, zero_gamma: bool = False):
         self.name = name
-        self.state = K.NormState.create(channels, dtype, momentum, epsilon, zero_gamma)
+        self.state = K.NormState.create(channels, dtype, zero_gamma)
 
     def forward(self, x: Tensor, ctx: ExecContext | None = None):
         train = ctx.train if ctx else True
@@ -212,14 +205,12 @@ class MBConv:
 
     def __init__(self, name: str, in_c: int, out_c: int, *, kernel: int, stride: int,
                  padding: int, expansion: int = 1, se_ratio: float | None = None,
-                 zero_final_gamma: bool = False, rng: np.random.Generator, dtype,
-                 bn_momentum: float = 0.9, bn_epsilon: float = 1e-3):
+                 zero_final_gamma: bool = False, rng: np.random.Generator, dtype):
         if expansion < 1:
             raise ConfigurationError(f"{name}: expansion ratio must be >= 1, got {expansion}")
         mid = in_c * expansion
         bn = lambda tag, ch, zero=False: BatchNorm(
-            f"{name}.{tag}", ch, dtype=dtype, momentum=bn_momentum,
-            epsilon=bn_epsilon, zero_gamma=zero)
+            f"{name}.{tag}", ch, dtype=dtype, zero_gamma=zero)
         self.name = name
         self.in_c, self.out_c = in_c, out_c
         self.expand = (Conv2d(f"{name}.expand", in_c, mid, 1, rng=rng, dtype=dtype)

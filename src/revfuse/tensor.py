@@ -27,14 +27,6 @@ def precision_dtype(precision: str) -> np.dtype:
         ) from None
 
 
-def dtype_precision(dtype) -> str:
-    dtype = np.dtype(dtype)
-    for name, dt in DTYPES.items():
-        if np.dtype(dt) == dtype:
-            return name
-    raise ConfigurationError(f"unsupported dtype {dtype}")
-
-
 @dataclass(frozen=True)
 class Tensor:
     """A rank-4 activation tensor in NCHW layout."""
@@ -76,10 +68,6 @@ class Tensor:
     @property
     def dtype(self) -> np.dtype:
         return self.data.dtype
-
-    @property
-    def precision(self) -> str:
-        return dtype_precision(self.data.dtype)
 
     @property
     def nbytes(self) -> int:

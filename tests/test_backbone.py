@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from revfuse import coupling
 from revfuse.backbone import (BackboneConfig, ClassifierHead, SGDMomentum,
                               StemStage, build, image_pyramid, neck_channels,
                               scale_channels, softmax_cross_entropy,
@@ -416,6 +417,38 @@ def test_recompute_frees_the_chain_output_once_the_last_block_has_reversed():
     _before(model.blocks[-2], "reverse", lambda: seen.append(_alive(chain_out)))
     step_gradients(model, "recompute", ds.images, ds.labels)
     assert chain_out and seen == [0]
+
+
+def test_stored_backward_frees_the_chain_output_before_the_last_block_runs():
+    # the last silo's up transforms read the coarsest output level, so its
+    # cache keeps that one; nothing keeps the three finer levels
+    model = build(TOY)
+    ds = make_synthetic_dataset(4, 2, 32, 1, seed=17)
+    chain_out, _ = _watch_head(model)
+    seen = []
+    _before(model.blocks[-1], "backward", lambda: seen.append(_alive(chain_out[:-1])))
+    step_gradients(model, "stored", ds.images, ds.labels)
+    assert len(chain_out) == 4 and seen == [0]
+
+
+def test_stored_step_keeps_no_appended_zero_level(monkeypatch):
+    # no VJP reads the zero level an expanding silo appends, so no stored
+    # cache keeps it
+    model = build(TOY)
+    ds = make_synthetic_dataset(4, 2, 32, 1, seed=18)
+    zeros = []
+    expanded_input = coupling.expanded_input
+
+    def watched(silo, p):
+        out = expanded_input(silo, p)
+        zeros.append(weakref.ref(out.levels[-1].data))
+        return out
+
+    monkeypatch.setattr(coupling, "expanded_input", watched)
+    seen = []
+    _before(model.blocks[-1], "backward", lambda: seen.append(_alive(zeros)))
+    step_gradients(model, "stored", ds.images, ds.labels)
+    assert len(zeros) == 3 and seen == [0]
 
 
 def test_train_toy_loss_decreases():

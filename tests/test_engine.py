@@ -154,7 +154,7 @@ def test_memory_depth_laws():
             p = _pyramid(np.random.default_rng(60), dtype=np.float32)
             grng = np.random.default_rng(61)
             _, _, _, tape = _run(blocks, p, mode, grng)
-            peaks[mode].append(tape.peak_live_bytes)
+            peaks[mode].append(tape.registry.peak)
 
     slope, _, r2 = affine_fit(depths, peaks["stored"])
     assert slope > 0
@@ -170,7 +170,7 @@ def test_recompute_peak_below_stored_at_depth():
     _, _, _, tape_s = _run(blocks, p, "stored", grng)
     blocks2 = blocks                      # same parameters, fresh tape
     _, _, _, tape_r = _run(blocks2, p, "recompute", grng)
-    assert tape_r.peak_live_bytes < tape_s.peak_live_bytes
+    assert tape_r.registry.peak < tape_s.registry.peak
 
 
 # ---------------------------------------------------------------------------

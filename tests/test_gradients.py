@@ -40,18 +40,16 @@ def test_conv2d_backward_fd():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((2, 3, 6, 6))
     w = rng.standard_normal((4, 3, 1, 1)) * 0.5
-    b = rng.standard_normal(4) * 0.1
     r = rng.standard_normal((2, 4, 6, 6))
 
     def loss():
-        p = K.ConvParams(weights=w, bias=b, stride=1, padding=0, groups=1)
+        p = K.ConvParams(weights=w, stride=1, padding=0, groups=1)
         return float(np.vdot(K.conv2d(Tensor(x), p).data, r)) / 10.0
 
-    p = K.ConvParams(weights=w, bias=b, stride=1, padding=0, groups=1)
-    gx, gw, gb = K.conv2d_backward(Tensor(x), p, Tensor(r / 10.0))
+    p = K.ConvParams(weights=w, stride=1, padding=0, groups=1)
+    gx, gw = K.conv2d_backward(Tensor(x), p, Tensor(r / 10.0))
     _probe(loss, x, gx.data, rng)
     _probe(loss, w, gw, rng)
-    _probe(loss, b, gb, rng)
 
 
 def test_conv2d_backward_fd_depthwise_strided():
@@ -61,11 +59,11 @@ def test_conv2d_backward_fd_depthwise_strided():
     r = rng.standard_normal((2, 4, 4, 4))
 
     def loss():
-        p = K.ConvParams(weights=w, bias=None, stride=2, padding=2, groups=4)
+        p = K.ConvParams(weights=w, stride=2, padding=2, groups=4)
         return float(np.vdot(K.conv2d(Tensor(x), p).data, r)) / 10.0
 
-    p = K.ConvParams(weights=w, bias=None, stride=2, padding=2, groups=4)
-    gx, gw, _ = K.conv2d_backward(Tensor(x), p, Tensor(r / 10.0))
+    p = K.ConvParams(weights=w, stride=2, padding=2, groups=4)
+    gx, gw = K.conv2d_backward(Tensor(x), p, Tensor(r / 10.0))
     _probe(loss, x, gx.data, rng)
     _probe(loss, w, gw, rng)
 

@@ -17,7 +17,7 @@ from revfuse.tensor import Tensor
 from helpers import rel_diff
 
 
-def _conv_oracle(x: np.ndarray, w: np.ndarray, bias, stride: int, padding: int,
+def _conv_oracle(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
                  groups: int) -> np.ndarray:
     """Direct-sum convolution oracle, plain loops, no vectorization."""
     n, in_c, h, wid = x.shape
@@ -34,7 +34,7 @@ def _conv_oracle(x: np.ndarray, w: np.ndarray, bias, stride: int, padding: int,
         for i_rel, ky, kx in itertools.product(range(in_per_group), range(kh), range(kw)):
             i = g * in_per_group + i_rel
             acc += w[o, i_rel, ky, kx] * xp[bi, i, y * stride + ky, xo * stride + kx]
-        out[bi, o, y, xo] = acc + (bias[o] if bias is not None else 0.0)
+        out[bi, o, y, xo] = acc
     return out
 
 
@@ -53,15 +53,14 @@ def _conv_case(stride, padding, groups, in_c, out_c, kernel):
     size = max(8, 4 * stride)
     x = rng.standard_normal((2, in_c, size, size))
     w = rng.standard_normal((out_c, in_c // groups, kernel, kernel))
-    b = rng.standard_normal(out_c)
-    return x, K.ConvParams(weights=w, bias=b, stride=stride, padding=padding, groups=groups)
+    return x, K.ConvParams(weights=w, stride=stride, padding=padding, groups=groups)
 
 
 @CONV_GEOMETRIES
 def test_conv2d_matches_loop_oracle(stride, padding, groups, in_c, out_c, kernel):
     x, p = _conv_case(stride, padding, groups, in_c, out_c, kernel)
     got = K.conv2d(Tensor(x), p).data
-    want = _conv_oracle(x, p.weights, p.bias, stride, padding, groups)
+    want = _conv_oracle(x, p.weights, stride, padding, groups)
     assert got.shape == want.shape
     assert rel_diff(got, want) < 1e-13
 
@@ -73,14 +72,14 @@ def _adjoint_gap(y: np.ndarray, gy: np.ndarray, rhs: float) -> float:
 
 @CONV_GEOMETRIES
 def test_conv2d_backward_is_adjoint(stride, padding, groups, in_c, out_c, kernel):
-    # conv is linear in x and in w separately, plus b:
-    # <conv(x), gy> == <x, gx> + <b, gb> == <w, gw> + <b, gb>
+    # conv is linear in x and in w separately:
+    # <conv(x), gy> == <x, gx> == <w, gw>
     x, p = _conv_case(stride, padding, groups, in_c, out_c, kernel)
     y = K.conv2d(Tensor(x), p).data
     gy = np.random.default_rng(1).standard_normal(y.shape)
-    gx, gw, gb = K.conv2d_backward(Tensor(x), p, Tensor(gy))
-    assert _adjoint_gap(y, gy, np.vdot(x, gx.data) + np.vdot(p.bias, gb)) < 1e-12
-    assert _adjoint_gap(y, gy, np.vdot(p.weights, gw) + np.vdot(p.bias, gb)) < 1e-12
+    gx, gw = K.conv2d_backward(Tensor(x), p, Tensor(gy))
+    assert _adjoint_gap(y, gy, np.vdot(x, gx.data)) < 1e-12
+    assert _adjoint_gap(y, gy, np.vdot(p.weights, gw)) < 1e-12
 
 
 DW_EDGE_GEOMETRIES = pytest.mark.parametrize("shape,kernel,stride,padding", [
@@ -111,22 +110,21 @@ def _dw_case(shape, kernel, stride, padding):
     c = shape[1]
     x = rng.standard_normal(shape)
     w = rng.standard_normal((c, 1, kernel, kernel))
-    b = rng.standard_normal(c)
-    return x, K.ConvParams(weights=w, bias=b, stride=stride, padding=padding, groups=c)
+    return x, K.ConvParams(weights=w, stride=stride, padding=padding, groups=c)
 
 
 @DW_EDGE_GEOMETRIES
 def test_depthwise_edge_geometry_matches_oracle_and_adjoint(shape, kernel, stride, padding):
     x, p = _dw_case(shape, kernel, stride, padding)
     y = K.conv2d(Tensor(x), p).data
-    want = _conv_oracle(x, p.weights, p.bias, stride, padding, shape[1])
+    want = _conv_oracle(x, p.weights, stride, padding, shape[1])
     assert y.shape == want.shape
     assert rel_diff(y, want) < 1e-13
     gy = np.random.default_rng(12).standard_normal(y.shape)
-    gx, gw, gb = K.conv2d_backward(Tensor(x), p, Tensor(gy))
+    gx, gw = K.conv2d_backward(Tensor(x), p, Tensor(gy))
     assert gx.shape == x.shape and gw.shape == p.weights.shape
-    assert _adjoint_gap(y, gy, np.vdot(x, gx.data) + np.vdot(p.bias, gb)) < 1e-12
-    assert _adjoint_gap(y, gy, np.vdot(p.weights, gw) + np.vdot(p.bias, gb)) < 1e-12
+    assert _adjoint_gap(y, gy, np.vdot(x, gx.data)) < 1e-12
+    assert _adjoint_gap(y, gy, np.vdot(p.weights, gw)) < 1e-12
 
 
 def test_depthwise_float32_matches_float64():
@@ -136,14 +134,13 @@ def test_depthwise_float32_matches_float64():
     for dtype in (np.float32, np.float64):
         # both runs see the same float32-representable values
         cast = lambda a: a.astype(np.float32).astype(dtype)
-        pd = K.ConvParams(weights=cast(p.weights), bias=cast(p.bias), stride=2,
-                          padding=2, groups=4)
+        pd = K.ConvParams(weights=cast(p.weights), stride=2, padding=2, groups=4)
         y = K.conv2d(Tensor(cast(x)), pd).data
-        gx, gw, gb = K.conv2d_backward(Tensor(cast(x)), pd, Tensor(cast(gy)))
-        assert y.dtype == gx.dtype == gw.dtype == gb.dtype == dtype
-        runs[dtype] = (y, gx.data, gw, gb)
-    x64, w64, b64 = (a.astype(np.float32).astype(np.float64) for a in (x, p.weights, p.bias))
-    assert rel_diff(runs[np.float32][0], _conv_oracle(x64, w64, b64, 2, 2, 4)) < 1e-6
+        gx, gw = K.conv2d_backward(Tensor(cast(x)), pd, Tensor(cast(gy)))
+        assert y.dtype == gx.dtype == gw.dtype == dtype
+        runs[dtype] = (y, gx.data, gw)
+    x64, w64 = (a.astype(np.float32).astype(np.float64) for a in (x, p.weights))
+    assert rel_diff(runs[np.float32][0], _conv_oracle(x64, w64, 2, 2, 4)) < 1e-6
     for lo, hi in zip(runs[np.float32], runs[np.float64]):
         assert rel_diff(lo, hi) < 1e-6
 
@@ -154,39 +151,45 @@ def test_conv2d_identity_impulse():
     x = rng.standard_normal((1, 3, 6, 6))
     w = np.zeros((3, 1, 3, 3))
     w[:, 0, 1, 1] = 1.0
-    p = K.ConvParams(weights=w, bias=None, stride=1, padding=1, groups=3)
+    p = K.ConvParams(weights=w, stride=1, padding=1, groups=3)
     y = K.conv2d(Tensor(x), p).data
     assert np.array_equal(y, x)
 
 
-def test_conv2d_macs_equals_literal_multiply_count():
-    # (1,3,8,8) -> (1,4,8,8) with 3x3: 4*8*8 outputs x 3*3*3 multiplies = 6912
-    p = K.ConvParams(weights=np.zeros((4, 3, 3, 3)), bias=None,
-                     stride=1, padding=1, groups=1)
+def _literal_multiply_count(out_c, oh, ow, in_per_group, kh, kw) -> int:
     count = 0
-    for _o, _y, _x in itertools.product(range(4), range(8), range(8)):
-        for _i, _ky, _kx in itertools.product(range(3), range(3), range(3)):
+    for _o, _y, _x in itertools.product(range(out_c), range(oh), range(ow)):
+        for _i, _ky, _kx in itertools.product(range(in_per_group), range(kh), range(kw)):
             count += 1
-    assert count == 6912
-    assert K.conv2d_macs((1, 3, 8, 8), p) == 6912
+    return count
+
+
+def test_conv2d_macs_equals_literal_multiply_count():
+    # (1,3,8,8) -> (1,4,8,8) with 1x1: 4*8*8 outputs x 3 multiplies = 768
+    p = K.ConvParams(weights=np.zeros((4, 3, 1, 1)))
+    assert _literal_multiply_count(4, 8, 8, 3, 1, 1) == 768
+    assert K.conv2d_macs((1, 3, 8, 8), p) == 768
+    # depthwise 3x3, padding 1: 3*8*8 outputs x 1*3*3 multiplies = 1728
+    p = K.ConvParams(weights=np.zeros((3, 1, 3, 3)), stride=1, padding=1, groups=3)
+    assert _literal_multiply_count(3, 8, 8, 1, 3, 3) == 1728
+    assert K.conv2d_macs((1, 3, 8, 8), p) == 1728
 
 
 def test_conv2d_rejects_geometry_neither_pointwise_nor_depthwise():
     # only 1x1 (stride 1, padding 0, groups 1) and depthwise convs run; the
-    # error names the geometry it refuses, in forward and in backward
+    # params of any other geometry are refused when they are made, and the
+    # error names the geometry
     from revfuse.errors import ConfigurationError
     for stride, padding, groups, in_c, out_c, kernel in [
         (1, 1, 1, 3, 4, 3),     # plain 3x3
         (2, 0, 1, 3, 2, 1),     # strided 1x1
         (1, 0, 3, 3, 6, 1),     # grouped 1x1
     ]:
-        x, p = _conv_case(stride, padding, groups, in_c, out_c, kernel)
-        named = re.escape(f"kernel {p.kernel} stride {stride} padding {padding} "
-                          f"groups {groups}")
+        named = re.escape(f"kernel {(kernel, kernel)} stride {stride} "
+                          f"padding {padding} groups {groups}")
+        w = np.zeros((out_c, in_c // groups, kernel, kernel))
         with pytest.raises(ConfigurationError, match=named):
-            K.conv2d(Tensor(x), p)
-        with pytest.raises(ConfigurationError, match=named):
-            K.conv2d_backward(Tensor(x), p, Tensor(np.ones((2, out_c, 8, 8))))
+            K.ConvParams(weights=w, stride=stride, padding=padding, groups=groups)
 
 
 def test_conv_out_size_rejects_empty_output():
@@ -461,7 +464,7 @@ def test_bilinear_forward_is_bit_identical_to_reference(dtype, factor, shape):
     assert y.dtype == dtype and y.tobytes() == ref.tobytes()
 
 
-def _dw_stride1_reference(x, w, bias, pad):
+def _dw_stride1_reference(x, w, pad):
     """Stride-1 depthwise conv as one (c,1,1) @ (c,1,N) matmul per kernel tap,
     each added into its clipped output window in row-major tap order."""
     n, c, h, wd = x.shape
@@ -476,7 +479,7 @@ def _dw_stride1_reference(x, w, bias, pad):
         x0, x1 = max(0, -dx), min(ow, wd - dx)
         if y0 < y1 and x0 < x1:
             out[:, :, y0:y1, x0:x1] += z[:, :, y0 + dy : y1 + dy, x0 + dx : x1 + dx]
-    return out + bias[None, :, None, None]
+    return out
 
 
 @BOTH_DTYPES
@@ -491,8 +494,7 @@ def test_depthwise_stride1_forward_is_bit_identical_to_matmul(dtype, shape, kern
     c = shape[1]
     x = rng.standard_normal(shape).astype(dtype)
     w = rng.standard_normal((c, 1, kernel, kernel)).astype(dtype)
-    b = rng.standard_normal(c).astype(dtype)
-    p = K.ConvParams(weights=w, bias=b, stride=1, padding=padding, groups=c)
+    p = K.ConvParams(weights=w, stride=1, padding=padding, groups=c)
     y = K.conv2d(Tensor(x), p).data
-    ref = _dw_stride1_reference(x, w, b, padding)
+    ref = _dw_stride1_reference(x, w, padding)
     assert y.dtype == dtype and y.tobytes() == ref.tobytes()
