@@ -229,10 +229,13 @@ class MBConvTransform:
         self.block = block
         self.upsample_factor = upsample_factor
 
-    def forward(self, x: Tensor, ctx: ExecContext | None = None, want_cache: bool = True):
+    def forward(self, x: Tensor, ctx: ExecContext | None = None, want_cache: bool = True,
+                recompute: bool = False):
+        """``recompute``: the cache feeds a VJP that runs at once, so the
+        block may keep less and recompute (``MBConv.chunks``)."""
         if ctx:
             ctx.count(F_EVAL)
-        y, cache = self.block.forward(x, ctx)
+        y, cache = self.block.forward(x, ctx, recompute)
         pre_shape = y.shape
         if self.upsample_factor > 1:
             y = K.bilinear_upsample(y, self.upsample_factor)
@@ -259,7 +262,8 @@ class ScalarGain:
         self.name = name
         self.gain = np.array([gain], dtype=dtype)
 
-    def forward(self, x: Tensor, ctx: ExecContext | None = None, want_cache: bool = True):
+    def forward(self, x: Tensor, ctx: ExecContext | None = None, want_cache: bool = True,
+                recompute: bool = False):
         if ctx:
             ctx.count(F_EVAL)
         y = Tensor(x.data * self.gain[0])
@@ -459,9 +463,10 @@ class Silo:
         cache is alive at a time (RevNet's backward, Gomez et al. 2017,
         Alg. 1).  This is valid because up-half VJPs need only ``grad_out``,
         and down-half VJPs need ``gm``, complete once the up half is done.
-        ``registry`` holds each cache and reconstructed level while alive.
-        The VJPs go through ``backward``'s walk, so gradients and their key
-        order are ``backward``'s bit for bit.
+        Its caches are ``recompute`` ones (``MBConv.chunks``).  ``registry``
+        holds each cache and reconstructed level while alive.  The VJPs go
+        through ``backward``'s walk, so gradients and their key order are
+        ``backward``'s bit for bit, given the same caches.
 
         Returns (p_in, input gradients, parameter gradients).
         """
@@ -497,7 +502,7 @@ class Silo:
         for j in (range(n - 2, -1, -1) if is_up else range(1, n)):
             acc = levels[j]
             for i in (range(j + 1, n) if is_up else range(j)):
-                y, cache = half[(i, j)].forward(levels[i], ctx, want_cache)
+                y, cache = half[(i, j)].forward(levels[i], ctx, want_cache, want_cache)
                 acc = K.sub(acc, y)
                 del y
                 yield (i, j), cache

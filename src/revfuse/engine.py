@@ -16,8 +16,9 @@ backward strategies that must produce the same gradients:
   VJP consumes at once.  Peak activation memory is flat in depth: roughly
   two adjacent pyramids plus one *transform's* working set, whatever the
   chain length.  That working set is small because an MBConv cache keeps
-  one normalized array per batch norm; its VJP rebuilds the norm and
-  hard-swish outputs from it (see ``layers``).
+  one normalized array per batch norm (of an expansion stage replayed in
+  channel chunks, only statistics), and its VJP rebuilds the rest (see
+  ``layers``).
 
 Live activation bytes are tracked by an explicit registry rather than by
 heap inspection.  The registry refcounts unique arrays, so aliased cache
@@ -30,10 +31,11 @@ rebuilt array is registered while alive, in both modes.  While a step runs,
 the tape holds no activation past the point where the registry releases
 it, so the heap follows the registry: a recompute step's heap peak is about
 the registry peak plus the parameter gradients plus one kernel's scratch.
-On S0 widths at 128 px, batch 2, single precision, that is 20.6 MB: a
-4.9 MB registry peak, 10.9 MB of parameter gradients, the 0.8 MB batch,
-and the activation gradients in flight and scratch of the depthwise
-backward in the widest transform's reverse step.
+On S0 widths at 128 px, batch 2, single precision, that is 17.4 MB: a
+3.8 MB registry peak, 10.9 MB of parameter gradients, the 0.8 MB batch,
+and the activation gradients in flight and kernel scratch.  That registry
+peak is reached in the head, before the chain runs backward; no reverse
+step exceeds it.
 
 Finiteness is checked at block boundaries, not in every kernel: each
 block's forward output, the gradient entering the chain, and after each
@@ -229,8 +231,9 @@ class Tape:
         self.registry.reset_peak()
         self.saved_caches = []
         self._cache_tokens = []
-        self._step_key = step_key
-        ctx = ExecContext(self.counters, FORWARD, step_key, train)
+        # a replay keyed None would fold batch statistics again: key privately
+        self._step_key = object() if step_key is None else step_key
+        ctx = ExecContext(self.counters, FORWARD, self._step_key, train)
         stored = self.mode is BackwardMode.STORED
 
         self._input_token = self.registry.add(p, "input")

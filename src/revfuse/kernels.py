@@ -407,16 +407,16 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 # Elements in one channel chunk of hard-swish's or of its backward's
-# scratch: toy tensors run as one chunk, and at S0 widths the scratch is a
-# few percent of the input.
-_HSWISH_CHUNK_ELEMENTS = 1 << 16
+# scratch, and of a recompute replay's MBConv expansion stage unless its
+# input is wider (``layers.MBConv.chunks``); toy tensors run as one chunk.
+CHUNK_ELEMENTS = 1 << 16
 
 
 def _hswish_chunks(d: np.ndarray, *dtypes):
     """Channel chunks of ``d`` with one scratch buffer per dtype, sized to
     the chunk: yields (chunk of d, channel slice, buffers cut to it)."""
     n, c, h, w = d.shape
-    step = min(c, max(1, _HSWISH_CHUNK_ELEMENTS // (n * h * w)))
+    step = min(c, max(1, CHUNK_ELEMENTS // (n * h * w)))
     bufs = [np.empty((n, step, h, w), dtype=dt) for dt in dtypes]
     for c0 in range(0, c, step):
         dc = d[:, c0 : c0 + step]
@@ -518,12 +518,15 @@ class NormState:
 
 
 def batch_norm(x: Tensor, s: NormState, train: bool = True,
-               step_key: object | None = None) -> tuple[Tensor, tuple]:
+               step_key: object | None = None,
+               mean_out: np.ndarray | None = None) -> tuple[Tensor, tuple]:
     """Normalize per channel; returns (y, cache) for the backward pass.
 
     Train mode normalizes by the current batch statistics and folds them
     into the running averages (at most once per ``step_key``).  Eval mode
-    normalizes by the running averages and never mutates state.
+    normalizes by the running averages and never mutates state.  Given
+    ``mean_out``, the mean subtracted is written there; with it and the
+    cache's inv_std, ``batch_norm_cache`` rebuilds the cache.
     """
     d = x.data
     axes = (0, 2, 3)
@@ -544,10 +547,22 @@ def batch_norm(x: Tensor, s: NormState, train: bool = True,
         xhat = d - s.running_mean[None, :, None, None]
         y = np.empty_like(xhat)
         var = s.running_var
+    if mean_out is not None:
+        mean_out[...] = mean if train else s.running_mean
     inv_std = 1.0 / np.sqrt(var + np.asarray(s.epsilon, dtype=d.dtype))
     xhat *= inv_std[None, :, None, None]
     cache = (xhat, inv_std, train)
     return Tensor(batch_norm_output(cache, s, out=y)), cache
+
+
+def batch_norm_cache(x: Tensor, mean, inv_std, train: bool) -> tuple:
+    """The cache ``batch_norm`` made of ``x``, rebuilt bit for bit from the
+    mean it subtracted and its inv_std, written over ``x``, which the
+    caller gives up."""
+    xhat = x.data
+    xhat -= mean[None, :, None, None]
+    xhat *= inv_std[None, :, None, None]
+    return xhat, inv_std, train
 
 
 def batch_norm_output(cache: tuple, s: NormState, out: np.ndarray | None = None) -> np.ndarray:

@@ -9,13 +9,17 @@ keeps its input, each batch norm's normalized input and statistics, and
 the squeeze-excite vectors.  Its backward rebuilds the norm outputs, the
 hard-swish outputs and the squeeze-excite product bit for bit from those,
 each just before the VJP that reads it and dropped right after (Pleiss et
-al. 2017, *Memory-Efficient Implementation of DenseNets*).  A rebuilt
-array is an activation: a backward given a live-bytes registry registers
-it while alive; given ``None`` it registers nothing.
+al. 2017, *Memory-Efficient Implementation of DenseNets*).  A recompute
+cache, whose VJP runs at once, keeps of an expansion stage run in channel
+chunks only each chunk's mean and inv_std.  A rebuilt or recomputed array
+is an activation: a backward given a live-bytes registry registers it
+while alive; given ``None`` it registers nothing.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -81,10 +85,10 @@ class BatchNorm:
         self.name = name
         self.state = K.NormState.create(channels, dtype, zero_gamma)
 
-    def forward(self, x: Tensor, ctx: ExecContext | None = None):
+    def forward(self, x: Tensor, ctx: ExecContext | None = None, mean_out=None):
         train = ctx.train if ctx else True
         step_key = ctx.step_key if ctx else None
-        y, cache = K.batch_norm(x, self.state, train=train, step_key=step_key)
+        y, cache = K.batch_norm(x, self.state, train, step_key, mean_out)
         return y, cache
 
     def output(self, cache, out: np.ndarray | None = None) -> Tensor:
@@ -171,8 +175,8 @@ class Rebuilt:
             self.tokens[id(t.data)] = self.registry.add(t.data, self.label)
         return t
 
-    def drop(self, t: Tensor) -> None:
-        if self.registry is not None:
+    def drop(self, t: Tensor | None) -> None:
+        if self.registry is not None and t is not None:
             self.registry.remove(self.tokens.pop(id(t.data)))
 
     def activation(self, bn: BatchNorm, cache) -> Tensor:
@@ -227,18 +231,18 @@ class MBConv:
             self.dw, self.bn_dw] + ([self.se] if self.se else []) + [
             self.project, self.bn_project]
 
-    def forward(self, x: Tensor, ctx: ExecContext | None = None):
+    def forward(self, x: Tensor, ctx: ExecContext | None = None,
+                recompute: bool = False):
         # the cache: the input, each batch norm's cache, the squeeze-excite
         # vectors (s, z1, a1, gate); every other activation is dropped here
-        # and rebuilt by backward
+        # and rebuilt by backward (the expand norm's entry: see _expand)
         norms = []
         se = None
-        t = x
-        if self.expand is not None:
-            t, _ = self.expand.forward(t)
-            t, c = self.bn_expand.forward(t, ctx); norms.append(c)
-            t = K.hard_swish(t)
-        t, _ = self.dw.forward(t)
+        if self.expand is None:
+            t, _ = self.dw.forward(x)
+        else:
+            t, c = self._expand(x, ctx, self.chunks(x.shape, recompute))
+            norms.append(c)
         t, c = self.bn_dw.forward(t, ctx); norms.append(c)
         t = K.hard_swish(t)
         if self.se is not None:
@@ -247,11 +251,56 @@ class MBConv:
         t, c = self.bn_project.forward(t, ctx); norms.append(c)
         return t, (x, norms, se)
 
+    def chunks(self, in_shape, recompute: bool) -> list[slice]:
+        """The expansion stage's channel chunks for an input of ``in_shape``:
+        one, or with ``recompute`` the fewest equal chunks of at most
+        max(in_c, K.CHUNK_ELEMENTS // (n*h*w)) channels, none narrower than
+        the input it is recomputed from."""
+        mid = self.dw.params.out_channels
+        n, _, h, w = in_shape
+        k = -(-mid // max(self.in_c, K.CHUNK_ELEMENTS // (n * h * w))) if recompute else 1
+        edges = [mid * i // k for i in range(k + 1)]
+        return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+    def _stage(self, cs: slice):
+        """(expand, expand norm, depthwise) cut to channels ``cs``, over
+        views of their arrays, so running averages fold into the whole
+        norm's; for all channels, the layers themselves."""
+        if cs == slice(0, self.dw.params.out_channels):
+            return self.expand, self.bn_expand, self.dw
+        expand, bn, dw = (copy.copy(m) for m in (self.expand, self.bn_expand, self.dw))
+        p, q, s = self.expand.params, self.dw.params, self.bn_expand.state
+        expand.params = K.ConvParams(p.weights[cs])
+        dw.params = K.ConvParams(q.weights[cs], q.stride, q.padding, cs.stop - cs.start)
+        bn.state = dataclasses.replace(s, **{k: getattr(s, k)[cs] for k in (
+            "gamma", "beta", "running_mean", "running_var")})
+        return expand, bn, dw
+
+    def _expand(self, x: Tensor, ctx, spans: list[slice]):
+        """Expand 1x1 -> norm -> hard-swish -> depthwise, one chunk of
+        ``spans`` at a time, with the whole stage's bits (it is per channel,
+        Sandler et al. 2018, section 5.1).  Returns the depthwise output and
+        the expand norm's entries: a lone chunk's norm cache, or each
+        chunk's (mean, inv_std, train) for backward to recompute from."""
+        several = len(spans) > 1
+        entries, ys = [], []
+        for cs in spans:
+            expand, bn, dw = self._stage(cs)
+            mean = np.empty(cs.stop - cs.start, x.dtype) if several else None
+            t, c = bn.forward(expand.forward(x)[0], ctx, mean)
+            entries.append((mean, *c[1:]) if several else c)
+            ys.append(dw.forward(K.hard_swish(t))[0].data)
+            del t, c
+        # each chunk folded under the whole norm's step key at most once
+        self.bn_expand.state.last_step_key = bn.state.last_step_key
+        return Tensor(np.concatenate(ys, axis=1) if several else ys[0]), entries
+
     def backward(self, cache, gy: Tensor, registry=None):
         """VJP from forward's cache.  Each activation a VJP reads is rebuilt
         just before it and dropped after its last reader, held in
         ``registry`` (if any) meanwhile; the hard-swish output's buffer
-        then takes the norm output the hard-swish VJP reads."""
+        then takes the norm output the hard-swish VJP reads.  The expansion
+        stage runs forward's chunks, recomputing those that kept a mean."""
         x, norms, se = cache
         live = Rebuilt(registry, f"{self.name}.rebuilt")
         grads: dict[str, np.ndarray] = {}
@@ -269,12 +318,24 @@ class MBConv:
         if self.expand is None:
             g, gr = self.dw.backward((x,), g); grads.update(gr)
             return g, grads
-        h = live.activation(self.bn_expand, norms[0])
-        g, gr = self.dw.backward((h,), g); grads.update(gr)
-        g = live.activation_backward(self.bn_expand, norms[0], g, h); del h
-        g, gr = self.bn_expand.backward(norms[0], g); grads.update(gr)
-        g, gr = self.expand.backward((x,), g); grads.update(gr)
-        return g, grads
+        gx, parts = None, []
+        for cs, c in zip(self.chunks(x.shape, len(norms[0]) > 1), norms[0]):
+            expand, bn, dw = self._stage(cs)
+            e = None
+            if c[0].ndim == 1:                   # (mean, inv_std, train)
+                e = live.hold(expand.forward(x)[0])
+                c = K.batch_norm_cache(e, *c)    # xhat, over e's buffer
+            h = live.activation(bn, c)
+            gc, part = dw.backward((h,), Tensor(g.data[:, cs]))
+            gc = live.activation_backward(bn, c, gc, h); del h
+            gc, gr = bn.backward(c, gc); part.update(gr)
+            live.drop(e)
+            del c, e
+            gc, gr = expand.backward((x,), gc); part.update(gr)
+            gx = gc if gx is None else Tensor(np.add(gx.data, gc.data, out=gx.data))
+            parts.append(part)
+        grads.update((k, np.concatenate([p[k] for p in parts])) for k in parts[0])
+        return gx, grads
 
     def parameters(self):
         out = []

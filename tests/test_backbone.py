@@ -336,6 +336,26 @@ def test_recompute_heap_follows_the_registry():
         assert net <= 2 * registry.peak, (depth, net, registry.peak)
 
 
+def test_no_reverse_step_sets_the_recompute_peak(monkeypatch):
+    # s0-128-train's geometry.  Every reverse step replays its transforms'
+    # expansion stages in channel chunks, so the recompute registry peak is
+    # the one reached before the chain runs backward, in the head: the
+    # input, the chain output, the head's cache and what its backward rebuilds
+    cfg = BackboneConfig(channels=(48, 64, 80, 160), extra_depth=2, resolution=128,
+                         num_classes=10, in_channels=3, precision="single", seed=1)
+    ds = make_synthetic_dataset(10, 2, 128, 3, seed=18)
+    at_start = []
+    backward = Tape.backward
+
+    def watched(tape, grad_out):
+        at_start.append(tape.registry.peak)
+        return backward(tape, grad_out)
+
+    monkeypatch.setattr(Tape, "backward", watched)
+    _, _, registry, _ = step_gradients(build(cfg), "recompute", ds.images, ds.labels)
+    assert registry.peak == at_start[0]
+
+
 # ---------------------------------------------------------------------------
 # release at last use
 # ---------------------------------------------------------------------------

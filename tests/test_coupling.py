@@ -330,21 +330,22 @@ def test_inverse_strict_ordering_sensitivity():
 # gradients
 # ---------------------------------------------------------------------------
 
-def _replayed_inverse_cache(silo, out):
+def _replayed_inverse_cache(silo, out, recompute=False):
     """Reference: the inverse's evaluations, all kept, in a forward-layout
     cache.  Each transform runs once on reconstructed values, in the
     inverse's order; the reverse step must reproduce ``backward`` from this
-    cache bit for bit.  Returns (cache, reconstructed levels)."""
+    cache bit for bit, given the same ``recompute``.  Returns (cache,
+    reconstructed levels)."""
     n = silo.spec.levels
     m, up = list(out.levels), {}
     for j in range(n - 2, -1, -1):
         for i in range(j + 1, n):
-            y, up[(i, j)] = silo.up[(i, j)].forward(m[i])
+            y, up[(i, j)] = silo.up[(i, j)].forward(m[i], None, True, recompute)
             m[j] = K.sub(m[j], y)
     x, down = list(m), {}
     for j in range(1, n):
         for i in range(j):
-            y, down[(i, j)] = silo.down[(i, j)].forward(x[i])
+            y, down[(i, j)] = silo.down[(i, j)].forward(x[i], None, True, recompute)
             x[j] = K.sub(x[j], y)
     return {"down": down, "up": up}, m[:-1] + x[1:]
 
@@ -368,14 +369,21 @@ def _unique_bytes(obj):
 
 
 def _working_set(cache):
-    """A transform's cache plus the most its MBConv backward may rebuild at
-    once: the depthwise stage's hard-swish output and squeeze-excite
-    product (each the size of that stage's normalized input), or the
-    expansion stage's hard-swish output alone."""
-    (_, norms, _), _ = cache
+    """A transform's cache plus the most its MBConv backward may hold
+    rebuilt at once: at the destination resolution, the depthwise stage's
+    hard-swish output and squeeze-excite product (each the size of that
+    stage's normalized input); at the source resolution, one expansion
+    chunk's hard-swish output and, where the cache keeps that chunk's mean
+    in place of its xhat, the recomputed xhat."""
+    (x, norms, _), _ = cache
     *stages, _ = norms                         # [expand,] depthwise; project
-    expand = stages[0][0].nbytes if len(stages) == 2 else 0
-    return _unique_bytes(cache) + max(2 * stages[-1][0].nbytes, expand)
+    src = 0
+    if len(stages) == 2:
+        n, _, h, w = x.shape
+        for xhat_or_mean, inv_std, _ in stages[0]:
+            chunk = n * inv_std.size * h * w * x.dtype.itemsize
+            src = max(src, chunk * (2 if xhat_or_mean.ndim == 1 else 1))
+    return _unique_bytes(cache) + max(2 * stages[-1][0].nbytes, src)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -433,6 +441,49 @@ def test_reverse_step_matches_inverse_and_backward(case, dtype):
     assert _unique_bytes(caches) > bound - out.nbytes
 
 
+def test_multi_chunk_reverse_step_stays_within_its_working_set():
+    # at 64 px the level-0 and level-1 down transforms replay their
+    # expansion stages in 2 to 4 chunks; keeping the expanded tensor whole
+    # would need more than the chunked working set
+    rng = np.random.default_rng(244)
+    channels = (8, 16, 24, 32)
+    silo = _random_silo(rng, channels)
+    p = _pyramid(rng, channels, spatial=64)
+    assert [len(silo.down[(i, j)].block.chunks(p[i].shape, True))
+            for i, j in silo.spec.down_pairs()] == [2, 3, 2, 4, 2, 1]
+    out, fwd_cache = silo.forward(p, None, True)
+    grad_out = [Tensor(rng.standard_normal(t.shape)) for t in out.levels]
+
+    registry = LiveBytesRegistry()
+    out_token = registry.add(out, "out")
+    p_in, g_in, grads = silo.reverse(out, grad_out, ExecContext(OpCounters(), BACKWARD),
+                                     registry)
+    peak = registry.peak
+    registry.remove(out_token)
+    registry.assert_empty()
+
+    for a, b in zip(p_in.levels, silo.inverse(out)[0].levels):
+        assert a.data.tobytes() == b.data.tobytes()
+    chunked, rebuilt = _replayed_inverse_cache(silo, out, recompute=True)
+    g_ref, grads_ref = silo.backward(chunked, grad_out)
+    for a, b in zip(g_in, g_ref):
+        assert a.data.tobytes() == b.data.tobytes()
+    assert list(grads) == list(grads_ref)
+    for name in grads_ref:
+        assert grads[name].tobytes() == grads_ref[name].tobytes(), name
+    g_fwd, grads_fwd = silo.backward(fwd_cache, grad_out)
+    for a, b in zip(g_in, g_fwd):
+        assert rel_diff(a.data, b.data) < 1e-12
+    for name in grads_fwd:
+        assert rel_diff(grads[name], grads_fwd[name]) < 1e-12, name
+
+    whole, _ = _replayed_inverse_cache(silo, out)
+    largest = lambda cache: max(_working_set(c) for half in cache.values()
+                                for c in half.values())
+    base = out.nbytes + sum(t.nbytes for t in rebuilt)
+    assert peak <= base + largest(chunked) < base + largest(whole)
+
+
 @pytest.mark.parametrize("expands", [False, True])
 def test_reverse_step_keeps_no_earlier_cache_alive(expands):
     # no reference, registered or not, keeps a transform's cache alive once
@@ -446,9 +497,10 @@ def test_reverse_step_keeps_no_earlier_cache_alive(expands):
     grad_out = [Tensor(rng.standard_normal(t.shape)) for t in out.levels]
     earlier, alive = [], []
     for transform in [*silo.down.values(), *silo.up.values()]:
-        def forward(x, ctx=None, want_cache=True, _inner=transform.forward):
+        def forward(x, ctx=None, want_cache=True, recompute=False,
+                    _inner=transform.forward):
             alive.append(sum(r() is not None for r in earlier))
-            y, cache = _inner(x, ctx, want_cache)
+            y, cache = _inner(x, ctx, want_cache, recompute)
             earlier.extend(weakref.ref(a) for a in _iter_arrays(cache)
                            if a is not x.data)
             return y, cache

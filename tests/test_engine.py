@@ -218,6 +218,24 @@ def test_registry_assert_empty_raises_when_live():
         reg.assert_empty()
 
 
+def test_modes_fold_running_averages_alike_without_a_step_key():
+    # a forward given no step key is keyed privately: the recompute replay
+    # must not fold the batch statistics into the running averages again
+    p = _pyramid(np.random.default_rng(57))
+    running = []
+    for mode in BackwardMode:
+        blocks = _silo_chain(np.random.default_rng(56), depth=2)
+        tape = Tape(blocks, mode=mode)
+        out = tape.forward(p)
+        tape.backward([Tensor(np.ones(t.shape)) for t in out.levels])
+        running.append([a.tobytes() for silo in blocks
+                        for t in [*silo.down.values(), *silo.up.values()]
+                        for bn in (t.block.bn_expand, t.block.bn_dw, t.block.bn_project)
+                        if bn is not None
+                        for a in (bn.state.running_mean, bn.state.running_var)])
+    assert running[0] == running[1]
+
+
 def test_tape_leaves_registry_empty_after_backward():
     rng = np.random.default_rng(65)
     blocks = _silo_chain(rng, 2)

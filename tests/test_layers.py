@@ -5,6 +5,8 @@ squeeze-excite vectors; its backward rebuilds the norm outputs, the
 hard-swish outputs and the squeeze-excite product.  The oracle below is the
 full-cache MBConv that kept every activation its VJPs read: the rebuilt
 arrays must equal its stored ones byte for byte, and so must the gradients.
+A recompute replay runs the expansion stage in channel chunks and keeps
+their statistics in place of xhat; it must give the forward's bits.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ import pytest
 
 from revfuse import kernels as K
 from revfuse.context import FORWARD, ExecContext
-from revfuse.coupling import randomize_parameters
+from revfuse.coupling import (ResampleSpec, make_resample_transform,
+                              randomize_parameters)
 from revfuse.engine import LiveBytesRegistry, _iter_arrays
 from revfuse.layers import MBConv
 from revfuse.tensor import Tensor
 
-from helpers import heap_peak
+from helpers import heap_peak, rel_diff
 
 BOTH_DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64])
 BN_MODES = pytest.mark.parametrize("train", [True, False])
@@ -106,13 +109,17 @@ def _block(rng, dtype, *, expansion=2, se=0.25, stride=1, in_c=4, out_c=6):
     block = MBConv("mb", in_c, out_c, kernel=3 if stride == 1 else 5, stride=stride,
                    padding=1 if stride == 1 else 2, expansion=expansion,
                    se_ratio=se, zero_final_gamma=True, rng=rng, dtype=dtype)
+    _randomize(block, rng)
+    return block
+
+
+def _randomize(block: MBConv, rng) -> None:
     randomize_parameters(block.parameters(), rng)
     for bn in (block.bn_expand, block.bn_dw, block.bn_project):
         if bn is not None:
             c = bn.state.gamma.size
             bn.state.running_mean[:] = rng.standard_normal(c)
             bn.state.running_var[:] = rng.uniform(0.5, 2.0, c)
-    return block
 
 
 def _pin_to_kinks(block: MBConv) -> None:
@@ -310,3 +317,95 @@ def test_mbconv_cache_holds_one_activation_per_batch_norm(expansion, se):
     norms = 3 if expansion > 1 else 2
     held = [a for a in _iter_arrays(cache) if a.ndim == 4 and a is not x.data]
     assert len(held) <= norms, [a.shape for a in held]
+
+
+# ---------------------------------------------------------------------------
+# the chunked replay
+# ---------------------------------------------------------------------------
+
+def test_chunk_rule():
+    # S0 widths at 64 px, batch 2: level 0 is 48 channels at 16x16, so a
+    # chunk holds at most 65536 // 512 = 128 channels; 144 split equally
+    rng = np.random.default_rng(67)
+    shape = (2, 48, 16, 16)
+    widths = lambda block, recompute: [
+        cs.stop - cs.start for cs in block.chunks(shape, recompute)]
+    for expansion, want in [(2, [96]), (3, [72, 72]), (4, [96, 96])]:
+        block = MBConv("mb", 48, 8, kernel=3, stride=1, padding=1,
+                       expansion=expansion, rng=rng, dtype=np.float32)
+        assert widths(block, True) == want
+        assert widths(block, False) == [48 * expansion]
+    # at 128 px the budget is 32 channels, so the input's 48 set the width
+    assert [cs.stop - cs.start for cs in block.chunks((2, 48, 32, 32), True)] == [48] * 4
+
+
+# (src, dst, se): a stride-8 down transform, an expanding up transform
+# with squeeze-excite; 4 input channels at 64x64 and expansion 6 make
+# three 8-channel chunks
+CHUNKED = pytest.mark.parametrize("src,dst,se", [(0, 3, None), (2, 1, 0.25)])
+
+
+def _chunked(rng, dtype, src, dst, se):
+    t = make_resample_transform(ResampleSpec(src, dst, 4, 6, 6, se), name="t",
+                                rng=rng, dtype=dtype)
+    _randomize(t.block, rng)
+    x = Tensor(rng.standard_normal((2, 4, 64, 64)).astype(dtype))
+    assert len(t.block.chunks(x.shape, True)) == 3
+    return t, x
+
+
+def _running(block: MBConv) -> list:
+    return [a.tobytes() for bn in (block.bn_expand, block.bn_dw, block.bn_project)
+            for a in (bn.state.running_mean, bn.state.running_var)]
+
+
+@BOTH_DTYPES
+@BN_MODES
+@CHUNKED
+def test_chunked_replay_keeps_the_forward_bits(dtype, train, src, dst, se):
+    rng = np.random.default_rng(68)
+    t, x = _chunked(rng, dtype, src, dst, se)
+    y, cache = t.forward(x, _ctx(train))
+    running = _running(t.block)
+    y_r, cache_r = t.forward(x, _ctx(train), True, recompute=True)
+    assert y_r.data.tobytes() == y.data.tobytes()
+    assert _running(t.block) == running         # the forward's key: no fold
+    (_, norms, se_vectors), _ = cache
+    (x_r, norms_r, se_r), _ = cache_r
+    assert x_r is x
+    for c, c_r in zip(norms[1:], norms_r[1:]):  # depthwise and project norms
+        assert [a.tobytes() for a in c[:2]] == [a.tobytes() for a in c_r[:2]]
+    for a, b in zip(se_vectors or (), se_r or ()):
+        assert a.tobytes() == b.tobytes()
+    # the expand norm keeps, per chunk, (mean, inv_std, train): no array
+    # at the source resolution besides the input
+    assert len(norms_r[0]) == 3
+    assert all(mean.ndim == 1 and inv_std.shape == mean.shape and flag is train
+               for mean, inv_std, flag in norms_r[0])
+    assert [c[1].tobytes() for c in norms_r[0]] == [
+        norms[0][0][1][cs].tobytes() for cs in t.block.chunks(x.shape, True)]
+
+
+@BN_MODES
+@CHUNKED
+def test_chunked_replay_gradients_match_the_forward_cache(train, src, dst, se):
+    rng = np.random.default_rng(69)
+    t, x = _chunked(rng, np.float64, src, dst, se)
+    y, cache = t.forward(x, _ctx(train))
+    _, cache_r = t.forward(x, _ctx(train), True, recompute=True)
+    gy = rng.standard_normal(y.shape)
+    gx, grads = t.backward(cache, Tensor(gy.copy()))
+    log = LiveBytesRegistry()
+    gx_r, grads_r = t.backward(cache_r, Tensor(gy.copy()), log)
+    log.assert_empty()
+    assert rel_diff(gx_r.data, gx.data) < 1e-12
+    assert list(grads_r) == list(grads)
+    for name in grads:
+        assert rel_diff(grads_r[name], grads[name]) < 1e-12, name
+    # what the VJP held rebuilt at once: two 8-channel source-resolution
+    # chunks (the recomputed xhat and the hard-swish output), or the
+    # depthwise stage's destination-resolution rebuilds (two with
+    # squeeze-excite)
+    chunk = 2 * 8 * 64 * 64 * 8
+    (_, norms, _), _ = cache
+    assert log.peak == max(2 * chunk, 2 * norms[1][0].nbytes if se else norms[1][0].nbytes)
