@@ -3,9 +3,11 @@
 A backbone is a reversible chain — space-to-depth stem, three pyramid
 expansion silos, then ``extra_depth`` full fusion silos — followed by a
 conventional (non-reversible) neck + classification head.  The reversible
-chain runs on a ``Tape`` in either backward mode; the head always stores its
-activations, and its bytes are registered in the same live-bytes registry so
-measured peaks reflect the whole step.
+chain runs on a ``Tape`` in either backward mode, and the head follows the
+tape's mode: stored, it keeps every stage's VJP cache; in recompute mode it
+keeps only its four aggregates and replays one stage at a time in backward.
+Its bytes are registered in the same live-bytes registry, so measured peaks
+reflect the whole step.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from . import kernels as K
 from .context import BACKWARD, FORWARD, ExecContext
 from .coupling import FeaturePyramid, Silo, SiloSpec
-from .engine import Tape, count_forward_evals
+from .engine import BackwardMode, Tape, count_forward_evals
 from .errors import ConfigurationError, DivergenceError
 from .layers import MBConv, Conv2d, BatchNorm, Dense, Rebuilt
 from .tensor import Tensor, assert_finite, precision_dtype
@@ -178,7 +180,7 @@ class StemStage:
 
 
 # ---------------------------------------------------------------------------
-# neck + classification head (conventional, stored activations)
+# neck + classification head (conventional: stored, or replayed per stage)
 # ---------------------------------------------------------------------------
 
 class ClassifierHead:
@@ -186,7 +188,10 @@ class ClassifierHead:
 
     The finest map is transformed, downsampled by 2 with a strided MBConv and
     added to the next neck output; repeated until everything lands on the
-    coarsest grid, then 1x1 conv -> global average pool -> dense.
+    coarsest grid, then 1x1 conv -> global average pool -> dense.  The sums
+    are the aggregates agg_0..agg_3: agg_0 is neck0's output, agg_{i+1} is
+    down_i(agg_i) plus neck_{i+1}'s output, and the tail (the 1x1 conv
+    through the dense) reads agg_3.
     """
 
     def __init__(self, pyramid_channels, num_classes: int, *,
@@ -218,57 +223,109 @@ class ClassifierHead:
         self._stages = self.necks + self.downs + [self.final_conv, self.final_norm,
                                                   self.classifier]
 
-    def forward(self, p: FeaturePyramid, ctx: ExecContext | None = None):
-        neck_caches, neck_outs = [], []
-        for level, block in zip(p.levels, self.necks):
-            y, c = block.forward(level, ctx)
-            neck_outs.append(y)
-            neck_caches.append(c)
-        agg = neck_outs[0]
-        down_caches = []
-        for i, block in enumerate(self.downs):
-            y, c = block.forward(agg, ctx)
-            down_caches.append(c)
-            agg = K.add(y, neck_outs[i + 1])
+    def _plan(self):
+        """(key, forward, backward, input, output) per stage in VJP order:
+        the tail, down2..0, neck0..3.  An input or output names an
+        aggregate, a pyramid level or the logits; each input has one
+        reader."""
+        last = len(self.downs)
+        return ([("tail", self._tail_forward, self._tail_backward,
+                  f"agg{last}", "logits")]
+                + [(f"down{i}", b.forward, b.backward, f"agg{i}", f"agg{i + 1}")
+                   for i, b in reversed(list(enumerate(self.downs)))]
+                + [(f"neck{i}", b.forward, b.backward, f"level{i}", f"agg{i}")
+                   for i, b in enumerate(self.necks)])
+
+    def forward(self, p: FeaturePyramid, ctx: ExecContext | None = None,
+                recompute: bool = False):
+        """Logits and ``backward``'s cache.  Stored, the cache holds every
+        stage's VJP cache: the conventional baseline.  With ``recompute``
+        it holds only the aggregates, ``p``'s levels (the necks' inputs,
+        which the tape holds anyway) and ``ctx``, whose step key lets a
+        replay normalize identically without folding the running averages
+        a second time."""
+        if recompute and (ctx is None or ctx.step_key is None):
+            raise ConfigurationError(
+                f"{self.name}: a replayed head needs a step key, or its norms "
+                "fold each batch's statistics twice")
+        values = {f"level{i}": t for i, t in enumerate(p.levels)}
+        caches = {}
+        for key, run, _, src, dst in reversed(self._plan()):
+            y, cache = run(values[src], ctx)
+            values[dst] = K.add(y, values[dst]) if dst in values else y
+            if not recompute:
+                caches[key] = cache
+            del y, cache
+        logits = values.pop("logits")
+        return logits, ({"inputs": values, "ctx": ctx} if recompute else caches)
+
+    def _tail_forward(self, agg: Tensor, ctx):
         z, conv_cache = self.final_conv.forward(agg)
         z, norm_cache = self.final_norm.forward(z, ctx)
         z = K.hard_swish(z)
         pooled = K.global_avg_pool(z)
         flat = pooled.data.reshape(pooled.n, pooled.c)
         logits, dense_cache = self.classifier.forward(flat)
-        cache = {
-            "necks": neck_caches, "downs": down_caches, "conv": conv_cache,
-            "norm": norm_cache, "z_shape": z.shape,
-            "dense": dense_cache,
-        }
-        return logits, cache
+        return logits, (conv_cache, norm_cache, z.shape, dense_cache)
 
-    def backward(self, cache, grad_logits: np.ndarray, registry=None):
-        """VJP from the forward cache; ``registry`` (or ``None``) holds
-        the activations the MBConvs and the final hard-swish rebuild."""
+    def _tail_backward(self, cache, grad_logits: np.ndarray, registry):
+        conv_cache, norm_cache, z_shape, dense_cache = cache
         grads: dict[str, np.ndarray] = {}
-        gflat, gr = self.classifier.backward(cache["dense"], grad_logits)
+        gflat, gr = self.classifier.backward(dense_cache, grad_logits)
         grads.update(gr)
         n, c = gflat.shape
-        gz = K.global_avg_pool_backward(cache["z_shape"], Tensor(gflat.reshape(n, c, 1, 1)))
+        gz = K.global_avg_pool_backward(z_shape, Tensor(gflat.reshape(n, c, 1, 1)))
         gz = Rebuilt(registry, f"{self.name}.rebuilt").activation_backward(
-            self.final_norm, cache["norm"], gz)
-        gz, gr = self.final_norm.backward(cache["norm"], gz)
+            self.final_norm, norm_cache, gz)
+        gz, gr = self.final_norm.backward(norm_cache, gz)
         grads.update(gr)
-        gagg, gr = self.final_conv.backward(cache["conv"], gz)
+        gagg, gr = self.final_conv.backward(conv_cache, gz)
         grads.update(gr)
-        gneck = [None] * len(self.necks)
-        for i in range(len(self.downs) - 1, -1, -1):
-            gneck[i + 1] = gagg
-            gagg, gr = self.downs[i].backward(cache["downs"][i], gagg, registry)
+        return gagg, grads
+
+    def backward(self, cache, grad_logits: np.ndarray, registry=None):
+        """VJP of ``forward``, taking its cache over: ``registry`` (or
+        ``None``) holds the cache's arrays, and what the VJPs rebuild, until
+        their last reader's VJP has run.  A stored cache is held whole
+        until the walk ends.  A recompute cache replays each stage from its
+        input just before that stage's VJP (per-segment checkpointing, Chen
+        et al. 2016, arXiv 1604.06174); each aggregate is held until its
+        reader's VJP has run, and each replayed cache while alive.  Both
+        take the same VJPs in the same order, so given the forward's step
+        key the gradients and their key order are the same bits."""
+        hold = lambda obj, label: None if registry is None else registry.add(obj, label)
+        release = lambda token: None if token is None else registry.remove(token)
+        plan, token = self._plan(), None
+        if "inputs" in cache:
+            steps = self._replays(plan, cache, hold, release)
+        else:
+            token = hold(cache, f"{self.name}.cache")
+            steps = ((stage, cache[stage[0]]) for stage in plan)
+        g = {"logits": grad_logits}
+        grads: dict[str, np.ndarray] = {}
+        for (_, _, backward, src, dst), c in steps:
+            g[src], gr = backward(c, g[dst], registry)
             grads.update(gr)
-        gneck[0] = gagg
-        glevels = []
-        for i, block in enumerate(self.necks):
-            g, gr = block.backward(cache["necks"][i], gneck[i], registry)
-            grads.update(gr)
-            glevels.append(g)
-        return glevels, grads
+            del c        # before the next stage replays
+        release(token)
+        return [g[f"level{i}"] for i in range(len(self.necks))], grads
+
+    def _replays(self, plan, cache, hold, release):
+        """Each stage of ``plan`` with its cache, replayed from its input with
+        the forward's ctx, so with the forward's bits; once the stage's VJP
+        has run, its cache and its input are let go."""
+        inputs, ctx = cache["inputs"], cache["ctx"]
+        tokens = {k: hold(v, f"{self.name}.{k}")
+                  for k, v in inputs.items() if k.startswith("agg")}
+        for stage in plan:
+            key, run, _, src, _ = stage
+            c = run(inputs[src], ctx)[1]
+            token = hold(c, f"{self.name}.{key}.cache")
+            yield stage, c
+            del c
+            release(token)
+            del inputs[src]
+            release(tokens.pop(src, None))
 
     def parameters(self):
         out = []
@@ -382,26 +439,28 @@ def step_gradients(model: Model, mode, images: np.ndarray, labels: np.ndarray,
     Returns (loss, grads, registry, counters), the one step body that
     training, gradient-parity checks and memory sweeps share.  A non-finite
     loss raises ``DivergenceError``.  Each activation is let go at its last
-    use: the head's cache, the logits and the chain output before the chain
-    runs backward.
+    use: the head's cache (a recompute head's, one aggregate at a time) and
+    the logits before the chain runs backward, and the chain output and
+    its gradient once the chain's last block has consumed them.
     """
     tape = Tape(model.blocks, mode=mode)
     counters, registry = tape.counters, tape.registry
     out = tape.forward(image_pyramid(images, model.config.dtype), step_key=step_key)
-    head_ctx = ExecContext(counters, FORWARD, step_key=step_key, train=True)
-    logits, head_cache = model.head.forward(out, head_ctx)
+    # the tape's key, a private one if ``step_key`` is None: a head replay
+    # keyed None would fold the head's batch statistics twice
+    head_ctx = ExecContext(counters, FORWARD, step_key=tape.step_key, train=True)
+    logits, head_cache = model.head.forward(
+        out, head_ctx, recompute=tape.mode is BackwardMode.RECOMPUTE)
     del out
-    head_token = registry.add(head_cache, "head.cache")
     loss, glogits = softmax_cross_entropy(logits, labels)
     del logits
     if not math.isfinite(loss):
         raise DivergenceError(step_key)
     glevels, head_grads = model.head.backward(head_cache, glogits, registry)
-    registry.remove(head_token)
     del head_cache, glogits
     for name, g in head_grads.items():
         assert_finite(g, f"head backward, gradient of {name}")
-    result = tape.backward(glevels)
+    result = tape.backward(glevels)     # empties glevels: each level is freed at its last use
     grads = dict(result.param_grads)
     grads.update(head_grads)
     return loss, grads, registry, counters

@@ -536,6 +536,12 @@ class Silo:
         ``down_pairs`` order.  With ``hold``, ``registry`` holds each cache
         during its VJP.  No step's cache is kept once its VJP returns.
         Returns (gx, parameter gradients).
+
+        Each level's first sum makes a new array and later sums add into it
+        in place, in the same order, so the bits are those of a new array
+        per sum; ``grad_out``'s arrays are only read.  ``gx`` is ``gm``
+        itself: a down step writes ``gx[i]`` for i < j only, and every down
+        step that reads ``gm[i]`` (those into level i) has run by then.
         """
         def vjp(transform, cache, g):
             token = registry.add(cache, f"{transform.name}.cache") if hold else None
@@ -544,23 +550,30 @@ class Silo:
                 registry.remove(token)
             return result
 
+        g, owned = list(grad_out), set()
+
+        def accumulate(k, gin):
+            if k in owned:
+                np.add(g[k].data, gin.data, out=g[k].data)
+            else:
+                g[k] = K.add(g[k], gin)
+                owned.add(k)
+
         up = {}
         for pair, cache in up_steps:
             up[pair] = vjp(self.up[pair], cache, grad_out[pair[1]])
             del cache        # before the next step runs its transform
         grads: dict[str, np.ndarray] = {}
-        gm = list(grad_out)
-        for i, j in self.spec.up_pairs():       # up[i->j] consumed m[i]
+        for i, j in self.spec.up_pairs():       # up[i->j] consumed m[i]: gm
             gin, gr = up.pop((i, j))
-            gm[i] = K.add(gm[i], gin)
+            accumulate(i, gin)
             grads.update(gr)
-        gx = list(gm)
-        for (i, j), cache in down_steps:        # down[i->j] consumed x[i]
-            gin, gr = vjp(self.down[(i, j)], cache, gm[j])
-            gx[i] = K.add(gx[i], gin)
+        for (i, j), cache in down_steps:        # down[i->j] consumed x[i]: gx
+            gin, gr = vjp(self.down[(i, j)], cache, g[j])
+            accumulate(i, gin)
             grads.update(gr)
             del cache, gin   # before the next step runs its transform
-        return gx, grads
+        return g, grads
 
     def _transforms(self):
         """((src, dst), transform) of the down half, then of the up half,

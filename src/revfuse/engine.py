@@ -31,11 +31,12 @@ rebuilt array is registered while alive, in both modes.  While a step runs,
 the tape holds no activation past the point where the registry releases
 it, so the heap follows the registry: a recompute step's heap peak is about
 the registry peak plus the parameter gradients plus one kernel's scratch.
-On S0 widths at 128 px, batch 2, single precision, that is 17.4 MB: a
-3.8 MB registry peak, 10.9 MB of parameter gradients, the 0.8 MB batch,
+On S0 widths at 128 px, batch 2, single precision, that is 16.8 MB: a
+2.66 MB registry peak, 10.9 MB of parameter gradients, the 0.8 MB batch,
 and the activation gradients in flight and kernel scratch.  That registry
-peak is reached in the head, before the chain runs backward; no reverse
-step exceeds it.
+peak is reached in a reverse step.  The conventional head, which in
+recompute mode keeps its four aggregates and replays one stage at a time
+(``backbone.ClassifierHead``), stays below it at 2.16 MB.
 
 Finiteness is checked at block boundaries, not in every kernel: each
 block's forward output, the gradient entering the chain, and after each
@@ -201,7 +202,7 @@ class Tape:
         self.saved_caches: list = []     # stored mode: each block's VJP cache
         self.output_pyramid: FeaturePyramid | None = None
         self._phase = "idle"        # idle -> forwarded -> idle
-        self._step_key: object | None = None
+        self.step_key: object | None = None   # the key of the step in flight
         self._input_token: int | None = None
         self._output_token: int | None = None
         self._cache_tokens: list[int] = []
@@ -232,8 +233,8 @@ class Tape:
         self.saved_caches = []
         self._cache_tokens = []
         # a replay keyed None would fold batch statistics again: key privately
-        self._step_key = object() if step_key is None else step_key
-        ctx = ExecContext(self.counters, FORWARD, self._step_key, train)
+        self.step_key = object() if step_key is None else step_key
+        ctx = ExecContext(self.counters, FORWARD, self.step_key, train)
         stored = self.mode is BackwardMode.STORED
 
         self._input_token = self.registry.add(p, "input")
@@ -256,6 +257,10 @@ class Tape:
 
     # -- backward --------------------------------------------------------------
     def backward(self, grad_out: list[Tensor]) -> BackwardResult:
+        """Back-propagate ``grad_out``, the chain output's gradient, which
+        the tape takes over: it empties the list, so each level is freed
+        once the last block has consumed it.  A caller that reads those
+        gradients afterwards passes a copy."""
         if self._phase != "forwarded":
             raise StateError("backward requires a completed forward pass")
         if len(grad_out) != self.output_pyramid.num_levels:
@@ -264,13 +269,15 @@ class Tape:
                 f"{self.output_pyramid.num_levels}"
             )
         try:
-            return self._backward(list(grad_out))
+            return self._backward(grad_out)
         except BaseException:
             self.discard()
             raise
 
-    def _backward(self, g: list[Tensor]) -> BackwardResult:
-        ctx = ExecContext(self.counters, BACKWARD, self._step_key, True)
+    def _backward(self, grad_out: list[Tensor]) -> BackwardResult:
+        g = list(grad_out)
+        grad_out.clear()    # the caller's list: only ``g`` holds the levels now
+        ctx = ExecContext(self.counters, BACKWARD, self.step_key, True)
         param_grads: dict[str, np.ndarray] = {}
         last = len(self.blocks) - 1
         self._check_finite(last, "incoming gradient", g)

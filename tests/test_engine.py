@@ -44,7 +44,7 @@ def _run(blocks, p, mode, rng):
     out = tape.forward(p, step_key=0)
     grad_out = [Tensor(np.asarray(rng.standard_normal(t.shape), dtype=t.dtype.type))
                 for t in out.levels]
-    result = tape.backward(grad_out)
+    result = tape.backward(list(grad_out))     # the tape empties its list
     return out, grad_out, result, tape
 
 
@@ -98,6 +98,7 @@ def test_identity_chain_passes_gradient_through():
     grng = np.random.default_rng(55)
     out, grad_out, result, _ = _run(blocks, p, "stored", grng)
     assert pyramid_max_abs_diff(out, p) == 0.0
+    assert len(result.input_grads) == len(grad_out) == 3
     for g_in, g_out in zip(result.input_grads, grad_out):
         assert np.array_equal(g_in.data, g_out.data)
 
