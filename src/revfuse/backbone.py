@@ -241,13 +241,9 @@ class ClassifierHead:
         """Logits and ``backward``'s cache.  Stored, the cache holds every
         stage's VJP cache: the conventional baseline.  With ``recompute``
         it holds only the aggregates, ``p``'s levels (the necks' inputs,
-        which the tape holds anyway) and ``ctx``, whose step key lets a
-        replay normalize identically without folding the running averages
-        a second time."""
-        if recompute and (ctx is None or ctx.step_key is None):
-            raise ConfigurationError(
-                f"{self.name}: a replayed head needs a step key, or its norms "
-                "fold each batch's statistics twice")
+        which the tape holds anyway) and a ``BACKWARD``-phase copy of
+        ``ctx``, under which a replay normalizes identically without
+        folding the running averages a second time."""
         values = {f"level{i}": t for i, t in enumerate(p.levels)}
         caches = {}
         for key, run, _, src, dst in reversed(self._plan()):
@@ -257,7 +253,9 @@ class ClassifierHead:
                 caches[key] = cache
             del y, cache
         logits = values.pop("logits")
-        return logits, ({"inputs": values, "ctx": ctx} if recompute else caches)
+        if recompute:
+            caches = {"inputs": values, "ctx": replace(ctx or ExecContext(), phase=BACKWARD)}
+        return logits, caches
 
     def _tail_forward(self, agg: Tensor, ctx):
         z, conv_cache = self.final_conv.forward(agg)
@@ -291,8 +289,8 @@ class ClassifierHead:
         input just before that stage's VJP (per-segment checkpointing, Chen
         et al. 2016, arXiv 1604.06174); each aggregate is held until its
         reader's VJP has run, and each replayed cache while alive.  Both
-        take the same VJPs in the same order, so given the forward's step
-        key the gradients and their key order are the same bits."""
+        take the same VJPs in the same order, so the gradients and their
+        key order are the same bits."""
         hold = lambda obj, label: None if registry is None else registry.add(obj, label)
         release = lambda token: None if token is None else registry.remove(token)
         plan, token = self._plan(), None
@@ -311,8 +309,8 @@ class ClassifierHead:
         return [g[f"level{i}"] for i in range(len(self.necks))], grads
 
     def _replays(self, plan, cache, hold, release):
-        """Each stage of ``plan`` with its cache, replayed from its input with
-        the forward's ctx, so with the forward's bits; once the stage's VJP
+        """Each stage of ``plan`` with its cache, replayed from its input in
+        the backward phase, so with the forward's bits; once the stage's VJP
         has run, its cache and its input are let go."""
         inputs, ctx = cache["inputs"], cache["ctx"]
         tokens = {k: hold(v, f"{self.name}.{k}")
@@ -446,9 +444,7 @@ def step_gradients(model: Model, mode, images: np.ndarray, labels: np.ndarray,
     tape = Tape(model.blocks, mode=mode)
     counters, registry = tape.counters, tape.registry
     out = tape.forward(image_pyramid(images, model.config.dtype), step_key=step_key)
-    # the tape's key, a private one if ``step_key`` is None: a head replay
-    # keyed None would fold the head's batch statistics twice
-    head_ctx = ExecContext(counters, FORWARD, step_key=tape.step_key, train=True)
+    head_ctx = ExecContext(counters, FORWARD, step_key)
     logits, head_cache = model.head.forward(
         out, head_ctx, recompute=tape.mode is BackwardMode.RECOMPUTE)
     del out

@@ -1,5 +1,11 @@
 """Execution context threaded through forward/backward code paths.
 
+The phase is the one signal that a forward is a replay: a forward run in
+the ``BACKWARD`` phase (a reverse step, an inverse, a head replay)
+recomputes what the ``FORWARD`` phase computed.  So a train-mode batch
+norm folds its running averages only in the ``FORWARD`` phase, and an
+MBConv keeps a replay cache only in the ``BACKWARD`` phase.
+
 ``OpCounters`` tallies forward evaluations of coupling transforms, bucketed
 by the phase of the training step in which they ran.  The counters are the measurement side
 of the compute cost model: a recompute-mode backward pass re-executes every
@@ -38,11 +44,8 @@ class OpCounters:
 
 @dataclass
 class ExecContext:
-    """Carries the current phase, counters, and batch-norm step identity.
-
-    ``step_key`` identifies the forward invocation a batch-norm layer is
-    serving: a recomputed forward with the same key normalizes identically
-    but must not update running statistics a second time.
+    """Carries the counters, the current phase, the step id and the
+    train/eval flag.  ``step_key`` only names the step; no layer reads it.
     """
 
     counters: OpCounters | None = None

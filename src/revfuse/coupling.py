@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels as K
-from .context import F_EVAL, ExecContext
+from .context import BACKWARD, F_EVAL, ExecContext
 from .errors import ConfigurationError
 from .layers import MBConv
 from .tensor import Tensor
@@ -229,13 +229,10 @@ class MBConvTransform:
         self.block = block
         self.upsample_factor = upsample_factor
 
-    def forward(self, x: Tensor, ctx: ExecContext | None = None, want_cache: bool = True,
-                recompute: bool = False):
-        """``recompute``: the cache feeds a VJP that runs at once, so the
-        block may keep less and recompute (``MBConv.chunks``)."""
+    def forward(self, x: Tensor, ctx: ExecContext | None = None, want_cache: bool = True):
         if ctx:
             ctx.count(F_EVAL)
-        y, cache = self.block.forward(x, ctx, recompute)
+        y, cache = self.block.forward(x, ctx)
         pre_shape = y.shape
         if self.upsample_factor > 1:
             y = K.bilinear_upsample(y, self.upsample_factor)
@@ -262,8 +259,7 @@ class ScalarGain:
         self.name = name
         self.gain = np.array([gain], dtype=dtype)
 
-    def forward(self, x: Tensor, ctx: ExecContext | None = None, want_cache: bool = True,
-                recompute: bool = False):
+    def forward(self, x: Tensor, ctx: ExecContext | None = None, want_cache: bool = True):
         if ctx:
             ctx.count(F_EVAL)
         y = Tensor(x.data * self.gain[0])
@@ -441,7 +437,8 @@ class Silo:
         Unlike the forward halves, reconstruction is strictly ordered:
         intermediates are recovered coarsest-first (each subtraction needs
         the coarser intermediates already recovered), then inputs
-        finest-first.  Transforms are only ever evaluated forward.
+        finest-first.  Transforms only ever run forward, as replays: no
+        ctx means the ``BACKWARD`` phase, so no norm folds.
 
         Returns (p_in, intermediates).
         """
@@ -463,9 +460,10 @@ class Silo:
         cache is alive at a time (RevNet's backward, Gomez et al. 2017,
         Alg. 1).  This is valid because up-half VJPs need only ``grad_out``,
         and down-half VJPs need ``gm``, complete once the up half is done.
-        Its caches are ``recompute`` ones (``MBConv.chunks``).  ``registry``
-        holds each cache and reconstructed level while alive.  The VJPs go
-        through ``backward``'s walk, so gradients and their key order are
+        The transforms replay as in ``inverse``, with replay caches
+        (``MBConv.chunks``).  ``registry`` holds each cache and
+        reconstructed level while alive.  The VJPs go through
+        ``backward``'s walk, so gradients and their key order are
         ``backward``'s bit for bit, given the same caches.
 
         Returns (p_in, input gradients, parameter gradients).
@@ -497,12 +495,13 @@ class Silo:
         drops the cache before the next transform runs.  ``keep(level)``
         sees each recovered level.
         """
+        ctx = ctx or ExecContext(phase=BACKWARD)
         n = self.spec.levels
         is_up = half is self.up
         for j in (range(n - 2, -1, -1) if is_up else range(1, n)):
             acc = levels[j]
             for i in (range(j + 1, n) if is_up else range(j)):
-                y, cache = half[(i, j)].forward(levels[i], ctx, want_cache, want_cache)
+                y, cache = half[(i, j)].forward(levels[i], ctx, want_cache)
                 acc = K.sub(acc, y)
                 del y
                 yield (i, j), cache

@@ -47,7 +47,7 @@ recompute mode, the reconstructed input).  A NaN or an Inf raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -187,9 +187,10 @@ class Tape:
     ctx, registry)`` is the recompute-mode step: from the output pyramid
     and its gradient it reconstructs the input and back-propagates in one
     pass, returning (p_in, grad_in, param_grads) with ``backward``'s
-    gradients.  Both register in ``registry`` whatever activations they
-    rebuild or keep alive and release them before they return; the tape
-    registers ``p_in`` itself.  ``parameters()`` lists (name, array) pairs.
+    gradients, given the forward's ctx in the ``BACKWARD`` phase.  Both
+    register in ``registry`` whatever activations they rebuild or keep
+    alive and release them before they return; the tape registers ``p_in``
+    itself.  ``parameters()`` lists (name, array) pairs.
     """
 
     def __init__(self, blocks: list, mode=BackwardMode.STORED):
@@ -202,7 +203,7 @@ class Tape:
         self.saved_caches: list = []     # stored mode: each block's VJP cache
         self.output_pyramid: FeaturePyramid | None = None
         self._phase = "idle"        # idle -> forwarded -> idle
-        self.step_key: object | None = None   # the key of the step in flight
+        self._ctx: ExecContext | None = None  # the forward's, of the step in flight
         self._input_token: int | None = None
         self._output_token: int | None = None
         self._cache_tokens: list[int] = []
@@ -232,9 +233,7 @@ class Tape:
         self.registry.reset_peak()
         self.saved_caches = []
         self._cache_tokens = []
-        # a replay keyed None would fold batch statistics again: key privately
-        self.step_key = object() if step_key is None else step_key
-        ctx = ExecContext(self.counters, FORWARD, self.step_key, train)
+        ctx = self._ctx = ExecContext(self.counters, FORWARD, step_key, train)
         stored = self.mode is BackwardMode.STORED
 
         self._input_token = self.registry.add(p, "input")
@@ -277,7 +276,7 @@ class Tape:
     def _backward(self, grad_out: list[Tensor]) -> BackwardResult:
         g = list(grad_out)
         grad_out.clear()    # the caller's list: only ``g`` holds the levels now
-        ctx = ExecContext(self.counters, BACKWARD, self.step_key, True)
+        ctx = replace(self._ctx, phase=BACKWARD)    # a replay of the forward
         param_grads: dict[str, np.ndarray] = {}
         last = len(self.blocks) - 1
         self._check_finite(last, "incoming gradient", g)

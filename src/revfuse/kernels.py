@@ -407,8 +407,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 # Elements in one channel chunk of hard-swish's or of its backward's
-# scratch, and of a recompute replay's MBConv expansion stage unless its
-# input is wider (``layers.MBConv.chunks``); toy tensors run as one chunk.
+# scratch, and of a replayed MBConv expansion stage unless its input is
+# wider (``layers.MBConv.chunks``); toy tensors run as one chunk.
 CHUNK_ELEMENTS = 1 << 16
 
 
@@ -487,9 +487,7 @@ class NormState:
     ``momentum`` is the decay of the running averages:
     running <- momentum * running + (1 - momentum) * batch_stat.
     Biased (1/m) batch variance is used both for normalization and for the
-    running average.  ``last_step_key`` makes running-stat updates idempotent
-    per forward invocation: a recomputed forward carrying the same step key
-    normalizes identically but leaves the running averages untouched.
+    running average.
     """
 
     gamma: np.ndarray
@@ -498,7 +496,6 @@ class NormState:
     running_var: np.ndarray
     momentum: float = 0.9
     epsilon: float = 1e-3
-    last_step_key: object | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.momentum < 1.0:
@@ -517,13 +514,13 @@ class NormState:
         )
 
 
-def batch_norm(x: Tensor, s: NormState, train: bool = True,
-               step_key: object | None = None,
+def batch_norm(x: Tensor, s: NormState, train: bool = True, fold: bool = True,
                mean_out: np.ndarray | None = None) -> tuple[Tensor, tuple]:
     """Normalize per channel; returns (y, cache) for the backward pass.
 
-    Train mode normalizes by the current batch statistics and folds them
-    into the running averages (at most once per ``step_key``).  Eval mode
+    Train mode normalizes by the current batch statistics and, with
+    ``fold``, folds them into the running averages; a replay passes
+    ``fold=False`` and normalizes with the same bits.  Eval mode
     normalizes by the running averages and never mutates state.  Given
     ``mean_out``, the mean subtracted is written there; with it and the
     cache's inv_std, ``batch_norm_cache`` rebuilds the cache.
@@ -538,11 +535,10 @@ def batch_norm(x: Tensor, s: NormState, train: bool = True,
         # by an intp count in float64, then cast to the array's dtype
         var = np.add.reduce(y, axis=axes)
         np.true_divide(var, np.intp(d.size // d.shape[1]), out=var, casting="unsafe")
-        if step_key is None or step_key != s.last_step_key:
+        if fold:
             m = s.momentum
             s.running_mean[...] = m * s.running_mean + (1.0 - m) * mean
             s.running_var[...] = m * s.running_var + (1.0 - m) * var
-            s.last_step_key = step_key
     else:
         xhat = d - s.running_mean[None, :, None, None]
         y = np.empty_like(xhat)

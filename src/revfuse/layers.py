@@ -9,9 +9,10 @@ keeps its input, each batch norm's normalized input and statistics, and
 the squeeze-excite vectors.  Its backward rebuilds the norm outputs, the
 hard-swish outputs and the squeeze-excite product bit for bit from those,
 each just before the VJP that reads it and dropped right after (Pleiss et
-al. 2017, *Memory-Efficient Implementation of DenseNets*).  A recompute
-cache, whose VJP runs at once, keeps of an expansion stage run in channel
-chunks only each chunk's mean and inv_std.  A rebuilt or recomputed array
+al. 2017, *Memory-Efficient Implementation of DenseNets*).  A replay (a
+forward in the ``BACKWARD`` phase, whose VJP runs at once) folds no running
+average, and its cache keeps of an expansion stage run in channel chunks
+only each chunk's mean and inv_std.  A rebuilt or recomputed array
 is an activation: a backward given a live-bytes registry registers it
 while alive; given ``None`` it registers nothing.
 """
@@ -25,7 +26,7 @@ import math
 import numpy as np
 
 from . import kernels as K
-from .context import ExecContext
+from .context import BACKWARD, FORWARD, ExecContext
 from .errors import ConfigurationError
 from .tensor import Tensor
 
@@ -78,7 +79,9 @@ class BatchNorm:
 
     ``zero_gamma`` zero-initializes the scale so the layer (and anything it
     terminates) starts as the zero map — the identity-at-init trick for
-    residual fusion transforms.
+    residual fusion transforms.  In train mode only a ``FORWARD``-phase
+    call, or one with no ctx, folds the batch statistics into the running
+    averages; a replay (``BACKWARD``) does not.
     """
 
     def __init__(self, name: str, channels: int, *, dtype, zero_gamma: bool = False):
@@ -86,10 +89,8 @@ class BatchNorm:
         self.state = K.NormState.create(channels, dtype, zero_gamma)
 
     def forward(self, x: Tensor, ctx: ExecContext | None = None, mean_out=None):
-        train = ctx.train if ctx else True
-        step_key = ctx.step_key if ctx else None
-        y, cache = K.batch_norm(x, self.state, train, step_key, mean_out)
-        return y, cache
+        ctx = ctx or ExecContext()
+        return K.batch_norm(x, self.state, ctx.train, ctx.phase == FORWARD, mean_out)
 
     def output(self, cache, out: np.ndarray | None = None) -> Tensor:
         """The forward's output, rebuilt bit for bit from its cache."""
@@ -231,8 +232,7 @@ class MBConv:
             self.dw, self.bn_dw] + ([self.se] if self.se else []) + [
             self.project, self.bn_project]
 
-    def forward(self, x: Tensor, ctx: ExecContext | None = None,
-                recompute: bool = False):
+    def forward(self, x: Tensor, ctx: ExecContext | None = None):
         # the cache: the input, each batch norm's cache, the squeeze-excite
         # vectors (s, z1, a1, gate); every other activation is dropped here
         # and rebuilt by backward (the expand norm's entry: see _expand)
@@ -241,7 +241,8 @@ class MBConv:
         if self.expand is None:
             t, _ = self.dw.forward(x)
         else:
-            t, c = self._expand(x, ctx, self.chunks(x.shape, recompute))
+            replay = ctx is not None and ctx.phase == BACKWARD
+            t, c = self._expand(x, ctx, self.chunks(x.shape, replay))
             norms.append(c)
         t, c = self.bn_dw.forward(t, ctx); norms.append(c)
         t = K.hard_swish(t)
@@ -251,14 +252,14 @@ class MBConv:
         t, c = self.bn_project.forward(t, ctx); norms.append(c)
         return t, (x, norms, se)
 
-    def chunks(self, in_shape, recompute: bool) -> list[slice]:
+    def chunks(self, in_shape, replay: bool) -> list[slice]:
         """The expansion stage's channel chunks for an input of ``in_shape``:
-        one, or with ``recompute`` the fewest equal chunks of at most
+        one, or for a ``replay`` the fewest equal chunks of at most
         max(in_c, K.CHUNK_ELEMENTS // (n*h*w)) channels, none narrower than
         the input it is recomputed from."""
         mid = self.dw.params.out_channels
         n, _, h, w = in_shape
-        k = -(-mid // max(self.in_c, K.CHUNK_ELEMENTS // (n * h * w))) if recompute else 1
+        k = -(-mid // max(self.in_c, K.CHUNK_ELEMENTS // (n * h * w))) if replay else 1
         edges = [mid * i // k for i in range(k + 1)]
         return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
@@ -291,8 +292,6 @@ class MBConv:
             entries.append((mean, *c[1:]) if several else c)
             ys.append(dw.forward(K.hard_swish(t))[0].data)
             del t, c
-        # each chunk folded under the whole norm's step key at most once
-        self.bn_expand.state.last_step_key = bn.state.last_step_key
         return Tensor(np.concatenate(ys, axis=1) if several else ys[0]), entries
 
     def backward(self, cache, gy: Tensor, registry=None):

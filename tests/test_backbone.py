@@ -146,6 +146,37 @@ def test_toy_backbone_inversion(precision, tol):
     assert pyramid_max_rel_diff(back, p) < tol
 
 
+def _chain_running_averages(model) -> list[bytes]:
+    return [a.tobytes() for silo in model.silos
+            for t in [*silo.down.values(), *silo.up.values()]
+            for bn in (t.block.bn_expand, t.block.bn_dw, t.block.bn_project)
+            if bn is not None
+            for a in (bn.state.running_mean, bn.state.running_var)]
+
+
+def test_replays_without_a_ctx_leave_the_running_averages_alone():
+    # an inverse and a reverse step replay the forward: given no ctx they
+    # run in the backward phase, so no norm folds a batch's statistics
+    # into its running averages a second time
+    cfg = replace(TOY, extra_depth=2, resolution=64)
+    model = build(cfg)
+    rng = np.random.default_rng(84)
+    p = image_pyramid(rng.standard_normal((2, 1, 64, 64)), cfg.dtype)
+    tape = Tape(model.blocks, mode="recompute")
+    out = tape.forward(p)
+    tape.discard()
+    before = _chain_running_averages(model)
+    invert_chain(model.blocks, out)
+    assert _chain_running_averages(model) == before
+    silo = model.blocks[-1]
+    silo.inverse(out)
+    assert _chain_running_averages(model) == before
+    registry = LiveBytesRegistry()
+    silo.reverse(out, [Tensor(np.ones(t.shape)) for t in out.levels], None, registry)
+    registry.assert_empty()
+    assert _chain_running_averages(model) == before
+
+
 # ---------------------------------------------------------------------------
 # head
 # ---------------------------------------------------------------------------
@@ -236,9 +267,6 @@ def test_head_replay_gives_the_stored_bits(dtype):
                      list(grads), [g.tobytes() for g in grads.values()],
                      _running_averages(head)))
     assert runs[0] == runs[1]
-    # keyed None, a replay would fold the running averages a second time
-    with pytest.raises(ConfigurationError, match="step key"):
-        head.forward(p, ExecContext(None, FORWARD), recompute=True)
 
 
 def test_step_key_none_folds_the_head_norms_once_in_both_modes():

@@ -330,22 +330,23 @@ def test_inverse_strict_ordering_sensitivity():
 # gradients
 # ---------------------------------------------------------------------------
 
-def _replayed_inverse_cache(silo, out, recompute=False):
+def _replayed_inverse_cache(silo, out, ctx=None):
     """Reference: the inverse's evaluations, all kept, in a forward-layout
     cache.  Each transform runs once on reconstructed values, in the
     inverse's order; the reverse step must reproduce ``backward`` from this
-    cache bit for bit, given the same ``recompute``.  Returns (cache,
+    cache bit for bit, given a ``BACKWARD``-phase ``ctx`` where it replays
+    in chunks (no ctx runs each transform whole).  Returns (cache,
     reconstructed levels)."""
     n = silo.spec.levels
     m, up = list(out.levels), {}
     for j in range(n - 2, -1, -1):
         for i in range(j + 1, n):
-            y, up[(i, j)] = silo.up[(i, j)].forward(m[i], None, True, recompute)
+            y, up[(i, j)] = silo.up[(i, j)].forward(m[i], ctx, True)
             m[j] = K.sub(m[j], y)
     x, down = list(m), {}
     for j in range(1, n):
         for i in range(j):
-            y, down[(i, j)] = silo.down[(i, j)].forward(x[i], None, True, recompute)
+            y, down[(i, j)] = silo.down[(i, j)].forward(x[i], ctx, True)
             x[j] = K.sub(x[j], y)
     return {"down": down, "up": up}, m[:-1] + x[1:]
 
@@ -464,7 +465,7 @@ def test_multi_chunk_reverse_step_stays_within_its_working_set():
 
     for a, b in zip(p_in.levels, silo.inverse(out)[0].levels):
         assert a.data.tobytes() == b.data.tobytes()
-    chunked, rebuilt = _replayed_inverse_cache(silo, out, recompute=True)
+    chunked, rebuilt = _replayed_inverse_cache(silo, out, ExecContext(None, BACKWARD))
     g_ref, grads_ref = silo.backward(chunked, grad_out)
     for a, b in zip(g_in, g_ref):
         assert a.data.tobytes() == b.data.tobytes()
@@ -497,10 +498,9 @@ def test_reverse_step_keeps_no_earlier_cache_alive(expands):
     grad_out = [Tensor(rng.standard_normal(t.shape)) for t in out.levels]
     earlier, alive = [], []
     for transform in [*silo.down.values(), *silo.up.values()]:
-        def forward(x, ctx=None, want_cache=True, recompute=False,
-                    _inner=transform.forward):
+        def forward(x, ctx=None, want_cache=True, _inner=transform.forward):
             alive.append(sum(r() is not None for r in earlier))
-            y, cache = _inner(x, ctx, want_cache, recompute)
+            y, cache = _inner(x, ctx, want_cache)
             earlier.extend(weakref.ref(a) for a in _iter_arrays(cache)
                            if a is not x.data)
             return y, cache

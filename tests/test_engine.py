@@ -29,6 +29,12 @@ def _pyramid(rng, channels=CHANNELS, spatial=16, batch=2, dtype=np.float64):
     ])
 
 
+def _norms(blocks):
+    return [bn for silo in blocks for t in [*silo.down.values(), *silo.up.values()]
+            for bn in (t.block.bn_expand, t.block.bn_dw, t.block.bn_project)
+            if bn is not None]
+
+
 def _silo_chain(rng, depth, channels=CHANNELS, dtype=np.float64):
     spec = SiloSpec(levels=len(channels), channels=channels)
     stages = []
@@ -39,9 +45,9 @@ def _silo_chain(rng, depth, channels=CHANNELS, dtype=np.float64):
     return stages
 
 
-def _run(blocks, p, mode, rng):
+def _run(blocks, p, mode, rng, train=True):
     tape = Tape(blocks, mode=mode)
-    out = tape.forward(p, step_key=0)
+    out = tape.forward(p, step_key=0, train=train)
     grad_out = [Tensor(np.asarray(rng.standard_normal(t.shape), dtype=t.dtype.type))
                 for t in out.levels]
     result = tape.backward(list(grad_out))     # the tape empties its list
@@ -56,17 +62,24 @@ def test_mode_parity_double():
     rng = np.random.default_rng(50)
     blocks = _silo_chain(rng, depth=3)
     p = _pyramid(rng)
-    grng = np.random.default_rng(51)
-    out_s, _, res_s, _ = _run(blocks, p, BackwardMode.STORED, grng)
-    grng = np.random.default_rng(51)
-    out_r, _, res_r, _ = _run(blocks, p, BackwardMode.RECOMPUTE, grng)
+    # in eval mode the recompute replay must normalize by the running
+    # averages too, as the forward did
+    for train in (True, False):
+        if not train:
+            for bn in _norms(blocks):
+                bn.state.running_mean[:] = 0.3
+                bn.state.running_var[:] = 2.0
+        grng = np.random.default_rng(51)
+        out_s, _, res_s, _ = _run(blocks, p, BackwardMode.STORED, grng, train)
+        grng = np.random.default_rng(51)
+        out_r, _, res_r, _ = _run(blocks, p, BackwardMode.RECOMPUTE, grng, train)
 
-    assert pyramid_max_abs_diff(out_s, out_r) == 0.0
-    assert res_s.param_grads.keys() == res_r.param_grads.keys()
-    for name in res_s.param_grads:
-        assert rel_diff(res_s.param_grads[name], res_r.param_grads[name]) < 1e-10
-    for a, b in zip(res_s.input_grads, res_r.input_grads):
-        assert rel_diff(a.data, b.data) < 1e-10
+        assert pyramid_max_abs_diff(out_s, out_r) == 0.0
+        assert res_s.param_grads.keys() == res_r.param_grads.keys()
+        for name in res_s.param_grads:
+            assert rel_diff(res_s.param_grads[name], res_r.param_grads[name]) < 1e-10
+        for a, b in zip(res_s.input_grads, res_r.input_grads):
+            assert rel_diff(a.data, b.data) < 1e-10
 
 
 def test_mode_parity_with_expansion_stages():
@@ -220,8 +233,8 @@ def test_registry_assert_empty_raises_when_live():
 
 
 def test_modes_fold_running_averages_alike_without_a_step_key():
-    # a forward given no step key is keyed privately: the recompute replay
-    # must not fold the batch statistics into the running averages again
+    # the recompute replay runs in the backward phase, so it does not fold
+    # the batch statistics into the running averages again, keyed or not
     p = _pyramid(np.random.default_rng(57))
     running = []
     for mode in BackwardMode:
@@ -229,10 +242,7 @@ def test_modes_fold_running_averages_alike_without_a_step_key():
         tape = Tape(blocks, mode=mode)
         out = tape.forward(p)
         tape.backward([Tensor(np.ones(t.shape)) for t in out.levels])
-        running.append([a.tobytes() for silo in blocks
-                        for t in [*silo.down.values(), *silo.up.values()]
-                        for bn in (t.block.bn_expand, t.block.bn_dw, t.block.bn_project)
-                        if bn is not None
+        running.append([a.tobytes() for bn in _norms(blocks)
                         for a in (bn.state.running_mean, bn.state.running_var)])
     assert running[0] == running[1]
 

@@ -94,11 +94,11 @@ def test_batch_norm_backward_fd_through_batch_stats():
         return s
 
     def loss():
-        y, _ = K.batch_norm(Tensor(x), make_state(), train=True, step_key=0)
+        y, _ = K.batch_norm(Tensor(x), make_state(), train=True)
         return float(np.vdot(y.data, r)) / 10.0
 
     s = make_state()
-    y, cache = K.batch_norm(Tensor(x), s, train=True, step_key=0)
+    y, cache = K.batch_norm(Tensor(x), s, train=True)
     gx, ggamma, gbeta = K.batch_norm_backward(cache, s, Tensor(r / 10.0))
     _probe(loss, x, gx.data, rng)
     _probe(loss, gamma, ggamma, rng)

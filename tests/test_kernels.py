@@ -324,7 +324,7 @@ def test_batch_norm_train_moments():
     s = K.NormState.create(3, np.float64)
     s.gamma[:] = np.array([1.0, 2.0, 0.5])
     s.beta[:] = np.array([0.0, -1.0, 3.0])
-    y, _ = K.batch_norm(Tensor(x), s, train=True, step_key=0)
+    y, _ = K.batch_norm(Tensor(x), s, train=True)
     for c in range(3):
         yc = y.data[:, c]
         xc = x[:, c]
@@ -338,23 +338,24 @@ def test_batch_norm_running_stats_one_step():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((4, 2, 8, 8)) * 3.0 - 0.5
     s = K.NormState.create(2, np.float64)    # running mean 0, var 1
-    K.batch_norm(Tensor(x), s, train=True, step_key=0)
+    K.batch_norm(Tensor(x), s, train=True)
     mu = x.mean(axis=(0, 2, 3))
     var = x.var(axis=(0, 2, 3))
     assert np.allclose(s.running_mean, 0.9 * 0.0 + 0.1 * mu, atol=1e-12)
     assert np.allclose(s.running_var, 0.9 * 1.0 + 0.1 * var, atol=1e-12)
 
 
-def test_batch_norm_step_key_makes_update_idempotent():
+def test_batch_norm_replay_without_fold_leaves_running_averages():
     rng = np.random.default_rng(8)
     x = Tensor(rng.standard_normal((4, 2, 8, 8)))
     s = K.NormState.create(2, np.float64)
-    y1, _ = K.batch_norm(x, s, train=True, step_key=41)
-    mean_after = s.running_mean.copy()
-    y2, _ = K.batch_norm(x, s, train=True, step_key=41)   # same step: no update
+    y1, _ = K.batch_norm(x, s, train=True)
+    mean_after, var_after = s.running_mean.copy(), s.running_var.copy()
+    y2, _ = K.batch_norm(x, s, train=True, fold=False)    # a replay: no update
     assert np.array_equal(s.running_mean, mean_after)
+    assert np.array_equal(s.running_var, var_after)
     assert np.array_equal(y1.data, y2.data)
-    K.batch_norm(x, s, train=True, step_key=42)           # new step: update
+    K.batch_norm(x, s, train=True)                        # a new forward: update
     assert not np.array_equal(s.running_mean, mean_after)
 
 
@@ -424,7 +425,7 @@ def test_batch_norm_forward_is_bit_identical_to_reference(dtype, train, shape):
     s.running_var[:] = rng.uniform(0.5, 2.0, c)
     rm0, rv0 = s.running_mean.copy(), s.running_var.copy()
     y_ref, xhat_ref, mean, var = _bn_reference(x, s, train)
-    y, (xhat, _, _) = K.batch_norm(Tensor(x), s, train=train, step_key=0)
+    y, (xhat, _, _) = K.batch_norm(Tensor(x), s, train=train)
     assert y.dtype == dtype
     assert y.data.tobytes() == y_ref.tobytes()
     assert xhat.tobytes() == xhat_ref.tobytes()

@@ -5,8 +5,9 @@ squeeze-excite vectors; its backward rebuilds the norm outputs, the
 hard-swish outputs and the squeeze-excite product.  The oracle below is the
 full-cache MBConv that kept every activation its VJPs read: the rebuilt
 arrays must equal its stored ones byte for byte, and so must the gradients.
-A recompute replay runs the expansion stage in channel chunks and keeps
-their statistics in place of xhat; it must give the forward's bits.
+A replay (a forward in the backward phase) runs the expansion stage in
+channel chunks and keeps their statistics in place of xhat; it must give
+the forward's bits.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from revfuse import kernels as K
-from revfuse.context import FORWARD, ExecContext
+from revfuse.context import BACKWARD, FORWARD, ExecContext
 from revfuse.coupling import (ResampleSpec, make_resample_transform,
                               randomize_parameters)
 from revfuse.engine import LiveBytesRegistry, _iter_arrays
@@ -171,7 +172,7 @@ def test_batch_norm_output_rebuilds_the_forward_bits(dtype, train):
     s.beta[:] = rng.standard_normal(5)
     s.running_mean[:] = rng.standard_normal(5)
     s.running_var[:] = rng.uniform(0.5, 2.0, 5)
-    y, cache = K.batch_norm(Tensor(x), s, train=train, step_key=0)
+    y, cache = K.batch_norm(Tensor(x), s, train=train)
     rebuilt = K.batch_norm_output(cache, s)
     assert rebuilt.dtype == dtype
     assert rebuilt.tobytes() == y.data.tobytes()
@@ -367,9 +368,9 @@ def test_chunked_replay_keeps_the_forward_bits(dtype, train, src, dst, se):
     t, x = _chunked(rng, dtype, src, dst, se)
     y, cache = t.forward(x, _ctx(train))
     running = _running(t.block)
-    y_r, cache_r = t.forward(x, _ctx(train), True, recompute=True)
+    y_r, cache_r = t.forward(x, ExecContext(None, BACKWARD, train=train), True)
     assert y_r.data.tobytes() == y.data.tobytes()
-    assert _running(t.block) == running         # the forward's key: no fold
+    assert _running(t.block) == running         # a replay: no fold
     (_, norms, se_vectors), _ = cache
     (x_r, norms_r, se_r), _ = cache_r
     assert x_r is x
@@ -392,7 +393,7 @@ def test_chunked_replay_gradients_match_the_forward_cache(train, src, dst, se):
     rng = np.random.default_rng(69)
     t, x = _chunked(rng, np.float64, src, dst, se)
     y, cache = t.forward(x, _ctx(train))
-    _, cache_r = t.forward(x, _ctx(train), True, recompute=True)
+    _, cache_r = t.forward(x, ExecContext(None, BACKWARD, train=train), True)
     gy = rng.standard_normal(y.shape)
     gx, grads = t.backward(cache, Tensor(gy.copy()))
     log = LiveBytesRegistry()
