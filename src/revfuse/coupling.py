@@ -438,15 +438,16 @@ class Silo:
         intermediates are recovered coarsest-first (each subtraction needs
         the coarser intermediates already recovered), then inputs
         finest-first.  Transforms only ever run forward, as replays: no
-        ctx means the ``BACKWARD`` phase, so no norm folds.
+        ctx means the ``BACKWARD`` phase, so no norm folds.  ``p_out`` is
+        left as it was: the reconstruction runs on copies of its levels.
 
         Returns (p_in, intermediates).
         """
         self._check_pyramid(p_out)
-        levels = list(p_out.levels)
+        levels = [Tensor(lv.data.copy()) for lv in p_out.levels]
         for _ in self._undo(self.up, levels, ctx):
             pass
-        m = list(levels)
+        m = [Tensor(lv.data.copy()) for lv in levels]
         for _ in self._undo(self.down, levels, ctx):
             pass
         return p_out.with_levels(self._outer(levels)), m
@@ -461,54 +462,47 @@ class Silo:
         Alg. 1).  This is valid because up-half VJPs need only ``grad_out``,
         and down-half VJPs need ``gm``, complete once the up half is done.
         The transforms replay as in ``inverse``, with replay caches
-        (``MBConv.chunks``).  ``registry`` holds each cache and
-        reconstructed level while alive.  The VJPs go through
-        ``backward``'s walk, so gradients and their key order are
-        ``backward``'s bit for bit, given the same caches.
+        (``MBConv.chunks``); ``registry`` holds each cache while alive.
+        The VJPs go through ``backward``'s walk, so gradients and their key
+        order are ``backward``'s bit for bit, given the same caches.  The
+        step allocates no pyramid: it rebuilds the intermediates, then the
+        inputs, in ``p_out``'s arrays, which the caller holds, and sums the
+        input gradients into ``grad_out``'s.
 
         Returns (p_in, input gradients, parameter gradients).
         """
         self._check_pyramid(p_out)
-        tokens = []
-
-        def keep(level):
-            tokens.append(registry.add(level, f"{self.name}.reconstructed"))
-
         # the down half's replay starts once the up half's has recovered
         # the intermediates in ``levels``; it then recovers the inputs there
         levels = list(p_out.levels)
-        gx, grads = self._vjp_walk(self._undo(self.up, levels, ctx, True, keep),
-                                   self._undo(self.down, levels, ctx, True, keep),
+        gx, grads = self._vjp_walk(self._undo(self.up, levels, ctx, True),
+                                   self._undo(self.down, levels, ctx, True),
                                    grad_out, registry, hold=True)
-        for token in tokens:
-            registry.remove(token)
         return p_out.with_levels(self._outer(levels)), self._outer(gx), grads
 
-    def _undo(self, half, levels, ctx, want_cache=False, keep=None):
+    def _undo(self, half, levels, ctx, want_cache=False):
         """Subtract one half's transforms back out of ``levels``, in place.
 
         The inverse's order, written once for ``inverse`` and ``reverse``:
         the up half recovers intermediates coarsest-first, the down half
         inputs finest-first, each destination from sources already
-        recovered.  A generator: after each subtraction it yields
-        ``(pair, cache)``, the cache ``None`` unless ``want_cache``, and
-        drops the cache before the next transform runs.  ``keep(level)``
-        sees each recovered level.
+        recovered.  Each transform's output is subtracted into the
+        destination level's own array, in the order a new array per
+        subtraction would take, so with the same bits.  A generator: after
+        each subtraction it yields ``(pair, cache)``, the cache ``None``
+        unless ``want_cache``, and drops the cache before the next
+        transform runs.
         """
         ctx = ctx or ExecContext(phase=BACKWARD)
         n = self.spec.levels
         is_up = half is self.up
         for j in (range(n - 2, -1, -1) if is_up else range(1, n)):
-            acc = levels[j]
             for i in (range(j + 1, n) if is_up else range(j)):
                 y, cache = half[(i, j)].forward(levels[i], ctx, want_cache)
-                acc = K.sub(acc, y)
+                K.sub(levels[j], y)
                 del y
                 yield (i, j), cache
                 del cache   # before the next transform runs: one cache alive
-            levels[j] = acc
-            if keep is not None:
-                keep(acc)
 
     def backward(self, cache, grad_out, registry=None):
         """VJP through the silo from a forward cache.
@@ -517,6 +511,7 @@ class Silo:
         No transform is re-evaluated: up-half VJPs fan gradient from outputs
         into intermediates, down-half VJPs fan it from intermediates into
         inputs.  ``registry`` (or ``None``) holds what the VJPs rebuild.
+        ``grad_out`` is consumed: the result's levels are its arrays.
         """
         steps = lambda half, caches: ((pair, caches[pair]) for pair in self._pairs(half))
         gx, grads = self._vjp_walk(steps(self.up, cache["up"]),
@@ -536,9 +531,9 @@ class Silo:
         during its VJP.  No step's cache is kept once its VJP returns.
         Returns (gx, parameter gradients).
 
-        Each level's first sum makes a new array and later sums add into it
-        in place, in the same order, so the bits are those of a new array
-        per sum; ``grad_out``'s arrays are only read.  ``gx`` is ``gm``
+        Each input gradient is summed into ``grad_out``'s own array for its
+        level, in the order a new array per sum would take, so with the
+        same bits; the caller hands those arrays over.  ``gx`` is ``gm``
         itself: a down step writes ``gx[i]`` for i < j only, and every down
         step that reads ``gm[i]`` (those into level i) has run by then.
         """
@@ -549,15 +544,8 @@ class Silo:
                 registry.remove(token)
             return result
 
-        g, owned = list(grad_out), set()
-
-        def accumulate(k, gin):
-            if k in owned:
-                np.add(g[k].data, gin.data, out=g[k].data)
-            else:
-                g[k] = K.add(g[k], gin)
-                owned.add(k)
-
+        g = list(grad_out)
+        accumulate = lambda k, gin: np.add(g[k].data, gin.data, out=g[k].data)
         up = {}
         for pair, cache in up_steps:
             up[pair] = vjp(self.up[pair], cache, grad_out[pair[1]])

@@ -13,12 +13,14 @@ backward strategies that must produce the same gradients:
   (and the original input).  Backward runs each block's reverse step, which
   reconstructs the block's input and back-propagates one transform at a
   time: each transform is re-evaluated exactly once, with a cache that its
-  VJP consumes at once.  Peak activation memory is flat in depth: roughly
-  two adjacent pyramids plus one *transform's* working set, whatever the
-  chain length.  That working set is small because an MBConv cache keeps
-  one normalized array per batch norm (of an expansion stage replayed in
-  channel chunks, only statistics), and its VJP rebuilds the rest (see
-  ``layers``).
+  VJP consumes at once.  It rebuilds its input, and its input gradient, in
+  the arrays of its output and output gradient, as in-place activated batch
+  norm recovers values (Rota Bulò et al. 2018, arXiv 1712.02616).  Peak
+  activation memory is flat in depth: one pyramid plus one *transform's*
+  working set, whatever the chain length.  That working set is small
+  because an MBConv cache keeps one normalized array per batch norm (of an
+  expansion stage replayed in channel chunks, only statistics), and its VJP
+  rebuilds the rest (see ``layers``).
 
 Live activation bytes are tracked by an explicit registry rather than by
 heap inspection.  The registry refcounts unique arrays, so aliased cache
@@ -31,12 +33,13 @@ rebuilt array is registered while alive, in both modes.  While a step runs,
 the tape holds no activation past the point where the registry releases
 it, so the heap follows the registry: a recompute step's heap peak is about
 the registry peak plus the parameter gradients plus one kernel's scratch.
-On S0 widths at 128 px, batch 2, single precision, that is 16.8 MB: a
-2.66 MB registry peak, 10.9 MB of parameter gradients, the 0.8 MB batch,
+On S0 widths at 128 px, batch 2, single precision, that is 15.9 MB: a
+2.16 MB registry peak, 10.9 MB of parameter gradients, the 0.8 MB batch,
 and the activation gradients in flight and kernel scratch.  That registry
-peak is reached in a reverse step.  The conventional head, which in
-recompute mode keeps its four aggregates and replays one stage at a time
-(``backbone.ClassifierHead``), stays below it at 2.16 MB.
+peak is reached in the conventional head, which in recompute mode replays
+one stage at a time (``backbone.ClassifierHead``): its neck0 replay holds
+the input, the chain output, neck0's cache and a rebuilt norm.  The
+chain's reverse steps stay below it at 2.10 MB.
 
 Finiteness is checked at block boundaries, not in every kernel: each
 block's forward output, the gradient entering the chain, and after each
@@ -190,7 +193,9 @@ class Tape:
     gradients, given the forward's ctx in the ``BACKWARD`` phase.  Both
     register in ``registry`` whatever activations they rebuild or keep
     alive and release them before they return; the tape registers ``p_in``
-    itself.  ``parameters()`` lists (name, array) pairs.
+    itself.  Both may consume ``grad_out``, and ``reverse`` ``p_out``:
+    the results may be written into their arrays.  ``parameters()`` lists
+    (name, array) pairs.
     """
 
     def __init__(self, blocks: list, mode=BackwardMode.STORED):
@@ -259,7 +264,9 @@ class Tape:
         """Back-propagate ``grad_out``, the chain output's gradient, which
         the tape takes over: it empties the list, so each level is freed
         once the last block has consumed it.  A caller that reads those
-        gradients afterwards passes a copy."""
+        gradients afterwards passes a copy.  In recompute mode, backward
+        overwrites the pyramid that ``forward`` returned, so a caller that
+        reads it afterwards keeps a copy."""
         if self._phase != "forwarded":
             raise StateError("backward requires a completed forward pass")
         if len(grad_out) != self.output_pyramid.num_levels:
@@ -282,8 +289,9 @@ class Tape:
         self._check_finite(last, "incoming gradient", g)
         # the tape lets go of each array at its last use: of the chain output
         # before the first block runs backward (stored caches hold what is
-        # needed of it), or once its reverse step has rebuilt the input; of
-        # each stored cache once its block has consumed it
+        # needed of it), or once a reverse step has dropped it (the other
+        # levels carry the rebuilt input); of each stored cache once its
+        # block has consumed it
         if self.mode is BackwardMode.STORED:
             self.output_pyramid = None
             self.registry.remove(self._output_token)

@@ -397,9 +397,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
+    """``a - b`` into ``a``'s own array; returns ``a``."""
     if a.shape != b.shape:
         raise ConfigurationError(f"elementwise sub shape mismatch {a.shape} vs {b.shape}")
-    return Tensor(a.data - b.data)
+    np.subtract(a.data, b.data, out=a.data)
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -412,28 +412,32 @@ def test_recompute_heap_follows_the_registry():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        net = peak - sum(g.nbytes for g in grads.values())
+        net = peak - _footprint(grads)
         assert net <= 2 * registry.peak, (depth, net, registry.peak)
 
 
-def test_a_reverse_step_sets_the_recompute_peak(monkeypatch):
-    # s0-128-train's geometry.  A recompute head keeps only its aggregates
-    # and replays one stage at a time, so what the registry holds before the
-    # chain runs backward (the input, the chain output, the aggregates, one
-    # stage cache and what its VJP rebuilds) stays below a reverse step's
+def test_the_recompute_peak_is_reached_before_the_chain_runs_backward(monkeypatch):
+    # s0-128-train's geometry.  A reverse step rebuilds its block's input in
+    # the arrays of its output, so the chain's own high (one pyramid, the
+    # input and one transform's working set) stays below the head's replay
+    # of neck0 (the input, the chain output, neck0's cache and a rebuilt
+    # norm), which runs before the chain's backward
     cfg = BackboneConfig(channels=(48, 64, 80, 160), extra_depth=2, resolution=128,
                          num_classes=10, in_channels=3, precision="single", seed=1)
     ds = make_synthetic_dataset(10, 2, 128, 3, seed=18)
-    at_start = []
+    at_start, chain_high = [], []
     backward = Tape.backward
 
     def watched(tape, grad_out):
         at_start.append(tape.registry.peak)
-        return backward(tape, grad_out)
+        tape.registry.peak = tape.registry.current     # the chain's own high
+        result = backward(tape, grad_out)
+        chain_high.append(tape.registry.peak)
+        return result
 
     monkeypatch.setattr(Tape, "backward", watched)
-    _, _, registry, _ = step_gradients(build(cfg), "recompute", ds.images, ds.labels)
-    assert at_start[0] < registry.peak
+    step_gradients(build(cfg), "recompute", ds.images, ds.labels)
+    assert chain_high[0] < at_start[0]
 
 
 # ---------------------------------------------------------------------------
@@ -529,14 +533,18 @@ def test_stored_backward_frees_each_cache_before_the_next_block_runs():
     assert seen == {i: 0 for i in range(len(model.blocks) - 1)}
 
 
-def test_recompute_frees_the_chain_output_once_the_last_block_has_reversed():
+def test_recompute_frees_each_chain_output_level_with_the_block_that_drops_it():
+    # the reverse steps rebuild each block's input in the chain output's
+    # arrays, so a level lives until the block that drops it has reversed:
+    # each expanding silo drops its coarsest level, the stem the last one
     model = build(TOY)
     ds = make_synthetic_dataset(4, 2, 32, 1, seed=16)
     chain_out, _ = _watch_head(model)
     seen = []
-    _before(model.blocks[-2], "reverse", lambda: seen.append(_alive(chain_out)))
+    for block in model.blocks[-2::-1]:       # expand3, expand2, expand1, stem
+        _before(block, "reverse", lambda: seen.append(_alive(chain_out)))
     step_gradients(model, "recompute", ds.images, ds.labels)
-    assert chain_out and seen == [0]
+    assert seen == [4, 3, 2, 1] and _alive(chain_out) == 0
 
 
 def test_stored_backward_frees_the_chain_output_before_the_last_block_runs():

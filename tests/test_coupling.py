@@ -19,7 +19,7 @@ from revfuse.coupling import (FeaturePyramid, RevBlock, RevBlockSpec, Silo,
                               SiloSpec, expand_pyramid, expanded_input,
                               pyramid_max_abs_diff, pyramid_max_rel_diff,
                               randomize_parameters)
-from revfuse.engine import LiveBytesRegistry, _iter_arrays
+from revfuse.engine import LiveBytesRegistry, _iter_arrays, invert_chain
 from revfuse.errors import ConfigurationError
 from revfuse.tensor import Tensor
 
@@ -32,6 +32,12 @@ def _pyramid(rng, channels, spatial=16, batch=2, dtype=np.float64):
             (batch, c, spatial >> k, spatial >> k)).astype(dtype))
         for k, c in enumerate(channels)
     ])
+
+
+def _copies(levels):
+    """New arrays holding ``levels``' values: what a call that consumes its
+    pyramid or gradient list is handed when the test reads them again."""
+    return [Tensor(t.data.copy()) for t in levels]
 
 
 def _random_silo(rng, channels, dtype=np.float64, name="silo", expands=False):
@@ -122,8 +128,9 @@ def test_revblock_is_the_two_stream_coupling(channels_a, channels_b, dtype):
     y, cache = block.forward(x, want_cache=True)
     assert y.data.tobytes() == joined(ya, yb)
 
-    rb = K.sub(yb, block.g.forward(ya)[0])
-    ra = K.sub(ya, block.f.forward(rb)[0])
+    # K.sub writes into its first argument; y_a and y_b are read again
+    rb = K.sub(Tensor(yb.data.copy()), block.g.forward(ya)[0])
+    ra = K.sub(Tensor(ya.data.copy()), block.f.forward(rb)[0])
     back, extra = block.inverse(y)
     assert extra is None
     assert back.data.tobytes() == joined(ra, rb)
@@ -270,7 +277,7 @@ def test_forward_is_bit_identical_under_any_evaluation_order():
     p = _pyramid(rng, channels)
     base, base_cache = silo.forward(p, want_cache=True)
     grad_out = [Tensor(rng.standard_normal(t.shape)) for t in base.levels]
-    g_base, grads_base = silo.backward(base_cache, grad_out)
+    g_base, grads_base = silo.backward(base_cache, _copies(grad_out))
 
     spec = silo.spec
     orders = np.random.default_rng(7)
@@ -283,7 +290,7 @@ def test_forward_is_bit_identical_under_any_evaluation_order():
         assert pyramid_max_abs_diff(out, base) == 0.0
         # backward walks the caches in canonical order, whatever order
         # the forward filled them in
-        g, grads = silo.backward(cache, grad_out)
+        g, grads = silo.backward(cache, _copies(grad_out))
         for a, b in zip(g, g_base):
             assert a.data.tobytes() == b.data.tobytes()
         assert list(grads) == list(grads_base)
@@ -338,12 +345,12 @@ def _replayed_inverse_cache(silo, out, ctx=None):
     in chunks (no ctx runs each transform whole).  Returns (cache,
     reconstructed levels)."""
     n = silo.spec.levels
-    m, up = list(out.levels), {}
+    m, up = _copies(out.levels), {}
     for j in range(n - 2, -1, -1):
         for i in range(j + 1, n):
             y, up[(i, j)] = silo.up[(i, j)].forward(m[i], ctx, True)
             m[j] = K.sub(m[j], y)
-    x, down = list(m), {}
+    x, down = _copies(m), {}
     for j in range(1, n):
         for i in range(j):
             y, down[(i, j)] = silo.down[(i, j)].forward(x[i], ctx, True)
@@ -352,14 +359,14 @@ def _replayed_inverse_cache(silo, out, ctx=None):
 
 
 class _RecordingRegistry(LiveBytesRegistry):
-    """A registry that also keeps every object it was handed."""
+    """A registry that also keeps every label it was handed."""
 
     def __init__(self):
         super().__init__()
-        self.added = []
+        self.labels = []
 
     def add(self, obj, label):
-        self.added.append(obj)
+        self.labels.append(label)
         return super().add(obj, label)
 
 
@@ -399,10 +406,11 @@ def test_reverse_step_matches_inverse_and_backward(case, dtype):
     grad_out = [Tensor(rng.standard_normal(t.shape).astype(dtype)) for t in out.levels]
 
     registry = _RecordingRegistry()
-    out_token = registry.add(out, "out")
+    step_out = out.with_levels(_copies(out.levels))    # the step overwrites it
+    out_token = registry.add(step_out, "out")
     counters = OpCounters()
-    p_in, g_in, grads = silo.reverse(out, grad_out, ExecContext(counters, BACKWARD),
-                                     registry)
+    p_in, g_in, grads = silo.reverse(step_out, _copies(grad_out),
+                                     ExecContext(counters, BACKWARD), registry)
     peak = registry.peak
     registry.remove(out_token)
     registry.assert_empty()                    # the step released all it held
@@ -416,7 +424,7 @@ def test_reverse_step_matches_inverse_and_backward(case, dtype):
     # gradients: byte-identical to backward from the replayed cache, with
     # the same key order, and equal to backward from the forward cache
     ref_cache, rebuilt = _replayed_inverse_cache(silo, out)
-    g_ref, grads_ref = silo.backward(ref_cache, grad_out)
+    g_ref, grads_ref = silo.backward(ref_cache, _copies(grad_out))
     assert len(g_in) == len(g_ref) == len(p.levels)
     for a, b in zip(g_in, g_ref):
         assert a.data.tobytes() == b.data.tobytes()
@@ -430,11 +438,11 @@ def test_reverse_step_matches_inverse_and_backward(case, dtype):
         for name in grads_fwd:
             assert rel_diff(grads[name], grads_fwd[name]) < 1e-12, name
 
-    # registry: every reconstructed level was registered, and the peak is
-    # the output, the reconstructed levels and one transform's working set
-    # (its cache and what its VJP rebuilds) at most; keeping every cache
-    # alive would exceed it
-    assert all(any(obj is lv for obj in registry.added) for lv in p_in.levels)
+    # registry: every reconstructed level is a level of the registered
+    # output, and the peak is the output, the reconstructed levels and one
+    # transform's working set (its cache and what its VJP rebuilds) at
+    # most; keeping every cache alive would exceed it
+    assert all(any(lv is t for t in step_out.levels) for lv in p_in.levels)
     caches = list(ref_cache["up"].values()) + list(ref_cache["down"].values())
     largest = max(_working_set(c) for c in caches)
     bound = out.nbytes + sum(t.nbytes for t in rebuilt) + largest
@@ -456,9 +464,10 @@ def test_multi_chunk_reverse_step_stays_within_its_working_set():
     grad_out = [Tensor(rng.standard_normal(t.shape)) for t in out.levels]
 
     registry = LiveBytesRegistry()
-    out_token = registry.add(out, "out")
-    p_in, g_in, grads = silo.reverse(out, grad_out, ExecContext(OpCounters(), BACKWARD),
-                                     registry)
+    step_out = out.with_levels(_copies(out.levels))    # the step overwrites it
+    out_token = registry.add(step_out, "out")
+    p_in, g_in, grads = silo.reverse(step_out, _copies(grad_out),
+                                     ExecContext(OpCounters(), BACKWARD), registry)
     peak = registry.peak
     registry.remove(out_token)
     registry.assert_empty()
@@ -466,7 +475,7 @@ def test_multi_chunk_reverse_step_stays_within_its_working_set():
     for a, b in zip(p_in.levels, silo.inverse(out)[0].levels):
         assert a.data.tobytes() == b.data.tobytes()
     chunked, rebuilt = _replayed_inverse_cache(silo, out, ExecContext(None, BACKWARD))
-    g_ref, grads_ref = silo.backward(chunked, grad_out)
+    g_ref, grads_ref = silo.backward(chunked, _copies(grad_out))
     for a, b in zip(g_in, g_ref):
         assert a.data.tobytes() == b.data.tobytes()
     assert list(grads) == list(grads_ref)
@@ -510,6 +519,52 @@ def test_reverse_step_keeps_no_earlier_cache_alive(expands):
     silo.reverse(out, grad_out, None, registry)
     registry.remove(token)
     assert earlier and alive == [0] * (len(silo.down) + len(silo.up))
+
+
+@pytest.mark.parametrize("expands", [False, True])
+def test_reverse_step_rebuilds_in_the_arrays_it_was_handed(expands):
+    # the step allocates no pyramid: the input comes back in the output's
+    # arrays and its gradient in the output gradient's, as from backward,
+    # and nothing is registered as a reconstruction, so the registry peak
+    # is the output and one transform's working set at most
+    rng = np.random.default_rng(245)
+    channels = (8, 16, 24, 32)
+    silo = _random_silo(rng, channels, expands=expands)
+    p = _pyramid(rng, channels[:-1] if expands else channels, spatial=32)
+    out, fwd_cache = silo.forward(p, None, True)
+    grad_out = [Tensor(rng.standard_normal(t.shape)) for t in out.levels]
+    handed = _copies(grad_out)
+    g_in, _ = silo.backward(fwd_cache, handed)
+    assert len(g_in) == len(p.levels)
+    assert all(np.shares_memory(a.data, b.data) for a, b in zip(g_in, handed))
+
+    ref_cache, _ = _replayed_inverse_cache(silo, out)
+    largest = max(_working_set(c) for half in ref_cache.values() for c in half.values())
+    registry = _RecordingRegistry()
+    token = registry.add(out, "out")
+    p_in, g_in, _ = silo.reverse(out, list(grad_out), None, registry)
+    registry.remove(token)
+    registry.assert_empty()
+    assert len(p_in.levels) == len(g_in) == len(p.levels)
+    assert all(np.shares_memory(a.data, b.data) for a, b in zip(p_in.levels, out.levels))
+    assert all(np.shares_memory(a.data, b.data) for a, b in zip(g_in, grad_out))
+    assert not any("reconstructed" in label for label in registry.labels)
+    assert registry.peak <= out.nbytes + largest
+
+
+def test_inverse_leaves_the_output_as_it_was():
+    rng = np.random.default_rng(246)
+    channels = (8, 16, 24)
+    silos = [_random_silo(rng, channels, name="grow", expands=True),
+             _random_silo(rng, channels, name="fuse")]
+    out = _pyramid(rng, channels[:-1])
+    for silo in silos:
+        out, _ = silo.forward(out)
+    before = [t.data.tobytes() for t in out.levels]
+    silos[-1].inverse(out)
+    assert [t.data.tobytes() for t in out.levels] == before
+    invert_chain(silos, out)
+    assert [t.data.tobytes() for t in out.levels] == before
 
 
 def test_silo_backward_matches_finite_differences():
@@ -587,7 +642,7 @@ def test_identity_silo_backward_passes_gradient_through():
     p = _pyramid(rng, channels)
     out, cache = silo.forward(p, want_cache=True)
     grad_out = [Tensor(rng.standard_normal(t.shape)) for t in out.levels]
-    gx, _ = silo.backward(cache, grad_out)
+    gx, _ = silo.backward(cache, _copies(grad_out))
     # residual-only paths at identity init: input grad equals output grad
     for g_in, g_out in zip(gx, grad_out):
         assert np.array_equal(g_in.data, g_out.data)

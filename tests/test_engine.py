@@ -50,8 +50,10 @@ def _run(blocks, p, mode, rng, train=True):
     out = tape.forward(p, step_key=0, train=train)
     grad_out = [Tensor(np.asarray(rng.standard_normal(t.shape), dtype=t.dtype.type))
                 for t in out.levels]
-    result = tape.backward(list(grad_out))     # the tape empties its list
-    return out, grad_out, result, tape
+    kept = out.with_levels([Tensor(t.data.copy()) for t in out.levels])
+    # the tape empties its list, and a recompute backward overwrites ``out``
+    result = tape.backward([Tensor(g.data.copy()) for g in grad_out])
+    return kept, grad_out, result, tape
 
 
 # ---------------------------------------------------------------------------
