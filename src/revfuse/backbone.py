@@ -264,19 +264,26 @@ class ClassifierHead:
         pooled = K.global_avg_pool(z)
         flat = pooled.data.reshape(pooled.n, pooled.c)
         logits, dense_cache = self.classifier.forward(flat)
-        return logits, (conv_cache, norm_cache, z.shape, dense_cache)
+        return logits, [conv_cache, norm_cache, z.shape, dense_cache]
 
-    def _tail_backward(self, cache, grad_logits: np.ndarray, registry):
-        conv_cache, norm_cache, z_shape, dense_cache = cache
+    def _tail_backward(self, cache, grad_logits: np.ndarray, registry,
+                       consume: bool = False):
+        """VJP of ``_tail_forward``.  With ``consume``, as
+        ``MBConv.backward``'s: the classifier's and the norm's caches are
+        held in ``registry`` until their VJPs have run, then let go."""
+        conv_cache, _, z_shape, _ = cache
+        spent = Rebuilt.spender(registry, f"{self.name}.tail.cache",
+                                [(cache, 1), (cache, 3)], consume)
         grads: dict[str, np.ndarray] = {}
-        gflat, gr = self.classifier.backward(dense_cache, grad_logits)
+        gflat, gr = self.classifier.backward(cache[3], grad_logits)
         grads.update(gr)
+        spent(cache, 3)
         n, c = gflat.shape
         gz = K.global_avg_pool_backward(z_shape, Tensor(gflat.reshape(n, c, 1, 1)))
-        gz = Rebuilt(registry, f"{self.name}.rebuilt").activation_backward(
-            self.final_norm, norm_cache, gz)
-        gz, gr = self.final_norm.backward(norm_cache, gz)
+        gz = K.batch_norm_hard_swish_backward(cache[1], self.final_norm.state, gz)
+        gz, gr = self.final_norm.backward(cache[1], gz)
         grads.update(gr)
+        spent(cache, 1)
         gagg, gr = self.final_conv.backward(conv_cache, gz)
         grads.update(gr)
         return gagg, grads
@@ -288,13 +295,14 @@ class ClassifierHead:
         until the walk ends.  A recompute cache replays each stage from its
         input just before that stage's VJP (per-segment checkpointing, Chen
         et al. 2016, arXiv 1604.06174); each aggregate is held until its
-        reader's VJP has run, and each replayed cache while alive.  Both
+        reader's VJP has run, and the VJP consumes the replayed cache.  Both
         take the same VJPs in the same order, so the gradients and their
         key order are the same bits."""
         hold = lambda obj, label: None if registry is None else registry.add(obj, label)
         release = lambda token: None if token is None else registry.remove(token)
         plan, token = self._plan(), None
-        if "inputs" in cache:
+        replay = "inputs" in cache
+        if replay:
             steps = self._replays(plan, cache, hold, release)
         else:
             token = hold(cache, f"{self.name}.cache")
@@ -302,7 +310,7 @@ class ClassifierHead:
         g = {"logits": grad_logits}
         grads: dict[str, np.ndarray] = {}
         for (_, _, backward, src, dst), c in steps:
-            g[src], gr = backward(c, g[dst], registry)
+            g[src], gr = backward(c, g[dst], registry, replay)
             grads.update(gr)
             del c        # before the next stage replays
         release(token)
@@ -311,17 +319,13 @@ class ClassifierHead:
     def _replays(self, plan, cache, hold, release):
         """Each stage of ``plan`` with its cache, replayed from its input in
         the backward phase, so with the forward's bits; once the stage's VJP
-        has run, its cache and its input are let go."""
+        has run, its input is let go."""
         inputs, ctx = cache["inputs"], cache["ctx"]
         tokens = {k: hold(v, f"{self.name}.{k}")
                   for k, v in inputs.items() if k.startswith("agg")}
         for stage in plan:
-            key, run, _, src, _ = stage
-            c = run(inputs[src], ctx)[1]
-            token = hold(c, f"{self.name}.{key}.cache")
-            yield stage, c
-            del c
-            release(token)
+            _, run, _, src, _ = stage
+            yield stage, run(inputs[src], ctx)[1]
             del inputs[src]
             release(tokens.pop(src, None))
 
@@ -437,9 +441,10 @@ def step_gradients(model: Model, mode, images: np.ndarray, labels: np.ndarray,
     Returns (loss, grads, registry, counters), the one step body that
     training, gradient-parity checks and memory sweeps share.  A non-finite
     loss raises ``DivergenceError``.  Each activation is let go at its last
-    use: the head's cache (a recompute head's, one aggregate at a time) and
-    the logits before the chain runs backward, and the chain output and
-    its gradient once the chain's last block has consumed them.
+    use: the model-dtype copy of ``images`` once the stem has run, the
+    head's cache (a recompute head's, one aggregate at a time) and the
+    logits before the chain runs backward, and the chain output and its
+    gradient once the chain's last block has consumed them.
     """
     tape = Tape(model.blocks, mode=mode)
     counters, registry = tape.counters, tape.registry

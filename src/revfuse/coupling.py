@@ -238,12 +238,12 @@ class MBConvTransform:
             y = K.bilinear_upsample(y, self.upsample_factor)
         return y, ((cache, pre_shape) if want_cache else None)
 
-    def backward(self, cache, gy: Tensor, registry=None):
+    def backward(self, cache, gy: Tensor, registry=None, consume: bool = False):
         block_cache, pre_shape = cache
         g = gy
         if self.upsample_factor > 1:
             g = K.bilinear_upsample_backward(pre_shape, self.upsample_factor, g)
-        return self.block.backward(block_cache, g, registry)
+        return self.block.backward(block_cache, g, registry, consume)
 
     def parameters(self):
         return self.block.parameters()
@@ -265,7 +265,7 @@ class ScalarGain:
         y = Tensor(x.data * self.gain[0])
         return y, ((x,) if want_cache else None)
 
-    def backward(self, cache, gy: Tensor, registry=None):
+    def backward(self, cache, gy: Tensor, registry=None, consume: bool = False):
         (x,) = cache
         gx = Tensor(gy.data * self.gain[0])
         ggain = np.array([float(np.sum(x.data * gy.data))], dtype=self.gain.dtype)
@@ -462,7 +462,8 @@ class Silo:
         Alg. 1).  This is valid because up-half VJPs need only ``grad_out``,
         and down-half VJPs need ``gm``, complete once the up half is done.
         The transforms replay as in ``inverse``, with replay caches
-        (``MBConv.chunks``); ``registry`` holds each cache while alive.
+        (``MBConv.chunks``), which their VJPs consume: ``registry`` holds
+        each part of a cache until its last reader has run.
         The VJPs go through ``backward``'s walk, so gradients and their key
         order are ``backward``'s bit for bit, given the same caches.  The
         step allocates no pyramid: it rebuilds the intermediates, then the
@@ -477,7 +478,7 @@ class Silo:
         levels = list(p_out.levels)
         gx, grads = self._vjp_walk(self._undo(self.up, levels, ctx, True),
                                    self._undo(self.down, levels, ctx, True),
-                                   grad_out, registry, hold=True)
+                                   grad_out, registry, consume=True)
         return p_out.with_levels(self._outer(levels)), self._outer(gx), grads
 
     def _undo(self, half, levels, ctx, want_cache=False):
@@ -518,7 +519,7 @@ class Silo:
                                    steps(self.down, cache["down"]), grad_out, registry)
         return self._outer(gx), grads
 
-    def _vjp_walk(self, up_steps, down_steps, grad_out, registry, hold=False):
+    def _vjp_walk(self, up_steps, down_steps, grad_out, registry, consume=False):
         """The silo's VJP, one transform at a time, from each half's
         ``(pair, cache)`` steps; written once for ``backward`` and
         ``reverse``.
@@ -527,8 +528,9 @@ class Silo:
         input gradients are summed into ``gm`` in ``up_pairs`` order.
         Down-half steps must come in ``down_pairs`` order, which fixes the
         sums into ``gx``.  Parameter gradients come in ``up_pairs`` then
-        ``down_pairs`` order.  With ``hold``, ``registry`` holds each cache
-        during its VJP.  No step's cache is kept once its VJP returns.
+        ``down_pairs`` order.  With ``consume``, each VJP consumes its
+        cache, holding its parts in ``registry`` until their last reader
+        has run.  No step's cache is kept once its VJP returns.
         Returns (gx, parameter gradients).
 
         Each input gradient is summed into ``grad_out``'s own array for its
@@ -537,18 +539,11 @@ class Silo:
         itself: a down step writes ``gx[i]`` for i < j only, and every down
         step that reads ``gm[i]`` (those into level i) has run by then.
         """
-        def vjp(transform, cache, g):
-            token = registry.add(cache, f"{transform.name}.cache") if hold else None
-            result = transform.backward(cache, g, registry)
-            if hold:
-                registry.remove(token)
-            return result
-
         g = list(grad_out)
         accumulate = lambda k, gin: np.add(g[k].data, gin.data, out=g[k].data)
         up = {}
         for pair, cache in up_steps:
-            up[pair] = vjp(self.up[pair], cache, grad_out[pair[1]])
+            up[pair] = self.up[pair].backward(cache, grad_out[pair[1]], registry, consume)
             del cache        # before the next step runs its transform
         grads: dict[str, np.ndarray] = {}
         for i, j in self.spec.up_pairs():       # up[i->j] consumed m[i]: gm
@@ -556,7 +551,7 @@ class Silo:
             accumulate(i, gin)
             grads.update(gr)
         for (i, j), cache in down_steps:        # down[i->j] consumed x[i]: gx
-            gin, gr = vjp(self.down[(i, j)], cache, g[j])
+            gin, gr = self.down[(i, j)].backward(cache, g[j], registry, consume)
             accumulate(i, gin)
             grads.update(gr)
             del cache, gin   # before the next step runs its transform

@@ -9,18 +9,19 @@ backward strategies that must produce the same gradients:
   is kept only as far as the next block's cache holds it.  Peak activation
   memory grows affinely with depth; the backward phase re-evaluates
   nothing.
-* ``recompute`` — reversible backprop: forward keeps only the final output
-  (and the original input).  Backward runs each block's reverse step, which
-  reconstructs the block's input and back-propagates one transform at a
-  time: each transform is re-evaluated exactly once, with a cache that its
-  VJP consumes at once.  It rebuilds its input, and its input gradient, in
-  the arrays of its output and output gradient, as in-place activated batch
-  norm recovers values (Rota Bulò et al. 2018, arXiv 1712.02616).  Peak
+* ``recompute`` — reversible backprop: forward keeps only the final output.
+  Backward runs each block's reverse step, which reconstructs the block's
+  input and back-propagates one transform at a time: each transform is
+  re-evaluated exactly once, with a cache that its VJP consumes at once.
+  It rebuilds its input, and its input gradient, in the arrays of its
+  output and output gradient, as in-place activated batch norm recovers
+  values (Rota Bulò et al. 2018, arXiv 1712.02616).  Peak
   activation memory is flat in depth: one pyramid plus one *transform's*
   working set, whatever the chain length.  That working set is small
   because an MBConv cache keeps one normalized array per batch norm (of an
-  expansion stage replayed in channel chunks, only statistics), and its VJP
-  rebuilds the rest (see ``layers``).
+  expansion stage replayed in channel chunks, only statistics), its VJP
+  rebuilds the rest (see ``layers``), and a replay's VJP consumes its
+  cache, letting each norm's go once read.
 
 Live activation bytes are tracked by an explicit registry rather than by
 heap inspection.  The registry refcounts unique arrays, so aliased cache
@@ -33,13 +34,18 @@ rebuilt array is registered while alive, in both modes.  While a step runs,
 the tape holds no activation past the point where the registry releases
 it, so the heap follows the registry: a recompute step's heap peak is about
 the registry peak plus the parameter gradients plus one kernel's scratch.
-On S0 widths at 128 px, batch 2, single precision, that is 15.9 MB: a
-2.16 MB registry peak, 10.9 MB of parameter gradients, the 0.8 MB batch,
-and the activation gradients in flight and kernel scratch.  That registry
-peak is reached in the conventional head, which in recompute mode replays
-one stage at a time (``backbone.ClassifierHead``): its neck0 replay holds
-the input, the chain output, neck0's cache and a rebuilt norm.  The
-chain's reverse steps stay below it at 2.10 MB.
+The tape lets go of the chain input once the first block has run, in both
+modes: a stored cache that reads it keeps it, and the first block's
+reverse step rebuilds it (the backbone's stem caches nothing, so a
+training step frees its model-dtype copy of the batch there).
+On S0 widths at 128 px, batch 2, single precision, a recompute step's heap
+peak is 14.8 MB: 10.9 MB of parameter gradients, the caller's 0.8 MB
+float64 batch, and the activations, activation gradients in flight and
+kernel scratch of an expansion-stage depthwise VJP in a reverse step.  Its
+registry peak, 1,395,712 B, is reached in the conventional head, which in
+recompute mode replays one stage at a time (``backbone.ClassifierHead``):
+its tail's VJP holds the chain output, the four aggregates and the tail's
+cache.  The chain's reverse steps stay just below it at 1,373,696 B.
 
 Finiteness is checked at block boundaries, not in every kernel: each
 block's forward output, the gradient entering the chain, and after each
@@ -196,6 +202,10 @@ class Tape:
     itself.  Both may consume ``grad_out``, and ``reverse`` ``p_out``:
     the results may be written into their arrays.  ``parameters()`` lists
     (name, array) pairs.
+
+    Forward keeps each block's cache in stored mode, and in recompute mode
+    only the final output; in both it lets go of each block's input, the
+    chain input included, once the block has run.
     """
 
     def __init__(self, blocks: list, mode=BackwardMode.STORED):
@@ -209,7 +219,6 @@ class Tape:
         self.output_pyramid: FeaturePyramid | None = None
         self._phase = "idle"        # idle -> forwarded -> idle
         self._ctx: ExecContext | None = None  # the forward's, of the step in flight
-        self._input_token: int | None = None
         self._output_token: int | None = None
         self._cache_tokens: list[int] = []
 
@@ -241,9 +250,10 @@ class Tape:
         ctx = self._ctx = ExecContext(self.counters, FORWARD, step_key, train)
         stored = self.mode is BackwardMode.STORED
 
-        self._input_token = self.registry.add(p, "input")
-        cur = p
-        cur_token = self._input_token
+        # each block's input is let go once the block has run, the chain
+        # input too: a stored cache that reads it holds it under the cache's
+        # token, and the first block's reverse step rebuilds it
+        cur, cur_token = p, self.registry.add(p, "input")
         for i, block in enumerate(self.blocks):
             out, cache = self._run_block(block.forward, i, cur, ctx, stored)
             self._check_finite(i, "forward", out.levels)
@@ -251,8 +261,7 @@ class Tape:
             if stored:
                 self._cache_tokens.append(self.registry.add(cache, f"block{i}.cache"))
                 self.saved_caches.append(cache)
-            if cur_token != self._input_token:
-                self.registry.remove(cur_token)
+            self.registry.remove(cur_token)
             cur, cur_token = out, out_token
         self._output_token = cur_token
         self.output_pyramid = cur
@@ -315,7 +324,6 @@ class Tape:
                 cur, cur_token = p_in, in_token
             self.registry.remove(cur_token)
 
-        self.registry.remove(self._input_token)
         self.registry.assert_empty()
         self.saved_caches = []
         self._phase = "idle"

@@ -16,9 +16,9 @@ model builds), and each block offset is one channel-batched ``matmul``
 added into a clipped output window, so no padded copy is made.  Its
 backward runs a channel chunk at a time: it stacks the chunk's output
 gradient at those block offsets, takes both gradients with two matmuls
-and writes the input gradient straight into place.  Bilinear upsampling
-is a gather forward and a separable matrix product backward.  No FFT and
-no im2col.
+and writes the input gradient straight into place, which may be over the
+input itself.  Bilinear upsampling is a gather forward and a separable
+matrix product backward.  No FFT and no im2col.
 
 Forward kernels are bit-stable: a rewrite for speed may cut passes and
 temporaries, but keeps every float operation, its operands and its order,
@@ -211,22 +211,23 @@ def _dwconv(x: np.ndarray, p: ConvParams, oh: int, ow: int) -> np.ndarray:
     return out
 
 
-def _dwconv_backward(x: np.ndarray, p: ConvParams,
-                     gy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _dwconv_backward(x: np.ndarray, p: ConvParams, gy: np.ndarray,
+                     overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
     # Channels run in chunks.  A chunk's gy is stacked at the D*D block-offset
     # shifts; then the weight gradient is phases @ stackᵀ and the phases of
     # the input gradient are phase weightsᵀ @ stack.  Those overwrite the
     # chunk's input phases once the weight gradient has read them, and go
     # straight into gx.  A chunk's stack and phases together stay within a
     # quarter of the input's size, unless that would cut the chunk below
-    # _DW_CHUNK_CHANNELS.
+    # _DW_CHUNK_CHANNELS.  Each chunk of x is copied into its phases before
+    # that chunk of gx is written, so with ``overwrite`` gx is x itself.
     pp = _Polyphase(x, p, gy.shape[2], gy.shape[3])
     n, c, h, w = x.shape
     s, wb = pp.s, pp.weights()
     d2, s2 = wb.shape[1:]
     step = min(c, max(_DW_CHUNK_CHANNELS, c * s2 // (4 * (d2 + s2))))
     gblk = np.empty((c, s2, d2), dtype=gy.dtype)
-    gx = np.empty_like(x)
+    gx = x if overwrite else np.empty_like(x)
     # the matmuls never write the stack, so what lies outside the shifted
     # windows stays zero for every chunk; the phases, where the image leaves
     # a partial stride block, must be zeroed for each
@@ -273,19 +274,33 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     return Tensor(out)
 
 
-def conv2d_backward(x: Tensor, p: ConvParams, gy: Tensor) -> tuple[Tensor, np.ndarray]:
-    """VJP of conv2d: returns (grad_x, grad_weights)."""
+def conv2d_backward(x: Tensor, p: ConvParams, gy: Tensor,
+                    overwrite: bool = False) -> tuple[Tensor, np.ndarray]:
+    """VJP of conv2d: returns (grad_x, grad_weights).  With ``overwrite``,
+    a depthwise grad_x is written over ``x``, which the caller gives up."""
     n, c, h, w = x.shape
     gyd = gy.data
 
     if p.depthwise:
-        gx, gw = _dwconv_backward(x.data, p, gyd)
+        gx, gw = _dwconv_backward(x.data, p, gyd, overwrite)
     else:
-        # grad_x: Wᵀ·gy; grad_w: gy·xᵀ summed over the batch
+        # grad_x: Wᵀ·gy; grad_w: gy·xᵀ summed over the batch in sample
+        # order, which has the bits of summing the batched product over
+        # axis 0.  The per-sample terms are made a group of samples at a
+        # time, at most CHUNK_ELEMENTS elements (or one sample), and each
+        # group's first term takes the running sum, so no more than a
+        # group of weight-sized terms is held.
         wm = p.weights.reshape(p.out_channels, c)
         g = gyd.reshape(n, p.out_channels, h * w)
+        xt = x.data.reshape(n, c, h * w).swapaxes(-1, -2)
         gx = np.matmul(wm.T, g).reshape(n, c, h, w)
-        gw = np.matmul(g, x.data.reshape(n, c, h * w).swapaxes(-1, -2)).sum(axis=0)
+        step, gw = max(1, CHUNK_ELEMENTS // wm.size), None
+        for a in range(0, n, step):
+            terms = np.matmul(g[a : a + step], xt[a : a + step])
+            if gw is not None:
+                terms[0] += gw
+            gw = np.add.reduce(terms, axis=0, out=gw)
+            del terms
         gw = gw.reshape(p.weights.shape)
     return Tensor(np.ascontiguousarray(gx)), gw
 
@@ -410,7 +425,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 # Elements in one channel chunk of hard-swish's or of its backward's
 # scratch, and of a replayed MBConv expansion stage unless its input is
-# wider (``layers.MBConv.chunks``); toy tensors run as one chunk.
+# wider (``layers.MBConv.chunks``); toy tensors run as one chunk.  Also
+# the most elements of the per-sample terms a 1x1 weight gradient holds.
 CHUNK_ELEMENTS = 1 << 16
 
 
@@ -441,22 +457,23 @@ def hard_swish(x: Tensor) -> Tensor:
 
 
 def hard_swish_backward(x: Tensor, gy: Tensor) -> Tensor:
-    """VJP of hard_swish, written into ``gy``, which the caller gives up.
+    """VJP of hard_swish, written into ``gy``; its slope is written over
+    ``x``.  The caller gives up both.
 
     The slope is (2x + 3) / 6, set to 0 at and below -3 and to 1 at and
-    above 3.  It is built a channel chunk at a time in one slope and one
-    mask buffer, with the same float operations as the whole-tensor
-    formula, so the bits do not change.
+    above 3.  It is built a channel chunk at a time, after that chunk's two
+    masks are taken from x, with the same float operations as the
+    whole-tensor formula, so the bits do not change.
     """
     g = gy.data
-    for dc, cs, (slope, mask) in _hswish_chunks(x.data, x.dtype, bool):
-        np.multiply(2.0, dc, out=slope)
+    for slope, cs, (low, high) in _hswish_chunks(x.data, bool, bool):
+        np.less_equal(slope, -3.0, out=low)
+        np.greater_equal(slope, 3.0, out=high)
+        slope *= 2.0
         slope += 3.0
         slope /= 6.0
-        np.less_equal(dc, -3.0, out=mask)
-        np.copyto(slope, 0.0, where=mask)
-        np.greater_equal(dc, 3.0, out=mask)
-        np.copyto(slope, 1.0, where=mask)
+        np.copyto(slope, 0.0, where=low)
+        np.copyto(slope, 1.0, where=high)
         g[:, cs] *= slope
     return gy
 
@@ -569,6 +586,20 @@ def batch_norm_output(cache: tuple, s: NormState, out: np.ndarray | None = None)
     y = np.multiply(s.gamma[None, :, None, None], cache[0], out=out)
     y += s.beta[None, :, None, None]
     return y
+
+
+def batch_norm_hard_swish_backward(cache: tuple, s: NormState, gy: Tensor) -> Tensor:
+    """VJP of hard_swish at a batch norm's output, written into ``gy``,
+    which the caller gives up.  The output is rebuilt from the norm's cache
+    with ``batch_norm_output``'s bits a channel chunk at a time, into
+    scratch of at most ``CHUNK_ELEMENTS`` elements (or one channel), as
+    hard_swish's own, so no array of the output's size is made."""
+    xhat = cache[0]
+    for xc, cs, (pre,) in _hswish_chunks(xhat, xhat.dtype):
+        np.multiply(s.gamma[None, cs, None, None], xc, out=pre)
+        pre += s.beta[None, cs, None, None]
+        hard_swish_backward(Tensor(pre), Tensor(gy.data[:, cs]))
+    return gy
 
 
 def batch_norm_backward(

@@ -12,9 +12,12 @@ each just before the VJP that reads it and dropped right after (Pleiss et
 al. 2017, *Memory-Efficient Implementation of DenseNets*).  A replay (a
 forward in the ``BACKWARD`` phase, whose VJP runs at once) folds no running
 average, and its cache keeps of an expansion stage run in channel chunks
-only each chunk's mean and inv_std.  A rebuilt or recomputed array
-is an activation: a backward given a live-bytes registry registers it
-while alive; given ``None`` it registers nothing.
+only each chunk's mean and inv_std; its VJP may consume that cache,
+letting each part go after its last reader.  A rebuilt or recomputed
+array is an activation: a backward given a live-bytes registry registers
+it while alive; given ``None`` it registers nothing.  The norm output a
+hard-swish VJP reads is the exception: it is rebuilt a channel chunk at a
+time as kernel scratch, as hard-swish's own.
 """
 
 from __future__ import annotations
@@ -55,9 +58,11 @@ class Conv2d:
         y = K.conv2d(x, self.params)
         return y, (x,)
 
-    def backward(self, cache, gy: Tensor):
+    def backward(self, cache, gy: Tensor, overwrite: bool = False):
+        """With ``overwrite``, a depthwise conv writes its input gradient
+        over the cached input, which the caller gives up."""
         (x,) = cache
-        gx, gw = K.conv2d_backward(x, self.params, gy)
+        gx, gw = K.conv2d_backward(x, self.params, gy, overwrite)
         return gx, {f"{self.name}.weight": gw}
 
     def parameters(self):
@@ -92,9 +97,9 @@ class BatchNorm:
         ctx = ctx or ExecContext()
         return K.batch_norm(x, self.state, ctx.train, ctx.phase == FORWARD, mean_out)
 
-    def output(self, cache, out: np.ndarray | None = None) -> Tensor:
+    def output(self, cache) -> Tensor:
         """The forward's output, rebuilt bit for bit from its cache."""
-        return Tensor(K.batch_norm_output(cache, self.state, out=out))
+        return Tensor(K.batch_norm_output(cache, self.state))
 
     def backward(self, cache, gy: Tensor):
         gx, dgamma, dbeta = K.batch_norm_backward(cache, self.state, gy)
@@ -163,39 +168,46 @@ class SqueezeExcite:
 
 
 class Rebuilt:
-    """Activations a backward rebuilds, each registered in ``registry``
-    while held; with no registry nothing is registered."""
+    """Activations a backward rebuilds, and the parts of a cache it
+    consumes, each registered in ``registry`` while held; with no registry
+    nothing is registered."""
 
     def __init__(self, registry, label: str):
         self.registry = registry
         self.label = label
         self.tokens: dict[int, int] = {}
 
-    def hold(self, t: Tensor) -> Tensor:
-        if self.registry is not None:
-            self.tokens[id(t.data)] = self.registry.add(t.data, self.label)
-        return t
+    def hold(self, obj):
+        if self.registry is not None and obj is not None:
+            self.tokens[id(obj)] = self.registry.add(obj, self.label)
+        return obj
 
-    def drop(self, t: Tensor | None) -> None:
-        if self.registry is not None and t is not None:
-            self.registry.remove(self.tokens.pop(id(t.data)))
+    def drop(self, obj) -> None:
+        if self.registry is not None and obj is not None:
+            self.registry.remove(self.tokens.pop(id(obj)))
+
+    @staticmethod
+    def spender(registry, label: str, slots, consume: bool):
+        """``spent(owner, k)`` for a backward that reads the cache parts at
+        ``slots``, (owner, k) pairs.  With ``consume`` the cache is given
+        over: each part is held in ``registry`` now, and ``spent`` lets go
+        of one once its last reader has run, its token and its slot, so
+        that nothing keeps its arrays.  Without, ``spent`` does nothing."""
+        if not consume:
+            return lambda owner, k: None
+        given = Rebuilt(registry, label)
+        for owner, k in slots:
+            given.hold(owner[k])
+
+        def spent(owner: list, k: int) -> None:
+            given.drop(owner[k])
+            owner[k] = None
+        return spent
 
     def activation(self, bn: BatchNorm, cache) -> Tensor:
         """The hard-swish output that followed ``bn``, made in place over
         the rebuilt norm output."""
         return K.hard_swish(self.hold(bn.output(cache)))
-
-    def activation_backward(self, bn: BatchNorm, cache, g: Tensor,
-                            h: Tensor | None = None) -> Tensor:
-        """Hard-swish VJP at ``bn``'s rebuilt output; overwrites ``g``.
-        Given ``h``, a held hard-swish output the caller is done with, the
-        norm output is rebuilt into its buffer; ``h`` is dropped."""
-        pre = bn.output(cache, out=None if h is None else h.data)
-        if h is None:
-            self.hold(pre)
-        g = K.hard_swish_backward(pre, g)
-        self.drop(pre)
-        return g
 
 
 class MBConv:
@@ -250,7 +262,7 @@ class MBConv:
             t, c = self.se.forward(t); se = c[1:]
         t, _ = self.project.forward(t)
         t, c = self.bn_project.forward(t, ctx); norms.append(c)
-        return t, (x, norms, se)
+        return t, [x, norms, se]
 
     def chunks(self, in_shape, replay: bool) -> list[slice]:
         """The expansion stage's channel chunks for an input of ``in_shape``:
@@ -294,41 +306,59 @@ class MBConv:
             del t, c
         return Tensor(np.concatenate(ys, axis=1) if several else ys[0]), entries
 
-    def backward(self, cache, gy: Tensor, registry=None):
+    def backward(self, cache, gy: Tensor, registry=None, consume: bool = False):
         """VJP from forward's cache.  Each activation a VJP reads is rebuilt
         just before it and dropped after its last reader, held in
-        ``registry`` (if any) meanwhile; the hard-swish output's buffer
-        then takes the norm output the hard-swish VJP reads.  The expansion
-        stage runs forward's chunks, recomputing those that kept a mean."""
-        x, norms, se = cache
+        ``registry`` (if any) meanwhile.  A hard-swish VJP reads its norm's
+        output rebuilt a channel chunk at a time into scratch, and the
+        expansion stage's depthwise VJP writes its input gradient over the
+        hard-swish output it read.  The expansion stage runs forward's
+        chunks, recomputing those that kept a mean.
+
+        With ``consume`` the cache is a replay's, given over: each norm's
+        cache and the squeeze-excite vectors are held in ``registry`` under
+        a token of their own and let go, token and array, as soon as the
+        VJP that last reads them returns.  Otherwise the cache is left as it
+        was, for its owner to release."""
+        x, norms, _ = cache
         live = Rebuilt(registry, f"{self.name}.rebuilt")
+        slots = [(norms, -1), (cache, 2), (norms, -2)]
+        if self.expand is not None:
+            slots += [(norms[0], k) for k in range(len(norms[0]))]
+        spent = Rebuilt.spender(registry, f"{self.name}.cache", slots, consume)
         grads: dict[str, np.ndarray] = {}
         g, gr = self.bn_project.backward(norms[-1], gy); grads.update(gr)
+        spent(norms, -1)
         h = live.activation(self.bn_dw, norms[-2])
         if self.se is not None:
-            q = live.hold(SqueezeExcite.gated(h, se[-1]))
+            q = live.hold(SqueezeExcite.gated(h, cache[2][-1]))
             g, gr = self.project.backward((q,), g); grads.update(gr)
             live.drop(q); del q
-            g, gr = self.se.backward((h, *se), g); grads.update(gr)
+            g, gr = self.se.backward((h, *cache[2]), g); grads.update(gr)
+            spent(cache, 2)
         else:
             g, gr = self.project.backward((h,), g); grads.update(gr)
-        g = live.activation_backward(self.bn_dw, norms[-2], g, h); del h
+        live.drop(h); del h
+        g = K.batch_norm_hard_swish_backward(norms[-2], self.bn_dw.state, g)
         g, gr = self.bn_dw.backward(norms[-2], g); grads.update(gr)
+        spent(norms, -2)
         if self.expand is None:
             g, gr = self.dw.backward((x,), g); grads.update(gr)
             return g, grads
         gx, parts = None, []
-        for cs, c in zip(self.chunks(x.shape, len(norms[0]) > 1), norms[0]):
+        for k, cs in enumerate(self.chunks(x.shape, len(norms[0]) > 1)):
             expand, bn, dw = self._stage(cs)
-            e = None
+            c, e = norms[0][k], None
             if c[0].ndim == 1:                   # (mean, inv_std, train)
                 e = live.hold(expand.forward(x)[0])
                 c = K.batch_norm_cache(e, *c)    # xhat, over e's buffer
             h = live.activation(bn, c)
-            gc, part = dw.backward((h,), Tensor(g.data[:, cs]))
-            gc = live.activation_backward(bn, c, gc, h); del h
+            gc, part = dw.backward((h,), Tensor(g.data[:, cs]), overwrite=True)
+            live.drop(h); del h                  # its buffer holds gc now
+            gc = K.batch_norm_hard_swish_backward(c, bn.state, gc)
             gc, gr = bn.backward(c, gc); part.update(gr)
             live.drop(e)
+            spent(norms[0], k)
             del c, e
             gc, gr = expand.backward((x,), gc); part.update(gr)
             gx = gc if gx is None else Tensor(np.add(gx.data, gc.data, out=gx.data))

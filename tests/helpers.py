@@ -1,12 +1,14 @@
-"""Shared numeric utilities for the test suite.
+"""Shared numeric utilities for the test suite, and one probe.
 
 Kept independent of the package's own helpers so the oracles the tests use
-are not the code under test.
+are not the code under test.  The probe, ``watch_norm_caches``, wraps the
+package's norm and conv VJPs to see when norm caches die.
 """
 
 from __future__ import annotations
 
 import tracemalloc
+import weakref
 
 import numpy as np
 
@@ -60,3 +62,28 @@ def heap_peak(fn) -> tuple[object, int]:
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def watch_norm_caches(monkeypatch) -> list[tuple[int, int]]:
+    """Log, at each conv VJP, (arrays still alive, arrays read) of the norm
+    caches whose VJPs ran since the previous conv VJP.  In an MBConv and in
+    the head's tail, each norm VJP is followed by a conv VJP (project,
+    depthwise, expand, final), which its cache's owner has no more need to
+    wait for."""
+    from revfuse.layers import BatchNorm, Conv2d
+    norm_backward, conv_backward = BatchNorm.backward, Conv2d.backward
+    read, log = [], []
+
+    def norm_vjp(self, cache, gy):
+        result = norm_backward(self, cache, gy)
+        read.extend(weakref.ref(a) for a in cache[:2])      # xhat, inv_std
+        return result
+
+    def conv_vjp(self, *args, **kwargs):
+        log.append((sum(r() is not None for r in read), len(read)))
+        read.clear()
+        return conv_backward(self, *args, **kwargs)
+
+    monkeypatch.setattr(BatchNorm, "backward", norm_vjp)
+    monkeypatch.setattr(Conv2d, "backward", conv_vjp)
+    return log

@@ -25,7 +25,7 @@ from revfuse.engine import (LiveBytesRegistry, Tape, _iter_arrays,
 from revfuse.errors import ConfigurationError, DivergenceError
 from revfuse.tensor import Tensor
 
-from helpers import rel_diff, richardson_fd
+from helpers import rel_diff, richardson_fd, watch_norm_caches
 
 TOY = BackboneConfig(channels=(16, 16, 16, 16), width_multiplier=1.0,
                      extra_depth=1, resolution=32, num_classes=4,
@@ -418,10 +418,10 @@ def test_recompute_heap_follows_the_registry():
 
 def test_the_recompute_peak_is_reached_before_the_chain_runs_backward(monkeypatch):
     # s0-128-train's geometry.  A reverse step rebuilds its block's input in
-    # the arrays of its output, so the chain's own high (one pyramid, the
-    # input and one transform's working set) stays below the head's replay
-    # of neck0 (the input, the chain output, neck0's cache and a rebuilt
-    # norm), which runs before the chain's backward
+    # the arrays of its output, so the chain's own high (one pyramid and one
+    # transform's working set) stays below the head's tail VJP (the chain
+    # output, the four aggregates and the tail's cache), which runs before
+    # the chain's backward
     cfg = BackboneConfig(channels=(48, 64, 80, 160), extra_depth=2, resolution=128,
                          num_classes=10, in_channels=3, precision="single", seed=1)
     ds = make_synthetic_dataset(10, 2, 128, 3, seed=18)
@@ -511,6 +511,55 @@ def test_head_replay_holds_one_stage_cache_at_a_time():
     head._tail_forward = watch(head._tail_forward)
     step_gradients(model, "recompute", ds.images, ds.labels)
     assert caches and seen == [0] * 16       # 8 stages, run forward then replayed
+
+
+def test_head_replay_lets_each_norm_cache_go_once_its_vjp_returns(monkeypatch):
+    # a replayed stage's VJP consumes its cache: each norm's cache is freed
+    # before the conv VJP that follows it; a stored head cache is left as it
+    # was, every norm cache alive until the walk ends
+    rng = np.random.default_rng(91)
+    p = FeaturePyramid([Tensor(rng.standard_normal(s))
+                        for s in TOY.pyramid_shapes(batch=2)])
+    labels = np.array([0, 2])
+    head = ClassifierHead((16, 16, 16, 16), num_classes=3, rng=rng, dtype=np.float64)
+    log = watch_norm_caches(monkeypatch)
+    for recompute in (False, True):
+        log.clear()
+        ctx = ExecContext(None, FORWARD, step_key=0, train=True)
+        logits, cache = head.forward(p, ctx, recompute=recompute)
+        _, glogits = softmax_cross_entropy(logits, labels)
+        before = [a.tobytes() for a in _iter_arrays(cache)]
+        registry = LiveBytesRegistry()
+        head.backward(cache, glogits, registry)
+        registry.assert_empty()
+        assert sum(read for _, read in log) > 0
+        if recompute:
+            assert all(alive == 0 for alive, _ in log), log
+        else:
+            assert [a.tobytes() for a in _iter_arrays(cache)] == before
+            assert all(alive == read for alive, read in log), log
+
+
+@pytest.mark.parametrize("mode", ["stored", "recompute"])
+def test_tape_lets_go_of_the_chain_input_once_the_first_block_has_run(mode):
+    # no stored cache reads the chain input and the stem's reverse step
+    # rebuilds it, so once forward returns the tape keeps no reference to
+    # it and the registry no token for it
+    model = build(replace(TOY, precision="single"))
+    ds = make_synthetic_dataset(4, 2, 32, 1, seed=22)
+    p = image_pyramid(ds.images, np.float32)
+    assert p.levels[0].data is not ds.images     # the float32 copy
+    x = weakref.ref(p.levels[0].data)
+    tape = Tape(model.blocks, mode=mode)
+    out = tape.forward(p, step_key=0)
+    del p
+    assert x() is None
+    assert "input" not in [label for label, _ in tape.registry._tokens.values()]
+    grad = [Tensor(np.ones_like(t.data)) for t in out.levels]
+    del out
+    result = tape.backward(grad)
+    tape.registry.assert_empty()
+    assert result.input_grads[0].shape == ds.images.shape
 
 
 def test_stored_backward_frees_each_cache_before_the_next_block_runs():

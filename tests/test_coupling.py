@@ -23,7 +23,7 @@ from revfuse.engine import LiveBytesRegistry, _iter_arrays, invert_chain
 from revfuse.errors import ConfigurationError
 from revfuse.tensor import Tensor
 
-from helpers import central_fd, rel_diff
+from helpers import central_fd, rel_diff, watch_norm_caches
 
 
 def _pyramid(rng, channels, spatial=16, batch=2, dtype=np.float64):
@@ -550,6 +550,34 @@ def test_reverse_step_rebuilds_in_the_arrays_it_was_handed(expands):
     assert all(np.shares_memory(a.data, b.data) for a, b in zip(g_in, grad_out))
     assert not any("reconstructed" in label for label in registry.labels)
     assert registry.peak <= out.nbytes + largest
+
+
+def test_reverse_step_lets_each_norm_cache_go_once_its_vjp_returns(monkeypatch):
+    # a reverse step's VJPs consume their replay caches: each norm's cache
+    # is freed before the conv VJP that follows it, in the whole-tensor and
+    # in the chunked expansion stages (64 px: see the multi-chunk test);
+    # a stored backward leaves its cache as it was, every norm cache alive
+    rng = np.random.default_rng(247)
+    channels = (8, 16, 24, 32)
+    silo = _random_silo(rng, channels)
+    p = _pyramid(rng, channels, spatial=64)
+    out, cache = silo.forward(p, None, True)
+    grad_out = [Tensor(rng.standard_normal(t.shape)) for t in out.levels]
+    log = watch_norm_caches(monkeypatch)
+    before = [a.tobytes() for a in _iter_arrays(cache)]
+    silo.backward(cache, _copies(grad_out))
+    assert [a.tobytes() for a in _iter_arrays(cache)] == before
+    assert sum(read for _, read in log) > 0
+    assert all(alive == read for alive, read in log), log
+
+    log.clear()
+    registry = LiveBytesRegistry()
+    token = registry.add(out, "out")
+    silo.reverse(out, grad_out, None, registry)
+    registry.remove(token)
+    registry.assert_empty()
+    assert sum(read for _, read in log) > 0
+    assert all(alive == 0 for alive, _ in log), log
 
 
 def test_inverse_leaves_the_output_as_it_was():

@@ -158,7 +158,7 @@ def test_hard_swish_backward_fd_away_from_kinks():
     def loss():
         return float(np.vdot(K.hard_swish(Tensor(x.copy())).data, r)) / 10.0
 
-    gx = K.hard_swish_backward(Tensor(x), Tensor(r / 10.0))
+    gx = K.hard_swish_backward(Tensor(x.copy()), Tensor(r / 10.0))   # overwrites x
     _probe(loss, x, gx.data, rng)
 
 

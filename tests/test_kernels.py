@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from revfuse import kernels as K
 from revfuse.tensor import Tensor
 
-from helpers import rel_diff
+from helpers import heap_peak, rel_diff
 
 
 def _conv_oracle(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
@@ -143,6 +143,50 @@ def test_depthwise_float32_matches_float64():
     assert rel_diff(runs[np.float32][0], _conv_oracle(x64, w64, 2, 2, 4)) < 1e-6
     for lo, hi in zip(runs[np.float32], runs[np.float64]):
         assert rel_diff(lo, hi) < 1e-6
+
+
+@DW_EDGE_GEOMETRIES
+def test_depthwise_backward_over_its_input_gives_the_fresh_buffer_bits(
+        shape, kernel, stride, padding):
+    # each chunk of x is copied into its phases before that chunk's
+    # gradient is written, so writing grad_x over x changes no bit
+    x, p = _dw_case(shape, kernel, stride, padding)
+    gy = np.random.default_rng(14).standard_normal(K.conv2d(Tensor(x), p).shape)
+    gx, gw = K.conv2d_backward(Tensor(x.copy()), p, Tensor(gy))
+    given_up = Tensor(x.copy())
+    gx_in, gw_in = K.conv2d_backward(given_up, p, Tensor(gy), overwrite=True)
+    assert np.shares_memory(gx_in.data, given_up.data)
+    assert gx_in.data.tobytes() == gx.data.tobytes()
+    assert gw_in.tobytes() == gw.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 8, 16, 33])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("out_c", [40, 1000, 3000])
+def test_pointwise_weight_gradient_is_the_batched_sum_bit_for_bit(n, dtype, out_c):
+    # gy·xᵀ summed in sample order, a group of samples at a time (all of
+    # them at 40 output channels, 2 at 1000, 1 at 3000: a weight past
+    # CHUNK_ELEMENTS), has the bits of the batched product summed over axis 0
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((n, 24, 5, 7)).astype(dtype)
+    gy = rng.standard_normal((n, out_c, 5, 7)).astype(dtype)
+    p = K.ConvParams(rng.standard_normal((out_c, 24, 1, 1)).astype(dtype))
+    _, gw = K.conv2d_backward(Tensor(x), p, Tensor(gy))
+    terms = np.matmul(gy.reshape(n, out_c, 35), x.reshape(n, 24, 35).swapaxes(-1, -2))
+    assert gw.tobytes() == terms.sum(axis=0).reshape(p.weights.shape).tobytes()
+
+
+def test_pointwise_weight_gradient_holds_no_batch_of_terms():
+    # the batched product held n weight-sized terms before its sum; with a
+    # weight of CHUNK_ELEMENTS elements the terms come one sample at a
+    # time, so the VJP holds its input gradient and two weights
+    rng = np.random.default_rng(16)
+    x = Tensor(rng.standard_normal((8, 256, 2, 2)).astype(np.float32))
+    gy = Tensor(rng.standard_normal((8, 256, 2, 2)).astype(np.float32))
+    p = K.ConvParams(rng.standard_normal((256, 256, 1, 1)).astype(np.float32))
+    assert p.weights.size == K.CHUNK_ELEMENTS
+    _, peak = heap_peak(lambda: K.conv2d_backward(x, p, gy))
+    assert peak <= x.nbytes + 2 * p.weights.nbytes + 4096, peak
 
 
 def test_conv2d_identity_impulse():

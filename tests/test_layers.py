@@ -247,16 +247,20 @@ def test_mbconv_backward_is_the_full_cache_backward_bit_for_bit(
         assert grads[name].tobytes() == g.tobytes(), name
 
 
-def _watch_vjp_inputs(block: MBConv, monkeypatch) -> list:
-    """Log (VJP, bytes of the activation it reads) as the backward runs."""
-    seen = []
+def _watch_vjp_inputs(block: MBConv, monkeypatch, seen: list) -> None:
+    """Log into ``seen`` (VJP, bytes of the activation it reads) as the
+    backward runs, and after the depthwise VJP ("dw gave", bytes of the
+    input gradient it returns)."""
 
     def watch(owner, name, tag, read):
         inner = getattr(owner, name)
 
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             seen.append((tag, read(args).data.tobytes()))
-            return inner(*args)
+            out = inner(*args, **kwargs)
+            if tag == "dw":
+                seen.append(("dw gave", out[0].data.tobytes()))
+            return out
 
         monkeypatch.setattr(owner, name, wrapped)
 
@@ -265,7 +269,6 @@ def _watch_vjp_inputs(block: MBConv, monkeypatch) -> list:
     if block.se is not None:
         watch(block.se, "backward", "se", lambda a: a[0][0])
     watch(K, "hard_swish_backward", "hard_swish", lambda a: a[0])
-    return seen
 
 
 @BOTH_DTYPES
@@ -282,30 +285,33 @@ def test_rebuilt_activations_are_the_forward_bits_and_registered(
     for pre in (pre1, pre2):
         assert pre is None or (np.any(pre.data == -3.0) and np.any(pre.data == 3.0))
     y, cache = block.forward(x, _ctx(train))
-    seen = _watch_vjp_inputs(block, monkeypatch)
     log = _ByteLog()
+    _watch_vjp_inputs(block, monkeypatch, log.events)
     block.backward(cache, Tensor(rng.standard_normal(y.shape).astype(dtype)), log)
     log.assert_empty()
-    # each VJP reads the forward's activation: the project conv the
-    # squeeze-excite product or the hard-swish output, squeeze-excite the
-    # hard-swish output, the hard-swish VJP the norm output, the dw conv
-    # the expansion stage's hard-swish output or the input
-    want = [("project", q if se else h2)] + ([("se", h2)] if se else []) + [
-        ("hard_swish", pre2), ("dw", h1 if h1 is not None else x)] + (
-        [("hard_swish", pre1)] if pre1 is not None else [])
-    assert seen == [(tag, t.data.tobytes()) for tag, t in want]
-    # each rebuild is registered as it is made and released after its last
-    # VJP, before the next stage's is made: a norm output, turned into its
-    # hard-swish in place and back into the norm output for the hard-swish
-    # VJP; the squeeze-excite product while the hard-swish output is held
-    def held(t):
-        return [("add", [t.data.tobytes()]), ("remove", [t.data.tobytes()])]
-
-    want = held(pre2)
-    if se:
-        want[1:1] = held(q)
-    if pre1 is not None:
-        want += held(pre1)
+    # one timeline of the VJPs' reads and the registry's events.  Each VJP
+    # reads the forward's activation: the project conv the squeeze-excite
+    # product or the hard-swish output, squeeze-excite the hard-swish
+    # output, the hard-swish VJP the norm output, the dw conv the expansion
+    # stage's hard-swish output or the input.  Each rebuild is registered
+    # as it is made and released after its last VJP: a norm output, turned
+    # into its hard-swish in place; the squeeze-excite product while the
+    # hard-swish output is held.  The norm output a hard-swish VJP reads is
+    # chunk scratch, registered by no one; the expansion stage's hard-swish
+    # output is released holding the input gradient the dw VJP wrote over it
+    add = lambda t: ("add", [t.data.tobytes()])
+    remove = lambda t: ("remove", [t.data.tobytes()])
+    want = [add(pre2)] + (
+        [add(q), ("project", q.data.tobytes()), remove(q), ("se", h2.data.tobytes())]
+        if se else [("project", h2.data.tobytes())]) + [
+        remove(h2), ("hard_swish", pre2.data.tobytes())]
+    gave = [b for tag, b in log.events if tag == "dw gave"]
+    assert len(gave) == 1
+    if pre1 is None:
+        want += [("dw", x.data.tobytes()), ("dw gave", gave[0])]
+    else:
+        want += [add(pre1), ("dw", h1.data.tobytes()), ("dw gave", gave[0]),
+                 ("remove", gave), ("hard_swish", pre1.data.tobytes())]
     assert log.events == want
 
 

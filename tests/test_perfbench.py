@@ -19,6 +19,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+# the toy workload's registry peaks, to the byte: a change that moves them
+# updates them here and says so
+TOY_PEAK_ACTIVATION_BYTES = {"stored": 3_476_288, "recompute": 611_840}
+
+
 @pytest.mark.parametrize("trace", [0, 1])
 def test_bench_toy_run_is_correct(trace):
     run = subprocess.run(
@@ -28,3 +33,8 @@ def test_bench_toy_run_is_correct(trace):
     assert run.returncode == 0, run.stderr[-2000:]
     last = json.loads(run.stdout.strip().splitlines()[-1])
     assert last["correct"] is True, last
+    if trace == 0:
+        value = lambda name: last["metrics"][name]["value"]
+        for mode, want in TOY_PEAK_ACTIVATION_BYTES.items():
+            assert value(f"peak_activation_bytes.{mode}") == want, mode
+        assert value("heap_peak_bytes.recompute") < value("heap_peak_bytes.stored")
