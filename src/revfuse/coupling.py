@@ -439,18 +439,21 @@ class Silo:
         the coarser intermediates already recovered), then inputs
         finest-first.  Transforms only ever run forward, as replays: no
         ctx means the ``BACKWARD`` phase, so no norm folds.  ``p_out`` is
-        left as it was: the reconstruction runs on copies of its levels.
+        left as it was: the reconstruction runs on one copy of its levels.
 
-        Returns (p_in, intermediates).
+        Returns (p_in, None), a pair like ``RevBlock.inverse``'s.
         """
         self._check_pyramid(p_out)
         levels = [Tensor(lv.data.copy()) for lv in p_out.levels]
-        for _ in self._undo(self.up, levels, ctx):
-            pass
-        m = [Tensor(lv.data.copy()) for lv in levels]
-        for _ in self._undo(self.down, levels, ctx):
-            pass
-        return p_out.with_levels(self._outer(levels)), m
+        return p_out.with_levels(self._invert(levels, ctx)), None
+
+    def _invert(self, levels, ctx):
+        """Rebuild the input levels in the arrays of the output ``levels``,
+        which the caller gives up: the intermediates, then the inputs."""
+        for half in (self.up, self.down):
+            for _ in self._undo(half, levels, ctx):
+                pass
+        return self._outer(levels)
 
     def reverse(self, p_out: FeaturePyramid, grad_out, ctx: ExecContext | None,
                 registry):
@@ -669,14 +672,16 @@ class RevBlock:
                         make("g", spec.channels_a, spec.channels_b), name)
 
     def _split(self, x: Tensor) -> FeaturePyramid:
-        """The silo levels (x_b, x_a) of a tensor."""
+        """The silo levels (x_b, x_a) of a tensor, as copies: at batch 1 a
+        channel slice is already contiguous, so only a copy keeps ``x``
+        safe from a level that is rebuilt in place."""
         ca = self.spec.channels_a
         if x.c != ca + self.spec.channels_b:
             raise ConfigurationError(
                 f"{self.name}: expected {ca + self.spec.channels_b} channels, got {x.c}"
             )
-        return FeaturePyramid([Tensor(np.ascontiguousarray(x.data[:, ca:])),
-                               Tensor(np.ascontiguousarray(x.data[:, :ca]))],
+        return FeaturePyramid([Tensor(x.data[:, ca:].copy()),
+                               Tensor(x.data[:, :ca].copy())],
                               require_halving=False)
 
     @staticmethod
@@ -689,9 +694,9 @@ class RevBlock:
         return self._join(y), cache
 
     def inverse(self, y: Tensor, ctx: ExecContext | None = None):
-        """Returns (x, None), a pair like ``Silo.inverse``'s (input, intermediates)."""
-        x, _ = self.silo.inverse(self._split(y), ctx)
-        return self._join(x), None
+        """Returns (x, None), a pair like ``Silo.inverse``'s.  The levels
+        that ``_split`` copies out of ``y`` are rebuilt in place."""
+        return self._join(self.silo._invert(self._split(y).levels, ctx)), None
 
     def backward(self, cache, gy: Tensor, registry=None):
         gx, grads = self.silo.backward(cache, self._split(gy).levels, registry)

@@ -33,19 +33,20 @@ tape passes its registry into every ``backward`` and ``reverse``, and each
 rebuilt array is registered while alive, in both modes.  While a step runs,
 the tape holds no activation past the point where the registry releases
 it, so the heap follows the registry: a recompute step's heap peak is about
-the registry peak plus the parameter gradients plus one kernel's scratch.
+the registry peak plus the parameter gradients, the caller's batch, the
+activation gradients in flight and one kernel's scratch (``kernels``).
+A depthwise backward's scratch is one channel chunk's stride phases,
+stack, phase weights and weight-gradient blocks; a depthwise forward's is
+its input's stride phases, one block's phase weights and product, and the
+temporaries of its strided window add.
 The tape lets go of the chain input once the first block has run, in both
 modes: a stored cache that reads it keeps it, and the first block's
 reverse step rebuilds it (the backbone's stem caches nothing, so a
-training step frees its model-dtype copy of the batch there).
-On S0 widths at 128 px, batch 2, single precision, a recompute step's heap
-peak is 14.8 MB: 10.9 MB of parameter gradients, the caller's 0.8 MB
-float64 batch, and the activations, activation gradients in flight and
-kernel scratch of an expansion-stage depthwise VJP in a reverse step.  Its
-registry peak, 1,395,712 B, is reached in the conventional head, which in
+training step frees its model-dtype copy of the batch there).  The
+recompute registry peak is reached in the conventional head, which in
 recompute mode replays one stage at a time (``backbone.ClassifierHead``):
 its tail's VJP holds the chain output, the four aggregates and the tail's
-cache.  The chain's reverse steps stay just below it at 1,373,696 B.
+cache.
 
 Finiteness is checked at block boundaries, not in every kernel: each
 block's forward output, the gradient entering the chain, and after each

@@ -16,8 +16,14 @@ model builds), and each block offset is one channel-batched ``matmul``
 added into a clipped output window, so no padded copy is made.  Its
 backward runs a channel chunk at a time: it stacks the chunk's output
 gradient at those block offsets, takes both gradients with two matmuls
-and writes the input gradient straight into place, which may be over the
-input itself.  Bilinear upsampling is a gather forward and a separable
+and writes them straight into place, the input gradient possibly over
+the input itself.  So no depthwise scratch array scales with the whole
+layer's kernel: beside its output, the forward holds the input's phases,
+one block's phase weights and product, and the temporaries of the
+strided window add; beside its gradients, the backward holds one channel
+chunk's phases, stack, phase weights and weight-gradient blocks.  Each
+geometry's block offsets, windows and tap placement are worked out once
+and cached.  Bilinear upsampling is a gather forward and a separable
 matrix product backward.  No FFT and no im2col.
 
 Forward kernels are bit-stable: a rewrite for speed may cut passes and
@@ -35,6 +41,7 @@ checks each against central finite differences and adjoint identities.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,6 +129,56 @@ def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
 _DW_CHUNK_CHANNELS = 16
 
 
+@dataclass(frozen=True)
+class _Polyphase:
+    """One depthwise geometry.  ``offsets``: (k, output window, phase
+    window) per block offset k whose output window is not empty; output
+    (oy, ox) reads phase position (oy + dy, ox + dx).  ``blocks``: (whole,
+    block window, tap window) per k, where the block window of a
+    (c, 1, s, s) block takes the tap window of the (c, 1, kh, kw) kernel,
+    filling it if ``whole``.  ``grad_slots``: each tap's index in a
+    channel's flattened (s*s, D*D) weight-gradient blocks; shared by every
+    caller, so only read.  It is left writable because ``take`` copies a
+    read-only index array on every call."""
+
+    s: int
+    hq: int
+    wq: int
+    offsets: tuple
+    blocks: tuple
+    grad_slots: np.ndarray
+
+
+@functools.lru_cache(maxsize=256)
+def _polyphase(h: int, w: int, kh: int, kw: int, s: int, pad: int) -> _Polyphase:
+    """The geometry of a depthwise conv of an (h, w) image: a pure function
+    of its arguments, cached, so a layer works it out once."""
+    oh, ow = conv_out_size(h, kh, s, pad), conv_out_size(w, kw, s, pad)
+    hq, wq = -(-h // s), -(-w // s)
+    # block offsets along each axis run from first to (k - 1 - pad) // s;
+    # tap (ky, kx) sits at (o + ky, o + kx) of the (D*s, D*s) block grid
+    first, o = -pad // s, (-pad) % s
+    dy_n, dx_n = ((k - 1 - pad) // s - first + 1 for k in (kh, kw))
+    offsets, blocks = [], []
+    for k in range(dy_n * dx_n):
+        by, bx = divmod(k, dx_n)
+        dy, dx = first + by, first + bx
+        y0, y1 = max(0, -dy), min(oh, hq - dy)
+        x0, x1 = max(0, -dx), min(ow, wq - dx)
+        if y0 < y1 and x0 < x1:
+            offsets.append((k, np.s_[..., y0:y1, x0:x1],
+                            np.s_[..., y0 + dy : y1 + dy, x0 + dx : x1 + dx]))
+        ky0, ky1 = max(0, s * by - o), min(kh, s * by + s - o)
+        kx0, kx1 = max(0, s * bx - o), min(kw, s * bx + s - o)
+        ry, rx = ky0 + o - s * by, kx0 + o - s * bx
+        blocks.append((ky1 - ky0 == kx1 - kx0 == s,
+                       np.s_[..., ry : ry + ky1 - ky0, rx : rx + kx1 - kx0],
+                       np.s_[..., ky0:ky1, kx0:kx1]))
+    ky, kx = np.arange(kh)[:, None] + o, np.arange(kw) + o
+    grad_slots = (ky % s * s + kx % s) * dy_n * dx_n + ky // s * dx_n + kx // s
+    return _Polyphase(s, hq, wq, tuple(offsets), tuple(blocks), grad_slots.ravel())
+
+
 def _segments(size: int, s: int) -> list[tuple[int, int, int]]:
     """Row ranges of ``size`` as (first block, end block, rows per block):
     the whole s-row blocks, then the partial block, if any."""
@@ -144,115 +201,102 @@ def _phase_views(img: np.ndarray, ph: np.ndarray, s: int, hq: int, wq: int):
                    grid[:, :, i0:i1, :r, j0:j1, :q])
 
 
-class _Polyphase:
-    """One depthwise conv's phase grid, block offsets and phase weights."""
-
-    def __init__(self, x: np.ndarray, p: ConvParams, oh: int, ow: int):
-        n, c, h, w = x.shape
-        s = self.s = p.stride
-        self.hq, self.wq = hq, wq = -(-h // s), -(-w // s)
-        # block offsets along each axis run from first to (k - 1 - pad) // s
-        first = -p.padding // s
-        self.dy_n, self.dx_n = ((k - 1 - p.padding) // s - first + 1 for k in p.kernel)
-        # (row of the block offset in weights(), output window, phase window);
-        # output (oy, ox) reads phase position (oy + dy, ox + dx)
-        self.offsets = []
-        for k in range(self.dy_n * self.dx_n):
-            dy, dx = first + k // self.dx_n, first + k % self.dx_n
-            y0, y1 = max(0, -dy), min(oh, hq - dy)
-            x0, x1 = max(0, -dx), min(ow, wq - dx)
-            if y0 < y1 and x0 < x1:
-                self.offsets.append((k, np.s_[..., y0:y1, x0:x1],
-                                     np.s_[..., y0 + dy : y1 + dy, x0 + dx : x1 + dx]))
-        self.p, self.x = p, x
-        # kernel tap (ky, kx) sits at (o + ky, o + kx) of the (D*s, D*s) block grid
-        self.o = (-p.padding) % s
-
-    def phases(self) -> np.ndarray:
-        """(c, s*s, n*hq*wq) stride phases of x, zero past its border."""
-        n, c, h, w = self.x.shape
-        s = self.s
-        alloc = np.empty if h % s == 0 and w % s == 0 else np.zeros
-        ph = alloc((c, s * s, n * self.hq * self.wq), dtype=self.x.dtype)
-        for a, g in _phase_views(self.x, ph, s, self.hq, self.wq):
-            g[...] = a
-        return ph
-
-    def weights(self) -> np.ndarray:
-        """(c, D*D, s*s): row dy*D + dx is block (dy, dx), whose entry
-        ry*s + rx is tap (s*dy + ry + pad, s*dx + rx + pad), zero past the
-        kernel."""
-        (c, _, kh, kw), s, o = self.p.weights.shape, self.s, self.o
-        wp = np.zeros((c, self.dy_n, s, self.dx_n, s), dtype=self.p.weights.dtype)
-        wp.reshape(c, self.dy_n * s, self.dx_n * s)[:, o : o + kh, o : o + kw] = self.p.weights[:, 0]
-        return wp.transpose(0, 1, 3, 2, 4).reshape(c, -1, s * s)
-
-    def tap_grads(self, gblk: np.ndarray) -> np.ndarray:
-        """Inverse of weights() for gradients: (c, s*s, D*D) -> (c, 1, kh, kw)."""
-        (c, _, kh, kw), s, o = self.p.weights.shape, self.s, self.o
-        g = gblk.reshape(c, s, s, self.dy_n, self.dx_n).transpose(0, 3, 1, 4, 2)
-        return g.reshape(c, 1, self.dy_n * s, self.dx_n * s)[..., o : o + kh, o : o + kw].copy()
+def _phases(x: np.ndarray, pp: _Polyphase) -> np.ndarray:
+    """(c, s*s, n*hq*wq) stride phases of x, zero past its border."""
+    n, c, h, w = x.shape
+    s = pp.s
+    alloc = np.empty if h % s == 0 and w % s == 0 else np.zeros
+    ph = alloc((c, s * s, n * pp.hq * pp.wq), dtype=x.dtype)
+    for a, g in _phase_views(x, ph, s, pp.hq, pp.wq):
+        g[...] = a
+    return ph
 
 
 def _dwconv(x: np.ndarray, p: ConvParams, oh: int, ow: int) -> np.ndarray:
-    # per block offset: (c, 1, s*s) @ phases, added into its output window
-    pp = _Polyphase(x, p, oh, ow)
-    n, c = x.shape[:2]
-    wb, ph = pp.weights(), pp.phases()
+    # Per block offset: its (c, 1, s*s) phase weights @ the phases, added
+    # into its output window.  At stride 1 a block is one tap, read as a
+    # view of the kernel, and the contraction has length 1, where a
+    # broadcast multiply gives the same bits as matmul and runs about 3x
+    # faster.  Otherwise each block's weights are built in turn in one
+    # buffer, so the scratch is the phases and one block's weights and
+    # product.
+    n, c, h, w = x.shape
+    pp = _polyphase(h, w, *p.kernel, p.stride, p.padding)
+    s, ph = pp.s, _phases(x, pp)
     out = np.zeros((n, c, oh, ow), dtype=x.dtype)
     z = np.empty((c, 1, ph.shape[2]), dtype=x.dtype)
     zv = z.reshape(c, n, pp.hq, pp.wq).transpose(1, 0, 2, 3)
-    # at stride 1 the contraction has length 1, where a broadcast multiply
-    # gives the same bits as matmul and runs about 3x faster
-    product = np.multiply if pp.s == 1 else np.matmul
+    taps = p.weights.reshape(c, -1, 1)
+    wk = np.empty((c, 1, s * s), dtype=p.weights.dtype)
+    block = wk.reshape(c, 1, s, s)
     for k, out_win, ph_win in pp.offsets:
-        product(wb[:, k : k + 1], ph, out=z)
+        if s == 1:
+            np.multiply(taps[:, k : k + 1], ph, out=z)
+        else:
+            whole, block_win, tap_win = pp.blocks[k]
+            if not whole:
+                wk.fill(0)
+            block[block_win] = p.weights[tap_win]
+            np.matmul(wk, ph, out=z)
         out[out_win] += zv[ph_win]
     return out
 
 
 def _dwconv_backward(x: np.ndarray, p: ConvParams, gy: np.ndarray,
                      overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    # Channels run in chunks.  A chunk's gy is stacked at the D*D block-offset
-    # shifts; then the weight gradient is phases @ stackᵀ and the phases of
-    # the input gradient are phase weightsᵀ @ stack.  Those overwrite the
-    # chunk's input phases once the weight gradient has read them, and go
-    # straight into gx.  A chunk's stack and phases together stay within a
-    # quarter of the input's size, unless that would cut the chunk below
-    # _DW_CHUNK_CHANNELS.  Each chunk of x is copied into its phases before
-    # that chunk of gx is written, so with ``overwrite`` gx is x itself.
-    pp = _Polyphase(x, p, gy.shape[2], gy.shape[3])
+    # Channels run in chunks, and the scratch is one chunk's stack, phases,
+    # phase weights and weight-gradient blocks, each a buffer that every
+    # chunk reuses.  A chunk's gy is stacked at the D*D block-offset shifts,
+    # and its taps are placed in its phase weights a block at a time.  The
+    # weight-gradient blocks are phases @ stackᵀ, read back into grad_w's
+    # taps by the index map.  The phases of the input gradient are phase
+    # weightsᵀ @ stack; they overwrite the chunk's input phases once the
+    # weight gradient has read them, and go straight into gx.  The four
+    # buffers together stay within a quarter of the input's size, unless
+    # that would cut the chunk below _DW_CHUNK_CHANNELS.  Each chunk of x is
+    # copied into its phases before that chunk of gx is written, so with
+    # ``overwrite`` gx is x itself.
     n, c, h, w = x.shape
-    s, wb = pp.s, pp.weights()
-    d2, s2 = wb.shape[1:]
-    step = min(c, max(_DW_CHUNK_CHANNELS, c * s2 // (4 * (d2 + s2))))
-    gblk = np.empty((c, s2, d2), dtype=gy.dtype)
+    pp = _polyphase(h, w, *p.kernel, p.stride, p.padding)
+    s, d2, m = pp.s, len(pp.blocks), n * pp.hq * pp.wq
+    s2 = s * s
+    step = min(c, max(_DW_CHUNK_CHANNELS,
+                      c * s2 * m // (4 * ((d2 + s2) * m + 2 * d2 * s2))))
     gx = x if overwrite else np.empty_like(x)
-    # the matmuls never write the stack, so what lies outside the shifted
-    # windows stays zero for every chunk; the phases, where the image leaves
-    # a partial stride block, must be zeroed for each
-    stack = np.zeros((step, d2, n * pp.hq * pp.wq), dtype=gy.dtype)
-    phases = np.empty((step, s2, stack.shape[2]), dtype=x.dtype)
+    gw = np.empty(p.weights.shape, dtype=gy.dtype)
+    # every chunk writes the stack and the phase weights at the same
+    # places, so what lies outside those stays zero; the phases, where the
+    # image leaves a partial stride block, must be zeroed for each chunk
+    stack = np.zeros((step, d2, m), dtype=gy.dtype)
+    phases = np.empty((step, s2, m), dtype=x.dtype)
+    wb = np.zeros((step, d2, s2), dtype=p.weights.dtype)
+    gblk = np.empty((step, s2, d2), dtype=gy.dtype)
     sv = stack.reshape(step, d2, n, pp.hq, pp.wq)
+    wbv = wb.reshape(step, d2, 1, s, s)
     gyc = gy.transpose(1, 0, 2, 3)
-    shifts = [(sv[:, k][ph_win], gyc[out_win]) for k, out_win, ph_win in pp.offsets]
+    gw_taps, gblk_taps = gw.reshape(c, -1), gblk.reshape(step, -1)
     x_views = list(_phase_views(x, phases, s, pp.hq, pp.wq))
     gx_views = list(_phase_views(gx, phases, s, pp.hq, pp.wq))
     for c0 in range(0, c, step):
         c1 = min(c, c0 + step)
         nc = c1 - c0
-        for dst, src in shifts:
-            dst[:nc] = src[c0:c1]
+        for k, out_win, ph_win in pp.offsets:
+            sv[:nc, k][ph_win] = gyc[c0:c1][out_win]
         if h % s or w % s:
             phases.fill(0)
         for a, g in x_views:
             g[:nc] = a[c0:c1]
+        wc = p.weights[c0:c1]
+        for k, (_, block_win, tap_win) in enumerate(pp.blocks):
+            wbv[:nc, k][block_win] = wc[tap_win]
         ph, st = phases[:nc], stack[:nc]
-        np.matmul(ph, st.transpose(0, 2, 1), out=gblk[c0:c1])
-        np.matmul(wb[c0:c1].transpose(0, 2, 1), st, out=ph)
+        np.matmul(ph, st.transpose(0, 2, 1), out=gblk[:nc])
+        # every index is in range; "clip" lets take write into gw unbuffered
+        gblk_taps[:nc].take(pp.grad_slots, 1, gw_taps[c0:c1], "clip")
+        np.matmul(wb[:nc].transpose(0, 2, 1), st, out=ph)
         for a, g in gx_views:
             a[c0:c1] = g[:nc]
-    return gx, pp.tap_grads(gblk)
+    return gx, gw
 
 
 def conv2d(x: Tensor, p: ConvParams) -> Tensor:

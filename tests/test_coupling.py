@@ -23,7 +23,7 @@ from revfuse.engine import LiveBytesRegistry, _iter_arrays, invert_chain
 from revfuse.errors import ConfigurationError
 from revfuse.tensor import Tensor
 
-from helpers import central_fd, rel_diff, watch_norm_caches
+from helpers import central_fd, heap_peak, rel_diff, watch_norm_caches
 
 
 def _pyramid(rng, channels, spatial=16, batch=2, dtype=np.float64):
@@ -309,6 +309,14 @@ def test_forward_rejects_bad_evaluation_order():
         silo.forward(p, up_order=[])
 
 
+def _intermediates(silo, p_out):
+    """The intermediates: the up half undone on copies of the output levels."""
+    m = _copies(p_out.levels)
+    for _ in silo._undo(silo.up, m, None):
+        pass
+    return m
+
+
 def test_inverse_strict_ordering_sensitivity():
     # corrupting output level k leaves intermediates above k bit-identical
     # and shifts intermediate k by exactly the corruption
@@ -317,20 +325,37 @@ def test_inverse_strict_ordering_sensitivity():
     silo = _random_silo(rng, channels)
     p = _pyramid(rng, channels)
     out, _ = silo.forward(p)
-    _, m_ref = silo.inverse(out)
+    m_ref = _intermediates(silo, out)
 
     eps = 1e-3
     k = 1
     corrupted = [t.data.copy() for t in out.levels]
     corrupted[k] = corrupted[k] + eps
     out_bad = out.with_levels([Tensor(a) for a in corrupted])
-    _, m_bad = silo.inverse(out_bad)
+    m_bad = _intermediates(silo, out_bad)
 
     for i in range(k + 1, 4):
         assert np.array_equal(m_bad[i].data, m_ref[i].data)
     delta = m_bad[k].data - m_ref[k].data
     assert float(np.max(np.abs(delta - eps))) < 1e-12
     assert float(np.max(np.abs(m_bad[0].data - m_ref[0].data))) > 0.0
+
+
+def test_inverse_holds_one_pyramid_copy_beyond_one_transform():
+    # the reconstruction runs on one copy of the output levels, and each
+    # replayed transform's output is subtracted and dropped before the next
+    # runs, so the peak is that copy plus the largest single replay's
+    rng = np.random.default_rng(42)
+    channels = (8, 16, 24, 32)
+    silo = _random_silo(rng, channels)
+    out, _ = silo.forward(_pyramid(rng, channels, spatial=32))
+    ctx = ExecContext(phase=BACKWARD)
+    silo.inverse(out)       # first calls of the kernels, off the record
+    replay = max(heap_peak(lambda: t.forward(out.levels[i], ctx))[1]
+                 for (i, _), t in silo._transforms())
+    (_, m), peak = heap_peak(lambda: silo.inverse(out))
+    assert peak <= out.nbytes + replay + 8192, (peak, out.nbytes, replay)
+    assert m is None
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +618,26 @@ def test_inverse_leaves_the_output_as_it_was():
     assert [t.data.tobytes() for t in out.levels] == before
     invert_chain(silos, out)
     assert [t.data.tobytes() for t in out.levels] == before
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+def test_revblock_inverse_leaves_the_output_as_it_was(batch):
+    # at batch 1 a channel slice of y is contiguous already, so the split
+    # must still copy it before the inverse rebuilds it in place
+    rng = np.random.default_rng(247)
+    spec = RevBlockSpec(channels_a=4, channels_b=8, kernel=3, expansion=2)
+    blocks = [RevBlock.build(spec, name=f"rb{i}", rng=rng, dtype=np.float64)
+              for i in range(2)]
+    for block in blocks:
+        randomize_parameters(block.parameters(), rng)
+    y = Tensor(rng.standard_normal((batch, 12, 8, 8)))
+    for block in blocks:
+        y, _ = block.forward(y)
+    before = y.data.tobytes()
+    blocks[-1].inverse(y)
+    assert y.data.tobytes() == before
+    invert_chain(blocks, y)
+    assert y.data.tobytes() == before
 
 
 def test_silo_backward_matches_finite_differences():

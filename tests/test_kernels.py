@@ -543,3 +543,170 @@ def test_depthwise_stride1_forward_is_bit_identical_to_matmul(dtype, shape, kern
     y = K.conv2d(Tensor(x), p).data
     ref = _dw_stride1_reference(x, w, padding)
     assert y.dtype == dtype and y.tobytes() == ref.tobytes()
+
+
+# The whole-layer depthwise kernels these replaced: phase weights for
+# every block offset at once, and weight-gradient blocks for every channel,
+# turned into taps at the end.  Each block offset's and each channel's BLAS
+# call has the same operands and shapes as in the chunked kernels, so every
+# output and gradient is byte-equal.
+
+class _WholeLayerPolyphase:
+    def __init__(self, x, p, oh, ow):
+        n, c, h, w = x.shape
+        s = self.s = p.stride
+        self.hq, self.wq = hq, wq = -(-h // s), -(-w // s)
+        first = -p.padding // s
+        self.dy_n, self.dx_n = ((k - 1 - p.padding) // s - first + 1 for k in p.kernel)
+        self.offsets = []
+        for k in range(self.dy_n * self.dx_n):
+            dy, dx = first + k // self.dx_n, first + k % self.dx_n
+            y0, y1 = max(0, -dy), min(oh, hq - dy)
+            x0, x1 = max(0, -dx), min(ow, wq - dx)
+            if y0 < y1 and x0 < x1:
+                self.offsets.append((k, np.s_[..., y0:y1, x0:x1],
+                                     np.s_[..., y0 + dy : y1 + dy, x0 + dx : x1 + dx]))
+        self.p, self.x = p, x
+        self.o = (-p.padding) % s
+
+    def phases(self):
+        n, c, h, w = self.x.shape
+        s = self.s
+        alloc = np.empty if h % s == 0 and w % s == 0 else np.zeros
+        ph = alloc((c, s * s, n * self.hq * self.wq), dtype=self.x.dtype)
+        for a, g in K._phase_views(self.x, ph, s, self.hq, self.wq):
+            g[...] = a
+        return ph
+
+    def weights(self):
+        """(c, D*D, s*s): row dy*D + dx is block (dy, dx), whose entry
+        ry*s + rx is tap (s*dy + ry + pad, s*dx + rx + pad), zero past the
+        kernel."""
+        (c, _, kh, kw), s, o = self.p.weights.shape, self.s, self.o
+        wp = np.zeros((c, self.dy_n, s, self.dx_n, s), dtype=self.p.weights.dtype)
+        wp.reshape(c, self.dy_n * s, self.dx_n * s)[:, o : o + kh, o : o + kw] = self.p.weights[:, 0]
+        return wp.transpose(0, 1, 3, 2, 4).reshape(c, -1, s * s)
+
+    def tap_grads(self, gblk):
+        """Inverse of weights() for gradients: (c, s*s, D*D) -> (c, 1, kh, kw)."""
+        (c, _, kh, kw), s, o = self.p.weights.shape, self.s, self.o
+        g = gblk.reshape(c, s, s, self.dy_n, self.dx_n).transpose(0, 3, 1, 4, 2)
+        return g.reshape(c, 1, self.dy_n * s, self.dx_n * s)[..., o : o + kh, o : o + kw].copy()
+
+
+def _dwconv_whole_layer(x, p, oh, ow):
+    pp = _WholeLayerPolyphase(x, p, oh, ow)
+    n, c = x.shape[:2]
+    wb, ph = pp.weights(), pp.phases()
+    out = np.zeros((n, c, oh, ow), dtype=x.dtype)
+    z = np.empty((c, 1, ph.shape[2]), dtype=x.dtype)
+    zv = z.reshape(c, n, pp.hq, pp.wq).transpose(1, 0, 2, 3)
+    product = np.multiply if pp.s == 1 else np.matmul
+    for k, out_win, ph_win in pp.offsets:
+        product(wb[:, k : k + 1], ph, out=z)
+        out[out_win] += zv[ph_win]
+    return out
+
+
+def _dwconv_backward_whole_layer(x, p, gy, overwrite=False):
+    pp = _WholeLayerPolyphase(x, p, gy.shape[2], gy.shape[3])
+    n, c, h, w = x.shape
+    s, wb = pp.s, pp.weights()
+    d2, s2 = wb.shape[1:]
+    step = min(c, max(K._DW_CHUNK_CHANNELS, c * s2 // (4 * (d2 + s2))))
+    gblk = np.empty((c, s2, d2), dtype=gy.dtype)
+    gx = x if overwrite else np.empty_like(x)
+    stack = np.zeros((step, d2, n * pp.hq * pp.wq), dtype=gy.dtype)
+    phases = np.empty((step, s2, stack.shape[2]), dtype=x.dtype)
+    sv = stack.reshape(step, d2, n, pp.hq, pp.wq)
+    gyc = gy.transpose(1, 0, 2, 3)
+    shifts = [(sv[:, k][ph_win], gyc[out_win]) for k, out_win, ph_win in pp.offsets]
+    x_views = list(K._phase_views(x, phases, s, pp.hq, pp.wq))
+    gx_views = list(K._phase_views(gx, phases, s, pp.hq, pp.wq))
+    for c0 in range(0, c, step):
+        c1 = min(c, c0 + step)
+        nc = c1 - c0
+        for dst, src in shifts:
+            dst[:nc] = src[c0:c1]
+        if h % s or w % s:
+            phases.fill(0)
+        for a, g in x_views:
+            g[:nc] = a[c0:c1]
+        ph, st = phases[:nc], stack[:nc]
+        np.matmul(ph, st.transpose(0, 2, 1), out=gblk[c0:c1])
+        np.matmul(wb[c0:c1].transpose(0, 2, 1), st, out=ph)
+        for a, g in gx_views:
+            a[c0:c1] = g[:nc]
+    return gx, pp.tap_grads(gblk)
+
+
+@BOTH_DTYPES
+@DW_EDGE_GEOMETRIES
+def test_depthwise_kernels_are_bit_identical_to_the_whole_layer_reference(
+        dtype, shape, kernel, stride, padding):
+    x, p = _dw_case(shape, kernel, stride, padding)
+    x = x.astype(dtype)
+    p = K.ConvParams(weights=p.weights.astype(dtype), stride=stride, padding=padding,
+                     groups=shape[1])
+    y = K.conv2d(Tensor(x), p).data
+    oh, ow = y.shape[2:]
+    assert y.dtype == dtype
+    assert y.tobytes() == _dwconv_whole_layer(x, p, oh, ow).tobytes()
+    gy = np.random.default_rng(17).standard_normal(y.shape).astype(dtype)
+    gx_ref, gw_ref = _dwconv_backward_whole_layer(x, p, gy)
+    gx, gw = K.conv2d_backward(Tensor(x.copy()), p, Tensor(gy))
+    gx_in, gw_in = K.conv2d_backward(Tensor(x.copy()), p, Tensor(gy), overwrite=True)
+    for g, ref in ((gx.data, gx_ref), (gw, gw_ref), (gx_in.data, gx_ref), (gw_in, gw_ref)):
+        assert g.dtype == dtype and g.shape == ref.shape
+        assert g.tobytes() == ref.tobytes()
+
+
+# The depthwise sites that set the bench's heap peaks: a 17x17, stride-8
+# downsample at the toy model's and at S0's 128 px widths.
+DW_HEAP_SITES = pytest.mark.parametrize("shape,dtype", [
+    ((8, 64, 16, 16), np.float64),
+    ((2, 192, 32, 32), np.float32),
+])
+_SLACK = 4096   # array headers and views
+
+
+def _dw_heap_case(shape, dtype):
+    rng = np.random.default_rng(18)
+    c = shape[1]
+    x = rng.standard_normal(shape).astype(dtype)
+    p = K.ConvParams(rng.standard_normal((c, 1, 17, 17)).astype(dtype),
+                     stride=8, padding=8, groups=c)
+    y = K.conv2d(Tensor(x), p)      # works out and caches the geometry
+    gy = rng.standard_normal(y.shape).astype(dtype)
+    return x, p, y, gy
+
+
+@DW_HEAP_SITES
+def test_depthwise_backward_scratch_is_one_channel_chunk(shape, dtype):
+    # grad_x and grad_w, plus one chunk's stack, phases, phase weights and
+    # weight-gradient blocks; the chunk is the widest within a quarter of
+    # the input, but at least 16 channels
+    x, p, _, gy = _dw_heap_case(shape, dtype)
+    n, c, h, w = shape
+    d2, s2, m = 9, 64, n * (h // 8) * (w // 8)
+    per_channel = (d2 + s2) * m + 2 * d2 * s2
+    step = min(c, max(16, c * s2 * m // (4 * per_channel)))
+    _, peak = heap_peak(lambda: K._dwconv_backward(x, p, gy))
+    chunk = step * per_channel * x.itemsize
+    assert peak <= x.nbytes + p.weights.nbytes + chunk + _SLACK, (peak, chunk)
+
+
+@DW_HEAP_SITES
+def test_depthwise_forward_builds_one_block_of_phase_weights_at_a_time(shape, dtype):
+    # the output, the phases, one block offset's product and (c, 1, 8*8)
+    # phase weights, and the buffers numpy may give each of the three
+    # operands of the in-place add into an output window; the whole
+    # (c, 3*3, 8*8) phase weights, let alone two copies of them, do not fit
+    x, p, y, _ = _dw_heap_case(shape, dtype)
+    n, c, h, w = shape
+    m = n * (h // 8) * (w // 8)
+    phases, product, block = (c * 64 * m, c * m, c * 64)
+    _, peak = heap_peak(lambda: K.conv2d(Tensor(x), p))
+    bound = (phases + product + block) * x.itemsize + 4 * y.nbytes + _SLACK
+    assert bound < (phases + product + 9 * block) * x.itemsize + y.nbytes
+    assert peak <= bound, peak

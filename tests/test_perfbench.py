@@ -22,6 +22,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # the toy workload's registry peaks, to the byte: a change that moves them
 # updates them here and says so
 TOY_PEAK_ACTIVATION_BYTES = {"stored": 3_476_288, "recompute": 611_840}
+# ceilings on the toy workload's heap peaks, which kernel scratch moves:
+# a depthwise call holds its phases and one chunk's buffers, not
+# whole-layer phase weights or weight-gradient blocks
+TOY_HEAP_PEAK_CEILINGS = {"stored": 4_600_000, "recompute": 2_100_000}
 
 
 @pytest.mark.parametrize("trace", [0, 1])
@@ -37,4 +41,6 @@ def test_bench_toy_run_is_correct(trace):
         value = lambda name: last["metrics"][name]["value"]
         for mode, want in TOY_PEAK_ACTIVATION_BYTES.items():
             assert value(f"peak_activation_bytes.{mode}") == want, mode
+        for mode, ceiling in TOY_HEAP_PEAK_CEILINGS.items():
+            assert value(f"heap_peak_bytes.{mode}") <= ceiling, mode
         assert value("heap_peak_bytes.recompute") < value("heap_peak_bytes.stored")
