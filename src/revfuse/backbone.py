@@ -6,7 +6,7 @@ conventional (non-reversible) neck + classification head.  The reversible
 chain runs on a ``Tape`` in either backward mode, and the head follows the
 tape's mode: stored, it keeps every stage's VJP cache; in recompute mode it
 keeps only its four aggregates and replays one stage at a time in backward.
-Its bytes are registered in the same live-bytes registry, so measured peaks
+Its bytes are counted in the same live-bytes registry, so measured peaks
 reflect the whole step.
 """
 
@@ -22,7 +22,7 @@ from .context import BACKWARD, FORWARD, ExecContext
 from .coupling import FeaturePyramid, Silo, SiloSpec
 from .engine import BackwardMode, Tape, count_forward_evals
 from .errors import ConfigurationError, DivergenceError
-from .layers import MBConv, Conv2d, BatchNorm, Dense, Rebuilt
+from .layers import MBConv, Conv2d, BatchNorm, Dense, counted
 from .tensor import Tensor, assert_finite, precision_dtype
 
 STEM_BLOCK = 4                      # stem reduces spatial by 4 => 16x channels
@@ -266,68 +266,59 @@ class ClassifierHead:
         logits, dense_cache = self.classifier.forward(flat)
         return logits, [conv_cache, norm_cache, z.shape, dense_cache]
 
-    def _tail_backward(self, cache, grad_logits: np.ndarray, registry,
-                       consume: bool = False):
-        """VJP of ``_tail_forward``.  With ``consume``, as
-        ``MBConv.backward``'s: the classifier's and the norm's caches are
-        held in ``registry`` until their VJPs have run, then let go."""
-        conv_cache, _, z_shape, _ = cache
-        spent = Rebuilt.spender(registry, f"{self.name}.tail.cache",
-                                [(cache, 1), (cache, 3)], consume)
+    def _tail_backward(self, cache, grad_logits: np.ndarray, registry):
+        """VJP of ``_tail_forward``; lets go of each cache part, as
+        ``MBConv.backward`` does, once its last reader has run."""
         grads: dict[str, np.ndarray] = {}
         gflat, gr = self.classifier.backward(cache[3], grad_logits)
         grads.update(gr)
-        spent(cache, 3)
+        cache[3] = None
         n, c = gflat.shape
-        gz = K.global_avg_pool_backward(z_shape, Tensor(gflat.reshape(n, c, 1, 1)))
+        gz = K.global_avg_pool_backward(cache[2], Tensor(gflat.reshape(n, c, 1, 1)))
         gz = K.batch_norm_hard_swish_backward(cache[1], self.final_norm.state, gz)
         gz, gr = self.final_norm.backward(cache[1], gz)
         grads.update(gr)
-        spent(cache, 1)
-        gagg, gr = self.final_conv.backward(conv_cache, gz)
+        cache[1] = None
+        gagg, gr = self.final_conv.backward(cache[0], gz)
         grads.update(gr)
+        cache[0] = None
         return gagg, grads
 
     def backward(self, cache, grad_logits: np.ndarray, registry=None):
         """VJP of ``forward``, taking its cache over: ``registry`` (or
-        ``None``) holds the cache's arrays, and what the VJPs rebuild, until
-        their last reader's VJP has run.  A stored cache is held whole
-        until the walk ends.  A recompute cache replays each stage from its
-        input just before that stage's VJP (per-segment checkpointing, Chen
-        et al. 2016, arXiv 1604.06174); each aggregate is held until its
-        reader's VJP has run, and the VJP consumes the replayed cache.  Both
-        take the same VJPs in the same order, so the gradients and their
-        key order are the same bits."""
-        hold = lambda obj, label: None if registry is None else registry.add(obj, label)
-        release = lambda token: None if token is None else registry.remove(token)
-        plan, token = self._plan(), None
-        replay = "inputs" in cache
-        if replay:
-            steps = self._replays(plan, cache, hold, release)
+        ``None``) counts the cache's arrays, and what the VJPs rebuild,
+        while they live.  A stored cache gives up each stage's cache to
+        that stage's VJP, which lets go of its parts as it reads them.  A
+        recompute cache replays each stage from its input just before that
+        stage's VJP (per-segment checkpointing, Chen et al. 2016, arXiv
+        1604.06174); each aggregate lives until its reader's VJP has run.
+        Both take the same VJPs in the same order, so the gradients and
+        their key order are the same bits."""
+        plan = self._plan()
+        if "inputs" in cache:
+            steps = self._replays(plan, cache, registry)
         else:
-            token = hold(cache, f"{self.name}.cache")
-            steps = ((stage, cache[stage[0]]) for stage in plan)
+            counted(registry, cache, f"{self.name}.cache")
+            steps = ((stage, cache.pop(stage[0])) for stage in plan)
         g = {"logits": grad_logits}
         grads: dict[str, np.ndarray] = {}
         for (_, _, backward, src, dst), c in steps:
-            g[src], gr = backward(c, g[dst], registry, replay)
+            g[src], gr = backward(c, g[dst], registry)
             grads.update(gr)
             del c        # before the next stage replays
-        release(token)
         return [g[f"level{i}"] for i in range(len(self.necks))], grads
 
-    def _replays(self, plan, cache, hold, release):
+    def _replays(self, plan, cache, registry):
         """Each stage of ``plan`` with its cache, replayed from its input in
-        the backward phase, so with the forward's bits; once the stage's VJP
-        has run, its input is let go."""
+        the backward phase, so with the forward's bits, and counted in
+        ``registry``; the stage's input is let go as it replays."""
         inputs, ctx = cache["inputs"], cache["ctx"]
-        tokens = {k: hold(v, f"{self.name}.{k}")
-                  for k, v in inputs.items() if k.startswith("agg")}
+        counted(registry, [v for k, v in inputs.items() if k.startswith("agg")],
+                f"{self.name}.aggregates")
         for stage in plan:
             _, run, _, src, _ = stage
-            yield stage, run(inputs[src], ctx)[1]
-            del inputs[src]
-            release(tokens.pop(src, None))
+            yield stage, counted(registry, run(inputs.pop(src), ctx)[1],
+                                 f"{self.name}.{stage[0]}.cache")
 
     def parameters(self):
         out = []
@@ -442,9 +433,10 @@ def step_gradients(model: Model, mode, images: np.ndarray, labels: np.ndarray,
     training, gradient-parity checks and memory sweeps share.  A non-finite
     loss raises ``DivergenceError``.  Each activation is let go at its last
     use: the model-dtype copy of ``images`` once the stem has run, the
-    head's cache (a recompute head's, one aggregate at a time) and the
-    logits before the chain runs backward, and the chain output and its
-    gradient once the chain's last block has consumed them.
+    head's cache stage by stage as its VJPs run (a recompute head's
+    aggregates one at a time), the logits before the chain runs backward,
+    and the chain output and its gradient once the chain's last block has
+    consumed them.
     """
     tape = Tape(model.blocks, mode=mode)
     counters, registry = tape.counters, tape.registry

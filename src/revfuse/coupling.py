@@ -27,7 +27,7 @@ import numpy as np
 from . import kernels as K
 from .context import BACKWARD, F_EVAL, ExecContext
 from .errors import ConfigurationError
-from .layers import MBConv
+from .layers import MBConv, counted
 from .tensor import Tensor
 
 MAX_LEVELS = 4
@@ -238,12 +238,12 @@ class MBConvTransform:
             y = K.bilinear_upsample(y, self.upsample_factor)
         return y, ((cache, pre_shape) if want_cache else None)
 
-    def backward(self, cache, gy: Tensor, registry=None, consume: bool = False):
+    def backward(self, cache, gy: Tensor, registry=None):
         block_cache, pre_shape = cache
         g = gy
         if self.upsample_factor > 1:
             g = K.bilinear_upsample_backward(pre_shape, self.upsample_factor, g)
-        return self.block.backward(block_cache, g, registry, consume)
+        return self.block.backward(block_cache, g, registry)
 
     def parameters(self):
         return self.block.parameters()
@@ -265,7 +265,7 @@ class ScalarGain:
         y = Tensor(x.data * self.gain[0])
         return y, ((x,) if want_cache else None)
 
-    def backward(self, cache, gy: Tensor, registry=None, consume: bool = False):
+    def backward(self, cache, gy: Tensor, registry=None):
         (x,) = cache
         gx = Tensor(gy.data * self.gain[0])
         ggain = np.array([float(np.sum(x.data * gy.data))], dtype=self.gain.dtype)
@@ -465,8 +465,8 @@ class Silo:
         Alg. 1).  This is valid because up-half VJPs need only ``grad_out``,
         and down-half VJPs need ``gm``, complete once the up half is done.
         The transforms replay as in ``inverse``, with replay caches
-        (``MBConv.chunks``), which their VJPs consume: ``registry`` holds
-        each part of a cache until its last reader has run.
+        (``MBConv.chunks``), each counted in ``registry`` as it is made and
+        let go by its VJP, each part after its last reader.
         The VJPs go through ``backward``'s walk, so gradients and their key
         order are ``backward``'s bit for bit, given the same caches.  The
         step allocates no pyramid: it rebuilds the intermediates, then the
@@ -479,12 +479,12 @@ class Silo:
         # the down half's replay starts once the up half's has recovered
         # the intermediates in ``levels``; it then recovers the inputs there
         levels = list(p_out.levels)
-        gx, grads = self._vjp_walk(self._undo(self.up, levels, ctx, True),
-                                   self._undo(self.down, levels, ctx, True),
-                                   grad_out, registry, consume=True)
+        gx, grads = self._vjp_walk(self._undo(self.up, levels, ctx, True, registry),
+                                   self._undo(self.down, levels, ctx, True, registry),
+                                   grad_out, registry)
         return p_out.with_levels(self._outer(levels)), self._outer(gx), grads
 
-    def _undo(self, half, levels, ctx, want_cache=False):
+    def _undo(self, half, levels, ctx, want_cache=False, registry=None):
         """Subtract one half's transforms back out of ``levels``, in place.
 
         The inverse's order, written once for ``inverse`` and ``reverse``:
@@ -493,9 +493,9 @@ class Silo:
         recovered.  Each transform's output is subtracted into the
         destination level's own array, in the order a new array per
         subtraction would take, so with the same bits.  A generator: after
-        each subtraction it yields ``(pair, cache)``, the cache ``None``
-        unless ``want_cache``, and drops the cache before the next
-        transform runs.
+        each subtraction it yields ``(pair, cache)``, and drops the cache
+        before the next transform runs.  The cache is ``None`` unless
+        ``want_cache``, and counted in ``registry`` (if any) while it lives.
         """
         ctx = ctx or ExecContext(phase=BACKWARD)
         n = self.spec.levels
@@ -505,7 +505,7 @@ class Silo:
                 y, cache = half[(i, j)].forward(levels[i], ctx, want_cache)
                 K.sub(levels[j], y)
                 del y
-                yield (i, j), cache
+                yield (i, j), counted(registry, cache, f"{self.name}.replay")
                 del cache   # before the next transform runs: one cache alive
 
     def backward(self, cache, grad_out, registry=None):
@@ -514,15 +514,17 @@ class Silo:
         ``grad_out`` and the result are lists of per-level gradient tensors.
         No transform is re-evaluated: up-half VJPs fan gradient from outputs
         into intermediates, down-half VJPs fan it from intermediates into
-        inputs.  ``registry`` (or ``None``) holds what the VJPs rebuild.
-        ``grad_out`` is consumed: the result's levels are its arrays.
+        inputs.  ``registry`` (or ``None``) counts what the VJPs rebuild.
+        ``cache`` and ``grad_out`` are taken over: each transform's VJP lets
+        go of its cache's parts, and the result's levels are ``grad_out``'s
+        arrays.
         """
         steps = lambda half, caches: ((pair, caches[pair]) for pair in self._pairs(half))
         gx, grads = self._vjp_walk(steps(self.up, cache["up"]),
                                    steps(self.down, cache["down"]), grad_out, registry)
         return self._outer(gx), grads
 
-    def _vjp_walk(self, up_steps, down_steps, grad_out, registry, consume=False):
+    def _vjp_walk(self, up_steps, down_steps, grad_out, registry):
         """The silo's VJP, one transform at a time, from each half's
         ``(pair, cache)`` steps; written once for ``backward`` and
         ``reverse``.
@@ -531,9 +533,8 @@ class Silo:
         input gradients are summed into ``gm`` in ``up_pairs`` order.
         Down-half steps must come in ``down_pairs`` order, which fixes the
         sums into ``gx``.  Parameter gradients come in ``up_pairs`` then
-        ``down_pairs`` order.  With ``consume``, each VJP consumes its
-        cache, holding its parts in ``registry`` until their last reader
-        has run.  No step's cache is kept once its VJP returns.
+        ``down_pairs`` order.  Each VJP lets go of its cache's parts as it
+        reads them, and no step's cache is kept once its VJP returns.
         Returns (gx, parameter gradients).
 
         Each input gradient is summed into ``grad_out``'s own array for its
@@ -546,7 +547,7 @@ class Silo:
         accumulate = lambda k, gin: np.add(g[k].data, gin.data, out=g[k].data)
         up = {}
         for pair, cache in up_steps:
-            up[pair] = self.up[pair].backward(cache, grad_out[pair[1]], registry, consume)
+            up[pair] = self.up[pair].backward(cache, grad_out[pair[1]], registry)
             del cache        # before the next step runs its transform
         grads: dict[str, np.ndarray] = {}
         for i, j in self.spec.up_pairs():       # up[i->j] consumed m[i]: gm
@@ -554,7 +555,7 @@ class Silo:
             accumulate(i, gin)
             grads.update(gr)
         for (i, j), cache in down_steps:        # down[i->j] consumed x[i]: gx
-            gin, gr = self.down[(i, j)].backward(cache, g[j], registry, consume)
+            gin, gr = self.down[(i, j)].backward(cache, g[j], registry)
             accumulate(i, gin)
             grads.update(gr)
             del cache, gin   # before the next step runs its transform

@@ -4,11 +4,11 @@ A ``Tape`` executes a fixed sequence of reversible blocks and supports two
 backward strategies that must produce the same gradients:
 
 * ``stored`` — conventional backprop: every block's VJP cache stays
-  registered as live activations from forward until that block's backward
-  has consumed it, and the tape frees each cache then.  A block's output
-  is kept only as far as the next block's cache holds it.  Peak activation
-  memory grows affinely with depth; the backward phase re-evaluates
-  nothing.
+  counted as live activations from forward until that block's backward
+  reads it, letting go of each part after its last reader.  A block's
+  output is kept only as far as the next block's cache holds it.  Peak
+  activation memory grows affinely with depth; the backward phase
+  re-evaluates nothing.
 * ``recompute`` — reversible backprop: forward keeps only the final output.
   Backward runs each block's reverse step, which reconstructs the block's
   input and back-propagates one transform at a time: each transform is
@@ -20,33 +20,38 @@ backward strategies that must produce the same gradients:
   working set, whatever the chain length.  That working set is small
   because an MBConv cache keeps one normalized array per batch norm (of an
   expansion stage replayed in channel chunks, only statistics), its VJP
-  rebuilds the rest (see ``layers``), and a replay's VJP consumes its
-  cache, letting each norm's go once read.
+  rebuilds the rest (see ``layers``), and the VJP lets go of each norm's
+  cache once read.
 
-Live activation bytes are tracked by an explicit registry rather than by
-heap inspection.  The registry refcounts unique arrays, so aliased cache
-entries are never double-counted, and an unbalanced register/release is a
-loud ``AccountingError``.  Only engine-managed activations are counted:
+Live activation bytes are tracked by a registry rather than by heap
+inspection.  The registry counts each array it is handed once (an aliased
+cache entry is not double-counted) until the array dies: it holds a weak
+reference per array, so it follows the references the code holds and
+needs no release call.  Only engine-managed activations are counted:
 parameters, gradient buffers, and kernel-internal scratch are out of scope
 by design.  Activations a backward rebuilds are engine-managed too: the
 tape passes its registry into every ``backward`` and ``reverse``, and each
-rebuilt array is registered while alive, in both modes.  While a step runs,
-the tape holds no activation past the point where the registry releases
-it, so the heap follows the registry: a recompute step's heap peak is about
-the registry peak plus the parameter gradients, the caller's batch, the
-activation gradients in flight and one kernel's scratch (``kernels``).
+rebuilt array is counted while alive, in both modes.  A step holds no
+activation past its last use, so the heap follows the registry: a
+recompute step's heap peak is about the registry peak plus the parameter
+gradients, the caller's batch, the activation gradients in flight and one
+kernel's scratch (``kernels``).
 A depthwise backward's scratch is one channel chunk's stride phases,
 stack, phase weights and weight-gradient blocks; a depthwise forward's is
 its input's stride phases, one block's phase weights and product, and the
 temporaries of its strided window add.
-The tape lets go of the chain input once the first block has run, in both
-modes: a stored cache that reads it keeps it, and the first block's
-reverse step rebuilds it (the backbone's stem caches nothing, so a
-training step frees its model-dtype copy of the batch there).  The
-recompute registry peak is reached in the conventional head, which in
-recompute mode replays one stage at a time (``backbone.ClassifierHead``):
-its tail's VJP holds the chain output, the four aggregates and the tail's
-cache.
+The chain input is the caller's, like the batch and the parameters: the
+tape does not count it, and lets go of it once the first block has run, in
+both modes (a stored cache that reads it keeps it, and the first block's
+reverse step rebuilds it; the backbone's stem caches nothing, so a
+training step frees its model-dtype copy of the batch there).  The caller
+may hold it, and the pyramid that ``forward`` returns, past the step: what
+is alive when ``backward`` ends is the caller's, and the registry forgets
+it.  At S0 widths the recompute registry peak is reached in the
+conventional head, which in recompute mode replays one stage at a time
+(``backbone.ClassifierHead``): its tail's VJP holds the chain output, the
+four aggregates and the tail's cache.  In a narrow model a reverse step's
+working set can set it instead.
 
 Finiteness is checked at block boundaries, not in every kernel: each
 block's forward output, the gradient entering the chain, and after each
@@ -57,6 +62,7 @@ recompute mode, the reconstructed input).  A NaN or an Inf raises
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -107,69 +113,62 @@ def _iter_arrays(obj):
             yield from _iter_arrays(v)
 
 
-class LiveBytesRegistry:
-    """Refcounting byte registry for engine-managed activations.
+class _Entry(weakref.ref):
+    """A counted array's weak reference, with what its death takes off."""
 
-    ``add`` walks a structure, registers every distinct ndarray it reaches
-    (arrays already live are refcounted, not recounted), and returns a token;
-    ``remove`` releases exactly what that token registered.  Unbalanced usage
-    fails loudly.
+    __slots__ = ("key", "nbytes", "label")
+
+
+class LiveBytesRegistry:
+    """Byte registry for engine-managed activations.
+
+    ``add`` walks a structure and counts every ndarray it reaches that is
+    not live already (an alias is counted once, a view with its own
+    ``nbytes``), until that array dies: a weak reference per array takes its
+    bytes off when it is freed, so the registry follows the references the
+    code holds and needs no release.  The callback shared by the entries
+    holds the registry only weakly, so dropping the registry frees it.
     """
 
     def __init__(self) -> None:
-        self._live: dict[int, list] = {}   # id -> [array, refcount]
-        self._tokens: dict[int, tuple[str, list[np.ndarray]]] = {}
-        self._next_token = 0
+        self._live: dict[int, _Entry] = {}   # id(array) -> its entry
         self.current = 0
         self.peak = 0
+        this = weakref.ref(self)
 
-    def add(self, obj, label: str) -> int:
-        arrays = list(_iter_arrays(obj))
-        delta = 0
-        for arr in arrays:
-            entry = self._live.get(id(arr))
-            if entry is None:
-                self._live[id(arr)] = [arr, 1]
-                delta += arr.nbytes
-            else:
-                entry[1] += 1
-        self.current += delta
+        def died(entry: _Entry) -> None:
+            registry = this()
+            if registry is not None:
+                del registry._live[entry.key]
+                registry.current -= entry.nbytes
+        self._died = died
+
+    def add(self, obj, label: str):
+        """Count ``obj``'s arrays under ``label`` while they live; returns ``obj``."""
+        for arr in _iter_arrays(obj):
+            key = id(arr)
+            if key not in self._live:
+                entry = self._live[key] = _Entry(arr, self._died)
+                entry.key, entry.nbytes, entry.label = key, arr.nbytes, label
+                self.current += entry.nbytes
         self.peak = max(self.peak, self.current)
-        token = self._next_token
-        self._next_token += 1
-        self._tokens[token] = (label, arrays)
-        return token
-
-    def remove(self, token: int) -> None:
-        if token not in self._tokens:
-            raise AccountingError(f"unknown or already-released memory token {token}")
-        label, arrays = self._tokens.pop(token)
-        delta = 0
-        for arr in arrays:
-            entry = self._live.get(id(arr))
-            if entry is None:
-                raise AccountingError(f"release of untracked array under token '{label}'")
-            entry[1] -= 1
-            if entry[1] == 0:
-                del self._live[id(arr)]
-                delta += arr.nbytes
-        self.current -= delta
+        return obj
 
     def release_all(self) -> None:
-        """Release every open token, as when a step is abandoned."""
-        for token in list(self._tokens):
-            self.remove(token)
+        """Forget every entry: what is still alive is no longer counted."""
+        self._live.clear()
+        self.current = 0
 
     def assert_empty(self) -> None:
-        if self._tokens or self._live or self.current != 0:
-            open_labels = sorted(label for label, _ in self._tokens.values())
+        if self._live:
+            labels = sorted({e.label for e in self._live.values()})
             raise AccountingError(
-                f"activation registry unbalanced at step end: "
-                f"{self.current} bytes live, open tokens {open_labels}"
+                f"activation registry not empty: {self.current} bytes live, "
+                f"labels {labels}"
             )
 
     def reset_peak(self) -> None:
-        """Start a fresh per-step peak; live entries must already be zero."""
+        """Start a fresh per-step peak; nothing may be live."""
         self.assert_empty()
         self.peak = 0
 
@@ -198,15 +197,17 @@ class Tape:
     and its gradient it reconstructs the input and back-propagates in one
     pass, returning (p_in, grad_in, param_grads) with ``backward``'s
     gradients, given the forward's ctx in the ``BACKWARD`` phase.  Both
-    register in ``registry`` whatever activations they rebuild or keep
-    alive and release them before they return; the tape registers ``p_in``
-    itself.  Both may consume ``grad_out``, and ``reverse`` ``p_out``:
-    the results may be written into their arrays.  ``parameters()`` lists
+    count in ``registry`` whatever activations they rebuild or keep alive;
+    the tape counts ``p_in`` itself.  ``backward`` takes its cache over,
+    and both may consume ``grad_out``, and ``reverse`` ``p_out``: the
+    results may be written into their arrays.  ``parameters()`` lists
     (name, array) pairs.
 
     Forward keeps each block's cache in stored mode, and in recompute mode
     only the final output; in both it lets go of each block's input, the
-    chain input included, once the block has run.
+    chain input included, once the block has run.  ``backward`` ends by
+    forgetting every registry entry: what the caller still holds is the
+    caller's.
     """
 
     def __init__(self, blocks: list, mode=BackwardMode.STORED):
@@ -220,8 +221,6 @@ class Tape:
         self.output_pyramid: FeaturePyramid | None = None
         self._phase = "idle"        # idle -> forwarded -> idle
         self._ctx: ExecContext | None = None  # the forward's, of the step in flight
-        self._output_token: int | None = None
-        self._cache_tokens: list[int] = []
 
     # -- helpers -----------------------------------------------------------
     def _run_block(self, fn, index: int, *args, **kwargs):
@@ -247,24 +246,20 @@ class Tape:
         self.counters.reset()
         self.registry.reset_peak()
         self.saved_caches = []
-        self._cache_tokens = []
         ctx = self._ctx = ExecContext(self.counters, FORWARD, step_key, train)
         stored = self.mode is BackwardMode.STORED
 
-        # each block's input is let go once the block has run, the chain
-        # input too: a stored cache that reads it holds it under the cache's
-        # token, and the first block's reverse step rebuilds it
-        cur, cur_token = p, self.registry.add(p, "input")
+        # the chain input is the caller's, and is not counted; each block's
+        # input is held until its output and cache are counted, then let go
+        # (a stored cache that reads it keeps it)
+        cur = p
         for i, block in enumerate(self.blocks):
             out, cache = self._run_block(block.forward, i, cur, ctx, stored)
             self._check_finite(i, "forward", out.levels)
-            out_token = self.registry.add(out, f"block{i}.out")
+            self.registry.add(out, f"block{i}.out")
             if stored:
-                self._cache_tokens.append(self.registry.add(cache, f"block{i}.cache"))
-                self.saved_caches.append(cache)
-            self.registry.remove(cur_token)
-            cur, cur_token = out, out_token
-        self._output_token = cur_token
+                self.saved_caches.append(self.registry.add(cache, f"block{i}.cache"))
+            cur = out
         self.output_pyramid = cur
         self._phase = "forwarded"
         return cur
@@ -299,33 +294,28 @@ class Tape:
         self._check_finite(last, "incoming gradient", g)
         # the tape lets go of each array at its last use: of the chain output
         # before the first block runs backward (stored caches hold what is
-        # needed of it), or once a reverse step has dropped it (the other
-        # levels carry the rebuilt input); of each stored cache once its
-        # block has consumed it
+        # needed of it), or once a reverse step has rebuilt its input in it;
+        # of each stored cache once its block has consumed it
         if self.mode is BackwardMode.STORED:
             self.output_pyramid = None
-            self.registry.remove(self._output_token)
             for i in range(last, -1, -1):
                 g, grads = self._run_block(self.blocks[i].backward, i,
                                            self.saved_caches[i], g, self.registry)
                 self.saved_caches[i] = None
                 self._check_finite(i, "backward", g, grads=grads)
                 param_grads.update(grads)
-                self.registry.remove(self._cache_tokens[i])
         else:
             cur, self.output_pyramid = self.output_pyramid, None
-            cur_token = self._output_token
             for i in range(last, -1, -1):
                 p_in, g, grads = self._run_block(self.blocks[i].reverse, i,
                                                  cur, g, ctx, self.registry)
                 self._check_finite(i, "reverse", g, p_in.levels, grads=grads)
-                in_token = self.registry.add(p_in, f"block{i}.reconstructed")
+                cur = self.registry.add(p_in, f"block{i}.reconstructed")
                 param_grads.update(grads)
-                self.registry.remove(cur_token)
-                cur, cur_token = p_in, in_token
-            self.registry.remove(cur_token)
+            del cur, p_in           # the rebuilt chain input: nothing reads it
 
-        self.registry.assert_empty()
+        # whatever the caller still holds, the chain input included, is theirs
+        self.registry.release_all()
         self.saved_caches = []
         self._phase = "idle"
         return BackwardResult(input_grads=g, param_grads=param_grads)
@@ -345,6 +335,7 @@ class Tape:
         mid-forward or mid-backward; the tape is then ready for a new step."""
         self.registry.release_all()
         self.saved_caches = []
+        self.output_pyramid = None
         self._phase = "idle"
 
 

@@ -18,7 +18,7 @@ class ConfigurationError(RevfuseError, ValueError):
 
 
 class AccountingError(RevfuseError, RuntimeError):
-    """Memory or op accounting went unbalanced (a bug, never silent)."""
+    """Memory accounting found live activations where none may be (a bug)."""
 
 
 class StateError(RevfuseError, RuntimeError):

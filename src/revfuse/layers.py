@@ -12,12 +12,12 @@ each just before the VJP that reads it and dropped right after (Pleiss et
 al. 2017, *Memory-Efficient Implementation of DenseNets*).  A replay (a
 forward in the ``BACKWARD`` phase, whose VJP runs at once) folds no running
 average, and its cache keeps of an expansion stage run in channel chunks
-only each chunk's mean and inv_std; its VJP may consume that cache,
-letting each part go after its last reader.  A rebuilt or recomputed
-array is an activation: a backward given a live-bytes registry registers
-it while alive; given ``None`` it registers nothing.  The norm output a
-hard-swish VJP reads is the exception: it is rebuilt a channel chunk at a
-time as kernel scratch, as hard-swish's own.
+only each chunk's mean and inv_std.  A VJP takes its cache over, letting
+each part go after its last reader.  A rebuilt or recomputed array is an
+activation: a backward given a live-bytes registry counts it while alive;
+given ``None`` it counts nothing.  The norm output a hard-swish VJP reads
+is the exception: it is rebuilt a channel chunk at a time as kernel
+scratch, as hard-swish's own.
 """
 
 from __future__ import annotations
@@ -167,47 +167,9 @@ class SqueezeExcite:
         return K.dense_macs(c, hidden, n) + K.dense_macs(hidden, c, n)
 
 
-class Rebuilt:
-    """Activations a backward rebuilds, and the parts of a cache it
-    consumes, each registered in ``registry`` while held; with no registry
-    nothing is registered."""
-
-    def __init__(self, registry, label: str):
-        self.registry = registry
-        self.label = label
-        self.tokens: dict[int, int] = {}
-
-    def hold(self, obj):
-        if self.registry is not None and obj is not None:
-            self.tokens[id(obj)] = self.registry.add(obj, self.label)
-        return obj
-
-    def drop(self, obj) -> None:
-        if self.registry is not None and obj is not None:
-            self.registry.remove(self.tokens.pop(id(obj)))
-
-    @staticmethod
-    def spender(registry, label: str, slots, consume: bool):
-        """``spent(owner, k)`` for a backward that reads the cache parts at
-        ``slots``, (owner, k) pairs.  With ``consume`` the cache is given
-        over: each part is held in ``registry`` now, and ``spent`` lets go
-        of one once its last reader has run, its token and its slot, so
-        that nothing keeps its arrays.  Without, ``spent`` does nothing."""
-        if not consume:
-            return lambda owner, k: None
-        given = Rebuilt(registry, label)
-        for owner, k in slots:
-            given.hold(owner[k])
-
-        def spent(owner: list, k: int) -> None:
-            given.drop(owner[k])
-            owner[k] = None
-        return spent
-
-    def activation(self, bn: BatchNorm, cache) -> Tensor:
-        """The hard-swish output that followed ``bn``, made in place over
-        the rebuilt norm output."""
-        return K.hard_swish(self.hold(bn.output(cache)))
+def counted(registry, obj, label: str):
+    """``obj``, counted in ``registry`` while it lives; ``None`` counts nothing."""
+    return obj if registry is None else registry.add(obj, label)
 
 
 class MBConv:
@@ -306,42 +268,35 @@ class MBConv:
             del t, c
         return Tensor(np.concatenate(ys, axis=1) if several else ys[0]), entries
 
-    def backward(self, cache, gy: Tensor, registry=None, consume: bool = False):
-        """VJP from forward's cache.  Each activation a VJP reads is rebuilt
-        just before it and dropped after its last reader, held in
-        ``registry`` (if any) meanwhile.  A hard-swish VJP reads its norm's
-        output rebuilt a channel chunk at a time into scratch, and the
-        expansion stage's depthwise VJP writes its input gradient over the
-        hard-swish output it read.  The expansion stage runs forward's
-        chunks, recomputing those that kept a mean.
-
-        With ``consume`` the cache is a replay's, given over: each norm's
-        cache and the squeeze-excite vectors are held in ``registry`` under
-        a token of their own and let go, token and array, as soon as the
-        VJP that last reads them returns.  Otherwise the cache is left as it
-        was, for its owner to release."""
-        x, norms, _ = cache
-        live = Rebuilt(registry, f"{self.name}.rebuilt")
-        slots = [(norms, -1), (cache, 2), (norms, -2)]
-        if self.expand is not None:
-            slots += [(norms[0], k) for k in range(len(norms[0]))]
-        spent = Rebuilt.spender(registry, f"{self.name}.cache", slots, consume)
+    def backward(self, cache, gy: Tensor, registry=None):
+        """VJP from forward's cache, which it takes over: it lets go of each
+        part once that part's last reader has run, setting its slot to
+        ``None``.  Each activation a VJP reads is rebuilt just before it and
+        dropped after its last reader, counted in ``registry`` (if any)
+        meanwhile.  A hard-swish VJP reads its norm's output rebuilt a
+        channel chunk at a time into scratch, and the expansion stage's
+        depthwise VJP writes its input gradient over the hard-swish output
+        it read.  The expansion stage runs forward's chunks, recomputing
+        those that kept a mean."""
+        x, norms = cache[0], cache[1]
+        cache[0] = None              # ``x`` holds it for its last reader
+        rebuilt = lambda obj: counted(registry, obj, f"{self.name}.rebuilt")
         grads: dict[str, np.ndarray] = {}
         g, gr = self.bn_project.backward(norms[-1], gy); grads.update(gr)
-        spent(norms, -1)
-        h = live.activation(self.bn_dw, norms[-2])
+        norms[-1] = None
+        h = K.hard_swish(rebuilt(self.bn_dw.output(norms[-2])))
         if self.se is not None:
-            q = live.hold(SqueezeExcite.gated(h, cache[2][-1]))
+            q = rebuilt(SqueezeExcite.gated(h, cache[2][-1]))
             g, gr = self.project.backward((q,), g); grads.update(gr)
-            live.drop(q); del q
+            del q
             g, gr = self.se.backward((h, *cache[2]), g); grads.update(gr)
-            spent(cache, 2)
+            cache[2] = None
         else:
             g, gr = self.project.backward((h,), g); grads.update(gr)
-        live.drop(h); del h
+        del h
         g = K.batch_norm_hard_swish_backward(norms[-2], self.bn_dw.state, g)
         g, gr = self.bn_dw.backward(norms[-2], g); grads.update(gr)
-        spent(norms, -2)
+        norms[-2] = None
         if self.expand is None:
             g, gr = self.dw.backward((x,), g); grads.update(gr)
             return g, grads
@@ -349,16 +304,15 @@ class MBConv:
         for k, cs in enumerate(self.chunks(x.shape, len(norms[0]) > 1)):
             expand, bn, dw = self._stage(cs)
             c, e = norms[0][k], None
+            norms[0][k] = None
             if c[0].ndim == 1:                   # (mean, inv_std, train)
-                e = live.hold(expand.forward(x)[0])
+                e = rebuilt(expand.forward(x)[0])
                 c = K.batch_norm_cache(e, *c)    # xhat, over e's buffer
-            h = live.activation(bn, c)
+            h = K.hard_swish(rebuilt(bn.output(c)))
             gc, part = dw.backward((h,), Tensor(g.data[:, cs]), overwrite=True)
-            live.drop(h); del h                  # its buffer holds gc now
+            del h                                # its buffer holds gc now
             gc = K.batch_norm_hard_swish_backward(c, bn.state, gc)
             gc, gr = bn.backward(c, gc); part.update(gr)
-            live.drop(e)
-            spent(norms[0], k)
             del c, e
             gc, gr = expand.backward((x,), gc); part.update(gr)
             gx = gc if gx is None else Tensor(np.add(gx.data, gc.data, out=gx.data))

@@ -4,6 +4,9 @@ and the depth laws of peak activation memory."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -196,13 +199,16 @@ def test_recompute_peak_below_stored_at_depth():
 def test_registry_counts_unique_arrays_once():
     reg = LiveBytesRegistry()
     arr = np.zeros((4, 4), dtype=np.float64)
-    t1 = reg.add(arr, "a")
+    assert reg.add(arr, "a") is arr
     assert reg.current == arr.nbytes
-    t2 = reg.add([arr, arr], "alias")      # same array via two references
+    reg.add([arr, arr], "alias")            # same array via two references
     assert reg.current == arr.nbytes       # deduplicated
-    reg.remove(t2)
+    view = arr[:2]                          # a view is an array of its own
+    reg.add([arr, view], "view")
+    assert reg.current == arr.nbytes + view.nbytes
+    del view
     assert reg.current == arr.nbytes
-    reg.remove(t1)
+    reg.release_all()
     assert reg.current == 0
     reg.assert_empty()
 
@@ -211,26 +217,74 @@ def test_registry_peak_tracks_high_water_mark():
     reg = LiveBytesRegistry()
     a = np.zeros(1000, dtype=np.float64)
     b = np.zeros(500, dtype=np.float64)
-    ta = reg.add(a, "a")
-    tb = reg.add(b, "b")
-    reg.remove(ta)
+    reg.add(a, "a")
+    reg.add(b, "b")
+    del a
     assert reg.current == b.nbytes
-    assert reg.peak == a.nbytes + b.nbytes
-    reg.remove(tb)
+    assert reg.peak == 1000 * 8 + b.nbytes
+    reg.add(np.zeros(100), "c")             # dies at once: counted, then not
+    assert reg.current == b.nbytes
+    assert reg.peak == 1000 * 8 + b.nbytes
 
 
-def test_registry_unbalanced_remove_raises():
+def test_registry_stops_counting_an_array_that_dies():
+    # no call to the registry: dropping the last reference is the release
     reg = LiveBytesRegistry()
-    token = reg.add(np.zeros(8), "x")
-    reg.remove(token)
-    with pytest.raises(AccountingError):
-        reg.remove(token)
+    kept, dropped = np.zeros(8), np.zeros((1, 2, 2, 2))
+    reg.add({"kept": kept, "dropped": [Tensor(dropped)]}, "x")
+    assert reg.current == kept.nbytes + dropped.nbytes
+    del dropped
+    assert reg.current == kept.nbytes
+    with pytest.raises(AccountingError, match=r"\['x'\]"):
+        reg.assert_empty()
+    del kept
+    assert reg.current == 0
+    reg.assert_empty()
+
+
+def test_registry_is_freed_by_refcount_alone():
+    # the entries' shared callback holds the registry weakly: no cycle keeps
+    # a dropped registry alive, and its arrays outlive it without error
+    gc.disable()
+    try:
+        reg = LiveBytesRegistry()
+        arr = np.zeros(8)
+        reg.add(arr, "x")
+        ref = weakref.ref(reg)
+        del reg
+        assert ref() is None
+        del arr
+    finally:
+        gc.enable()
+
+
+def test_registry_release_all_forgets_every_entry():
+    # a released array that dies later is not taken off again, and one
+    # added afterwards is counted afresh
+    reg = LiveBytesRegistry()
+    arr = np.zeros(8)
+    reg.add(arr, "x")
+    reg.release_all()
+    assert reg.current == 0
+    reg.assert_empty()
+    reg.add(np.zeros(2), "y")               # dies at once
+    reg.add(arr, "x")
+    assert reg.current == arr.nbytes
+    reg.release_all()
+    del arr
+    assert reg.current == 0
+    reg.assert_empty()
 
 
 def test_registry_assert_empty_raises_when_live():
     reg = LiveBytesRegistry()
-    reg.add(np.zeros(8), "leak")
-    with pytest.raises(AccountingError):
+    leak, other = np.zeros(8), np.zeros(4)
+    reg.add(leak, "leak")
+    reg.add(other, "other")
+    with pytest.raises(AccountingError, match=r"\['leak', 'other'\]"):
+        reg.assert_empty()
+    del other
+    with pytest.raises(AccountingError, match=r"\['leak'\]"):
         reg.assert_empty()
 
 

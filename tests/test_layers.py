@@ -12,6 +12,8 @@ the forward's bits.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -137,25 +139,23 @@ def _ctx(train: bool) -> ExecContext:
 
 
 class _ByteLog(LiveBytesRegistry):
-    """A registry that logs, in order, ("add" or "remove", the bytes of
-    each array) as an object is added and as it is released (an in-place
-    rebuild changes the bytes in between)."""
+    """A registry that logs, in order, ("add", the bytes of each array) as
+    an object is added, and ("died", n) as an array of the n-th add dies
+    (an in-place rebuild changes the bytes in between)."""
 
     def __init__(self):
         super().__init__()
         self.events = []
-        self._arrays = {}
+        self._refs = []
+        self._adds = 0
 
     def add(self, obj, label):
         arrays = list(_iter_arrays(obj))
-        token = super().add(obj, label)
-        self._arrays[token] = arrays
+        died = lambda _, n=self._adds: self.events.append(("died", n))
+        self._refs += [weakref.ref(a, died) for a in arrays]
+        self._adds += 1
         self.events.append(("add", [a.tobytes() for a in arrays]))
-        return token
-
-    def remove(self, token):
-        self.events.append(("remove", [a.tobytes() for a in self._arrays.pop(token)]))
-        super().remove(token)
+        return super().add(obj, label)
 
 
 # ---------------------------------------------------------------------------
@@ -294,24 +294,24 @@ def test_rebuilt_activations_are_the_forward_bits_and_registered(
     # product or the hard-swish output, squeeze-excite the hard-swish
     # output, the hard-swish VJP the norm output, the dw conv the expansion
     # stage's hard-swish output or the input.  Each rebuild is registered
-    # as it is made and released after its last VJP: a norm output, turned
+    # as it is made and dies after its last VJP: a norm output, turned
     # into its hard-swish in place; the squeeze-excite product while the
-    # hard-swish output is held.  The norm output a hard-swish VJP reads is
+    # hard-swish output is alive.  The norm output a hard-swish VJP reads is
     # chunk scratch, registered by no one; the expansion stage's hard-swish
-    # output is released holding the input gradient the dw VJP wrote over it
+    # output dies holding the input gradient the dw VJP wrote over it, once
+    # the hard-swish VJP has read that
     add = lambda t: ("add", [t.data.tobytes()])
-    remove = lambda t: ("remove", [t.data.tobytes()])
     want = [add(pre2)] + (
-        [add(q), ("project", q.data.tobytes()), remove(q), ("se", h2.data.tobytes())]
+        [add(q), ("project", q.data.tobytes()), ("died", 1), ("se", h2.data.tobytes())]
         if se else [("project", h2.data.tobytes())]) + [
-        remove(h2), ("hard_swish", pre2.data.tobytes())]
+        ("died", 0), ("hard_swish", pre2.data.tobytes())]
     gave = [b for tag, b in log.events if tag == "dw gave"]
     assert len(gave) == 1
     if pre1 is None:
         want += [("dw", x.data.tobytes()), ("dw gave", gave[0])]
     else:
         want += [add(pre1), ("dw", h1.data.tobytes()), ("dw gave", gave[0]),
-                 ("remove", gave), ("hard_swish", pre1.data.tobytes())]
+                 ("hard_swish", pre1.data.tobytes()), ("died", 2 if se else 1)]
     assert log.events == want
 
 
@@ -401,6 +401,8 @@ def test_chunked_replay_gradients_match_the_forward_cache(train, src, dst, se):
     y, cache = t.forward(x, _ctx(train))
     _, cache_r = t.forward(x, ExecContext(None, BACKWARD, train=train), True)
     gy = rng.standard_normal(y.shape)
+    (_, norms, _), _ = cache
+    dw_norm_bytes = norms[1][0].nbytes          # before backward lets go of it
     gx, grads = t.backward(cache, Tensor(gy.copy()))
     log = LiveBytesRegistry()
     gx_r, grads_r = t.backward(cache_r, Tensor(gy.copy()), log)
@@ -414,5 +416,4 @@ def test_chunked_replay_gradients_match_the_forward_cache(train, src, dst, se):
     # depthwise stage's destination-resolution rebuilds (two with
     # squeeze-excite)
     chunk = 2 * 8 * 64 * 64 * 8
-    (_, norms, _), _ = cache
-    assert log.peak == max(2 * chunk, 2 * norms[1][0].nbytes if se else norms[1][0].nbytes)
+    assert log.peak == max(2 * chunk, 2 * dw_norm_bytes if se else dw_norm_bytes)

@@ -21,11 +21,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # the toy workload's registry peaks, to the byte: a change that moves them
 # updates them here and says so
-TOY_PEAK_ACTIVATION_BYTES = {"stored": 3_476_288, "recompute": 611_840}
+TOY_PEAK_ACTIVATION_BYTES = {"stored": 3_410_752, "recompute": 611_840}
 # ceilings on the toy workload's heap peaks, which kernel scratch moves:
 # a depthwise call holds its phases and one chunk's buffers, not
-# whole-layer phase weights or weight-gradient blocks
-TOY_HEAP_PEAK_CEILINGS = {"stored": 4_600_000, "recompute": 2_100_000}
+# whole-layer phase weights or weight-gradient blocks; a stored backward
+# lets go of each cache part after its last reader (4,265,333 B measured)
+TOY_HEAP_PEAK_CEILINGS = {"stored": 4_350_000, "recompute": 2_100_000}
 
 
 @pytest.mark.parametrize("trace", [0, 1])
