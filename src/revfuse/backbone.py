@@ -157,19 +157,16 @@ class StemStage:
         x = Tensor(np.ascontiguousarray(wide.data[:, : self.in_channels]))
         return p_out.with_levels([x]), None
 
-    def backward(self, cache, grad_out, registry=None):
+    def backward(self, cache, p_out, grad_out, ctx=None, registry=None):
+        """Returns (p_in, [grad_in], {}); ``p_in`` is ``p_out`` inverted when
+        ``cache`` is ``None``, else ``None``."""
         g = K.depth_to_space(grad_out[0], STEM_BLOCK)
-        if self.duplication > 1:
-            parts = [
-                g.data[:, k * self.in_channels : (k + 1) * self.in_channels]
-                for k in range(self.duplication)
-            ]
-            g = Tensor(sum(parts[1:], parts[0]).copy())
-        return [g], {}
-
-    def reverse(self, p_out, grad_out, ctx, registry):
-        g, grads = self.backward((), grad_out)
-        return self.inverse(p_out, ctx)[0], g, grads
+        if self.duplication > 1:    # the copies' gradients, summed in order
+            c = self.in_channels
+            g = Tensor(sum((g.data[:, k * c : (k + 1) * c]
+                            for k in range(1, self.duplication)), g.data[:, :c]).copy())
+        p_in = self.inverse(p_out, ctx)[0] if cache is None else None
+        return p_in, [g], {}
 
     def parameters(self):
         return []

@@ -1,10 +1,10 @@
 """Execution context threaded through forward/backward code paths.
 
 The phase is the one signal that a forward is a replay: a forward run in
-the ``BACKWARD`` phase (a reverse step, an inverse, a head replay)
-recomputes what the ``FORWARD`` phase computed.  So a train-mode batch
-norm folds its running averages only in the ``FORWARD`` phase, and an
-MBConv keeps a replay cache only in the ``BACKWARD`` phase.
+the ``BACKWARD`` phase (a block's backward without a cache, an inverse, a
+head replay) recomputes what the ``FORWARD`` phase computed.  So a
+train-mode batch norm folds its running averages only in the ``FORWARD``
+phase, and an MBConv keeps a replay cache only in the ``BACKWARD`` phase.
 
 ``OpCounters`` tallies forward evaluations of coupling transforms, bucketed
 by the phase of the training step in which they ran.  The counters are the measurement side

@@ -118,24 +118,6 @@ def scale_row(name: str) -> ScaleRow:
     )
 
 
-def validate_scale(row: ScaleRow) -> bool:
-    """Assert the ladder's rounding constraints, naming the broken rule."""
-    if row.m_w <= 0:
-        raise ConfigurationError(f"{row.name}: width multiplier must be positive")
-    if row.d < 1:
-        raise ConfigurationError(f"{row.name}: extra depth must be >= 1")
-    if row.resolution % 32:
-        raise ConfigurationError(
-            f"{row.name}: resolution {row.resolution} violates the multiple-of-32 rule"
-        )
-    for c in row.channels():
-        if c % 16:
-            raise ConfigurationError(
-                f"{row.name}: scaled channel {c} violates the multiple-of-16 rule"
-            )
-    return True
-
-
 # ---------------------------------------------------------------------------
 # exact counting for built models
 # ---------------------------------------------------------------------------

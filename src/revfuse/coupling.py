@@ -338,8 +338,8 @@ class Silo:
 
     A silo is a tape block itself.  An expanding silo (``expands``) takes
     one level fewer than its spec: ``forward`` appends a zero coarsest
-    level, and ``inverse``, ``backward`` and ``reverse`` drop that level,
-    which is reconstructed as numerical zeros, and its gradient.
+    level, and ``inverse`` and ``backward`` drop that level, which is
+    reconstructed as numerical zeros, and its gradient.
     """
 
     def __init__(self, spec: SiloSpec, down: dict, up: dict, name: str = "silo",
@@ -455,41 +455,12 @@ class Silo:
                 pass
         return self._outer(levels)
 
-    def reverse(self, p_out: FeaturePyramid, grad_out, ctx: ExecContext | None,
-                registry):
-        """Reconstruct the input and back-propagate, one transform at a time.
-
-        Walks ``inverse``'s order: each transform runs forward with a cache,
-        its output is subtracted and its VJP taken at once, so one transform
-        cache is alive at a time (RevNet's backward, Gomez et al. 2017,
-        Alg. 1).  This is valid because up-half VJPs need only ``grad_out``,
-        and down-half VJPs need ``gm``, complete once the up half is done.
-        The transforms replay as in ``inverse``, with replay caches
-        (``MBConv.chunks``), each counted in ``registry`` as it is made and
-        let go by its VJP, each part after its last reader.
-        The VJPs go through ``backward``'s walk, so gradients and their key
-        order are ``backward``'s bit for bit, given the same caches.  The
-        step allocates no pyramid: it rebuilds the intermediates, then the
-        inputs, in ``p_out``'s arrays, which the caller holds, and sums the
-        input gradients into ``grad_out``'s.
-
-        Returns (p_in, input gradients, parameter gradients).
-        """
-        self._check_pyramid(p_out)
-        # the down half's replay starts once the up half's has recovered
-        # the intermediates in ``levels``; it then recovers the inputs there
-        levels = list(p_out.levels)
-        gx, grads = self._vjp_walk(self._undo(self.up, levels, ctx, True, registry),
-                                   self._undo(self.down, levels, ctx, True, registry),
-                                   grad_out, registry)
-        return p_out.with_levels(self._outer(levels)), self._outer(gx), grads
-
     def _undo(self, half, levels, ctx, want_cache=False, registry=None):
         """Subtract one half's transforms back out of ``levels``, in place.
 
-        The inverse's order, written once for ``inverse`` and ``reverse``:
-        the up half recovers intermediates coarsest-first, the down half
-        inputs finest-first, each destination from sources already
+        The inverse's order, written once for ``inverse`` and a replaying
+        ``backward``: the up half recovers intermediates coarsest-first, the
+        down half inputs finest-first, each destination from sources already
         recovered.  Each transform's output is subtracted into the
         destination level's own array, in the order a new array per
         subtraction would take, so with the same bits.  A generator: after
@@ -508,58 +479,68 @@ class Silo:
                 yield (i, j), counted(registry, cache, f"{self.name}.replay")
                 del cache   # before the next transform runs: one cache alive
 
-    def backward(self, cache, grad_out, registry=None):
-        """VJP through the silo from a forward cache.
+    def backward(self, cache, p_out, grad_out, ctx: ExecContext | None = None,
+                 registry=None):
+        """VJP through the silo, one transform at a time, from the forward's
+        ``cache`` or, when it is ``None``, by replaying from ``p_out``.
 
-        ``grad_out`` and the result are lists of per-level gradient tensors.
-        No transform is re-evaluated: up-half VJPs fan gradient from outputs
-        into intermediates, down-half VJPs fan it from intermediates into
-        inputs.  ``registry`` (or ``None``) counts what the VJPs rebuild.
-        ``cache`` and ``grad_out`` are taken over: each transform's VJP lets
-        go of its cache's parts, and the result's levels are ``grad_out``'s
-        arrays.
+        ``grad_out`` and the input gradients are lists of per-level
+        gradient tensors.  Up-half VJPs fan gradient from outputs into
+        intermediates and need only ``grad_out``; down-half VJPs fan it from
+        intermediates into inputs, and need ``gm``, complete once the up
+        half is done.  With a cache no transform is re-evaluated.  Without
+        one, the step walks ``inverse``'s order: each transform replays with
+        a replay cache (``MBConv.chunks``, given ``ctx`` in the ``BACKWARD``
+        phase), its output is subtracted and its VJP taken at once, so one
+        transform cache is alive at a time (RevNet's backward, Gomez et al.
+        2017, Alg. 1).  The VJPs, their order and so the gradients' bits and
+        key order are the same either way, given the same caches.
+        ``registry`` (or ``None``) counts what the VJPs rebuild and each
+        replay cache while it lives.
+
+        ``cache``, ``p_out`` and ``grad_out`` are taken over: each VJP lets
+        go of its cache's parts as it reads them, a replay rebuilds the
+        intermediates, then the inputs, in ``p_out``'s arrays, and each
+        input gradient is summed into ``grad_out``'s own array for its
+        level, in the order a new array per sum would take, so with the same
+        bits.  Up-half input gradients are summed into ``gm`` in
+        ``up_pairs`` order, down-half ones into ``gx`` in ``down_pairs``
+        order; ``gx`` is ``gm`` itself, since a down step writes ``gx[i]``
+        for i < j only, and every down step that reads ``gm[i]`` (those into
+        level i) has run by then.
+        Parameter gradients come in ``up_pairs`` then ``down_pairs`` order.
+
+        Returns (p_in, input gradients, parameter gradients); ``p_in`` is
+        the rebuilt input when replayed, else ``None``.
         """
-        steps = lambda half, caches: ((pair, caches[pair]) for pair in self._pairs(half))
-        gx, grads = self._vjp_walk(steps(self.up, cache["up"]),
-                                   steps(self.down, cache["down"]), grad_out, registry)
-        return self._outer(gx), grads
-
-    def _vjp_walk(self, up_steps, down_steps, grad_out, registry):
-        """The silo's VJP, one transform at a time, from each half's
-        ``(pair, cache)`` steps; written once for ``backward`` and
-        ``reverse``.
-
-        Up-half VJPs need only ``grad_out`` and may come in any order; their
-        input gradients are summed into ``gm`` in ``up_pairs`` order.
-        Down-half steps must come in ``down_pairs`` order, which fixes the
-        sums into ``gx``.  Parameter gradients come in ``up_pairs`` then
-        ``down_pairs`` order.  Each VJP lets go of its cache's parts as it
-        reads them, and no step's cache is kept once its VJP returns.
-        Returns (gx, parameter gradients).
-
-        Each input gradient is summed into ``grad_out``'s own array for its
-        level, in the order a new array per sum would take, so with the
-        same bits; the caller hands those arrays over.  ``gx`` is ``gm``
-        itself: a down step writes ``gx[i]`` for i < j only, and every down
-        step that reads ``gm[i]`` (those into level i) has run by then.
-        """
+        if cache is None:
+            self._check_pyramid(p_out)
+            # the down half's replay starts once the up half's has recovered
+            # the intermediates in ``levels``; it then recovers the inputs there
+            levels = list(p_out.levels)
+            up_steps = self._undo(self.up, levels, ctx, True, registry)
+            down_steps = self._undo(self.down, levels, ctx, True, registry)
+        else:
+            steps = lambda half, caches: ((pair, caches[pair]) for pair in self._pairs(half))
+            up_steps, down_steps = steps(self.up, cache["up"]), steps(self.down, cache["down"])
         g = list(grad_out)
         accumulate = lambda k, gin: np.add(g[k].data, gin.data, out=g[k].data)
         up = {}
-        for pair, cache in up_steps:
-            up[pair] = self.up[pair].backward(cache, grad_out[pair[1]], registry)
-            del cache        # before the next step runs its transform
+        for pair, step_cache in up_steps:
+            up[pair] = self.up[pair].backward(step_cache, grad_out[pair[1]], registry)
+            del step_cache   # before the next step runs its transform
         grads: dict[str, np.ndarray] = {}
         for i, j in self.spec.up_pairs():       # up[i->j] consumed m[i]: gm
             gin, gr = up.pop((i, j))
             accumulate(i, gin)
             grads.update(gr)
-        for (i, j), cache in down_steps:        # down[i->j] consumed x[i]: gx
-            gin, gr = self.down[(i, j)].backward(cache, g[j], registry)
+        for (i, j), step_cache in down_steps:   # down[i->j] consumed x[i]: gx
+            gin, gr = self.down[(i, j)].backward(step_cache, g[j], registry)
             accumulate(i, gin)
             grads.update(gr)
-            del cache, gin   # before the next step runs its transform
-        return g, grads
+            del step_cache, gin   # before the next step runs its transform
+        p_in = p_out.with_levels(self._outer(levels)) if cache is None else None
+        return p_in, self._outer(g), grads
 
     def _transforms(self):
         """((src, dst), transform) of the down half, then of the up half,
@@ -700,7 +681,8 @@ class RevBlock:
         return self._join(self.silo._invert(self._split(y).levels, ctx)), None
 
     def backward(self, cache, gy: Tensor, registry=None):
-        gx, grads = self.silo.backward(cache, self._split(gy).levels, registry)
+        _, gx, grads = self.silo.backward(cache, None, self._split(gy).levels,
+                                          None, registry)
         return self._join(gx), grads
 
     def parameters(self):

@@ -1,7 +1,9 @@
 """Two-mode training engine over chains of reversible blocks.
 
-A ``Tape`` executes a fixed sequence of reversible blocks and supports two
-backward strategies that must produce the same gradients:
+A ``Tape`` executes a fixed sequence of reversible blocks.  Each block has
+one backward, which reads the forward's cache if there is one, or else
+replays from the block's output; the two backward modes differ only in
+which caches forward keeps, and must produce the same gradients:
 
 * ``stored`` — conventional backprop: every block's VJP cache stays
   counted as live activations from forward until that block's backward
@@ -9,10 +11,10 @@ backward strategies that must produce the same gradients:
   output is kept only as far as the next block's cache holds it.  Peak
   activation memory grows affinely with depth; the backward phase
   re-evaluates nothing.
-* ``recompute`` — reversible backprop: forward keeps only the final output.
-  Backward runs each block's reverse step, which reconstructs the block's
-  input and back-propagates one transform at a time: each transform is
-  re-evaluated exactly once, with a cache that its VJP consumes at once.
+* ``recompute`` — reversible backprop: forward keeps no cache, only the
+  final output.  Each block's backward then replays: it reconstructs the
+  block's input and back-propagates one transform at a time, re-evaluating
+  each exactly once, with a cache that its VJP consumes at once.
   It rebuilds its input, and its input gradient, in the arrays of its
   output and output gradient, as in-place activated batch norm recovers
   values (Rota Bulò et al. 2018, arXiv 1712.02616).  Peak
@@ -30,12 +32,12 @@ reference per array, so it follows the references the code holds and
 needs no release call.  Only engine-managed activations are counted:
 parameters, gradient buffers, and kernel-internal scratch are out of scope
 by design.  Activations a backward rebuilds are engine-managed too: the
-tape passes its registry into every ``backward`` and ``reverse``, and each
-rebuilt array is counted while alive, in both modes.  A step holds no
-activation past its last use, so the heap follows the registry: a
-recompute step's heap peak is about the registry peak plus the parameter
-gradients, the caller's batch, the activation gradients in flight and one
-kernel's scratch (``kernels``).
+tape passes its registry into every ``backward``, and each rebuilt array
+is counted while alive, in both modes.  A step holds no activation past
+its last use, so the heap follows the registry: a recompute step's heap
+peak is about the registry peak plus the parameter gradients, the
+caller's batch, the activation gradients in flight and one kernel's
+scratch (``kernels``).
 A depthwise backward's scratch is one channel chunk's stride phases,
 stack, phase weights and weight-gradient blocks; a depthwise forward's is
 its input's stride phases, one block's phase weights and product, and the
@@ -43,21 +45,21 @@ temporaries of its strided window add.
 The chain input is the caller's, like the batch and the parameters: the
 tape does not count it, and lets go of it once the first block has run, in
 both modes (a stored cache that reads it keeps it, and the first block's
-reverse step rebuilds it; the backbone's stem caches nothing, so a
+replay rebuilds it; the backbone's stem caches nothing, so a
 training step frees its model-dtype copy of the batch there).  The caller
 may hold it, and the pyramid that ``forward`` returns, past the step: what
 is alive when ``backward`` ends is the caller's, and the registry forgets
 it.  At S0 widths the recompute registry peak is reached in the
 conventional head, which in recompute mode replays one stage at a time
 (``backbone.ClassifierHead``): its tail's VJP holds the chain output, the
-four aggregates and the tail's cache.  In a narrow model a reverse step's
+four aggregates and the tail's cache.  In a narrow model a block's replay
 working set can set it instead.
 
 Finiteness is checked at block boundaries, not in every kernel: each
 block's forward output, the gradient entering the chain, and after each
-backward or reverse step the input and parameter gradients (and, in
-recompute mode, the reconstructed input).  A NaN or an Inf raises
-``FloatingPointError`` naming the block and the phase.
+block's backward the input and parameter gradients (and, after a replay,
+the reconstructed input).  A NaN or an Inf raises ``FloatingPointError``
+naming the block and the phase.
 """
 
 from __future__ import annotations
@@ -186,28 +188,27 @@ class BackwardResult:
 class Tape:
     """Executes a block chain forward and backward under one of two modes.
 
-    A block (a ``Silo`` or the backbone's stem) has a ``name`` and five
+    A block (a ``Silo`` or the backbone's stem) has a ``name`` and four
     methods.  ``forward(p, ctx, want_cache)`` returns (p_out, cache), the
     cache ``None`` unless asked for.  ``inverse(p_out, ctx)`` returns
     (p_in, extra), ``extra`` whatever else the block reconstructed.
-    ``backward(cache, grad_out, registry)`` maps per-level gradient lists
-    from output side to input side using only a forward cache (stored
-    mode) and returns (grad_in, param_grads).  ``reverse(p_out, grad_out,
-    ctx, registry)`` is the recompute-mode step: from the output pyramid
-    and its gradient it reconstructs the input and back-propagates in one
-    pass, returning (p_in, grad_in, param_grads) with ``backward``'s
-    gradients, given the forward's ctx in the ``BACKWARD`` phase.  Both
-    count in ``registry`` whatever activations they rebuild or keep alive;
-    the tape counts ``p_in`` itself.  ``backward`` takes its cache over,
-    and both may consume ``grad_out``, and ``reverse`` ``p_out``: the
-    results may be written into their arrays.  ``parameters()`` lists
-    (name, array) pairs.
+    ``backward(cache, p_out, grad_out, ctx, registry)`` maps per-level
+    gradient lists from output side to input side and returns (p_in,
+    grad_in, param_grads).  Given the forward's cache it reads only that,
+    and ``p_in`` is ``None``.  Given ``None``, it replays from the output
+    pyramid ``p_out`` under the forward's ctx in the ``BACKWARD`` phase,
+    and returns the rebuilt input as ``p_in``; the gradients are the same
+    either way.  It counts in ``registry`` whatever activations it
+    rebuilds or keeps alive; the tape counts ``p_in`` itself.  It takes
+    its cache, ``p_out`` and ``grad_out`` over: the results may be written
+    into their arrays.  ``parameters()`` lists (name, array) pairs.
 
-    Forward keeps each block's cache in stored mode, and in recompute mode
-    only the final output; in both it lets go of each block's input, the
-    chain input included, once the block has run.  ``backward`` ends by
-    forgetting every registry entry: what the caller still holds is the
-    caller's.
+    The mode decides one thing, what forward keeps: each block's cache in
+    stored mode, none in recompute mode, where the final output is what
+    backward replays from.  In both, forward lets go of each block's
+    input, the chain input included, once the block has run, and backward
+    is one loop over the blocks.  ``backward`` ends by forgetting every
+    registry entry: what the caller still holds is the caller's.
     """
 
     def __init__(self, blocks: list, mode=BackwardMode.STORED):
@@ -217,7 +218,7 @@ class Tape:
         self.mode = BackwardMode.parse(mode)
         self.counters = OpCounters()
         self.registry = LiveBytesRegistry()
-        self.saved_caches: list = []     # stored mode: each block's VJP cache
+        self.saved_caches: list = []     # each block's VJP cache, or None
         self.output_pyramid: FeaturePyramid | None = None
         self._phase = "idle"        # idle -> forwarded -> idle
         self._ctx: ExecContext | None = None  # the forward's, of the step in flight
@@ -247,18 +248,17 @@ class Tape:
         self.registry.reset_peak()
         self.saved_caches = []
         ctx = self._ctx = ExecContext(self.counters, FORWARD, step_key, train)
-        stored = self.mode is BackwardMode.STORED
+        want_cache = self.mode is BackwardMode.STORED   # the one place the mode is read
 
         # the chain input is the caller's, and is not counted; each block's
         # input is held until its output and cache are counted, then let go
         # (a stored cache that reads it keeps it)
         cur = p
         for i, block in enumerate(self.blocks):
-            out, cache = self._run_block(block.forward, i, cur, ctx, stored)
+            out, cache = self._run_block(block.forward, i, cur, ctx, want_cache)
             self._check_finite(i, "forward", out.levels)
             self.registry.add(out, f"block{i}.out")
-            if stored:
-                self.saved_caches.append(self.registry.add(cache, f"block{i}.cache"))
+            self.saved_caches.append(self.registry.add(cache, f"block{i}.cache"))
             cur = out
         self.output_pyramid = cur
         self._phase = "forwarded"
@@ -292,27 +292,22 @@ class Tape:
         param_grads: dict[str, np.ndarray] = {}
         last = len(self.blocks) - 1
         self._check_finite(last, "incoming gradient", g)
-        # the tape lets go of each array at its last use: of the chain output
-        # before the first block runs backward (stored caches hold what is
-        # needed of it), or once a reverse step has rebuilt its input in it;
-        # of each stored cache once its block has consumed it
-        if self.mode is BackwardMode.STORED:
-            self.output_pyramid = None
-            for i in range(last, -1, -1):
-                g, grads = self._run_block(self.blocks[i].backward, i,
-                                           self.saved_caches[i], g, self.registry)
-                self.saved_caches[i] = None
-                self._check_finite(i, "backward", g, grads=grads)
-                param_grads.update(grads)
-        else:
-            cur, self.output_pyramid = self.output_pyramid, None
-            for i in range(last, -1, -1):
-                p_in, g, grads = self._run_block(self.blocks[i].reverse, i,
-                                                 cur, g, ctx, self.registry)
-                self._check_finite(i, "reverse", g, p_in.levels, grads=grads)
-                cur = self.registry.add(p_in, f"block{i}.reconstructed")
-                param_grads.update(grads)
-            del cur, p_in           # the rebuilt chain input: nothing reads it
+        # each block gets its cache or, without one, the pyramid rebuilt so
+        # far.  The tape lets go of each array at its last use: of a pyramid
+        # before a block with a cache runs (the cache holds what is needed of
+        # it), or once a replay has rebuilt its input in it; of each cache
+        # once its block has consumed it
+        cur, self.output_pyramid = self.output_pyramid, None
+        for i in range(last, -1, -1):
+            if self.saved_caches[i] is not None:
+                cur = None
+            cur, g, grads = self._run_block(self.blocks[i].backward, i, self.saved_caches[i],
+                                            cur, g, ctx, self.registry)
+            self.saved_caches[i] = None
+            self._check_finite(i, "backward", g, () if cur is None else cur.levels, grads=grads)
+            cur = self.registry.add(cur, f"block{i}.reconstructed")
+            param_grads.update(grads)
+        del cur             # a rebuilt chain input: nothing reads it
 
         # whatever the caller still holds, the chain input included, is theirs
         self.registry.release_all()

@@ -106,7 +106,7 @@ def test_stem_duplication_replicates_and_backward_sums():
     assert np.array_equal(back.levels[0].data, x)
     # gradient of a duplicated input is the sum over the copies
     gy = Tensor(np.ones(out.shapes[0]))
-    gx, grads = stem.backward(cache, [gy])
+    _, gx, grads = stem.backward(cache, None, [gy])
     assert grads == {}
     assert np.all(gx[0].data == 2.0)
 
@@ -173,7 +173,7 @@ def test_replays_without_a_ctx_leave_the_running_averages_alone():
     silo.inverse(out)
     assert _chain_running_averages(model) == before
     registry = LiveBytesRegistry()
-    silo.reverse(out, [Tensor(np.ones(t.shape)) for t in out.levels], None, registry)
+    silo.backward(None, out, [Tensor(np.ones(t.shape)) for t in out.levels], None, registry)
     del out                     # the levels its replay caches read
     registry.assert_empty()
     assert _chain_running_averages(model) == before
@@ -489,8 +489,7 @@ def test_head_cache_is_freed_before_the_chain_runs_backward(mode):
     ds = make_synthetic_dataset(4, 2, 32, 1, seed=14)
     _, head_cache = _watch_head(model)
     seen = []
-    method = "backward" if mode == "stored" else "reverse"
-    _before(model.blocks[-1], method, lambda: seen.append(_alive(head_cache)))
+    _before(model.blocks[-1], "backward", lambda: seen.append(_alive(head_cache)))
     step_gradients(model, mode, ds.images, ds.labels)
     assert head_cache and seen == [0]
 
@@ -644,7 +643,7 @@ def test_recompute_frees_each_chain_output_level_with_the_block_that_drops_it():
     chain_out, _ = _watch_head(model)
     seen = []
     for block in model.blocks[-2::-1]:       # expand3, expand2, expand1, stem
-        _before(block, "reverse", lambda: seen.append(_alive(chain_out)))
+        _before(block, "backward", lambda: seen.append(_alive(chain_out)))
     step_gradients(model, "recompute", ds.images, ds.labels)
     assert seen == [4, 3, 2, 1] and _alive(chain_out) == 0
 

@@ -8,10 +8,10 @@ import pytest
 
 from revfuse.backbone import BackboneConfig, build
 from revfuse.costmodel import (CHECKPOINTING, REVERSIBLE, SGD_BASELINE,
-                               ScaleRow, activation_memory_model,
+                               activation_memory_model,
                                activation_ratio, compute_cost_model,
                                mac_count, model_costs, param_count,
-                               scale_row, scale_table, validate_scale)
+                               scale_row, scale_table)
 from revfuse.errors import ConfigurationError
 
 
@@ -79,7 +79,9 @@ def test_scale_table_frozen_values():
         assert row.displayed_m_w == m_w, name
         assert row.d == d, name
         assert row.resolution == res, name
-        assert validate_scale(row)
+        # the backbone enforces the ladder's /32 resolution and /16 width rules
+        BackboneConfig(channels=row.channels(), extra_depth=row.d,
+                       resolution=row.resolution, in_channels=1)
 
 
 def test_scale_row_channels():
@@ -107,15 +109,6 @@ def test_activation_ratio_identity_and_resolution():
     assert abs(activation_ratio((m_w, 2 * res, d), s1) - 4.0) < 1e-12
     with pytest.raises(ConfigurationError):
         activation_ratio((0.0, res, d), s1)
-
-
-def test_validate_scale_names_broken_rule():
-    with pytest.raises(ConfigurationError, match="multiple-of-32"):
-        validate_scale(ScaleRow("bad", 1.0, 2, 225))
-    with pytest.raises(ConfigurationError, match="depth"):
-        validate_scale(ScaleRow("bad", 1.0, 0, 224))
-    with pytest.raises(ConfigurationError, match="multiplier"):
-        validate_scale(ScaleRow("bad", 0.0, 2, 224))
 
 
 # ---------------------------------------------------------------------------

@@ -277,7 +277,7 @@ def test_forward_is_bit_identical_under_any_evaluation_order():
     p = _pyramid(rng, channels)
     base, base_cache = silo.forward(p, want_cache=True)
     grad_out = [Tensor(rng.standard_normal(t.shape)) for t in base.levels]
-    g_base, grads_base = silo.backward(base_cache, _copies(grad_out))
+    _, g_base, grads_base = silo.backward(base_cache, None, _copies(grad_out))
 
     spec = silo.spec
     orders = np.random.default_rng(7)
@@ -290,7 +290,7 @@ def test_forward_is_bit_identical_under_any_evaluation_order():
         assert pyramid_max_abs_diff(out, base) == 0.0
         # backward walks the caches in canonical order, whatever order
         # the forward filled them in
-        g, grads = silo.backward(cache, _copies(grad_out))
+        _, g, grads = silo.backward(cache, None, _copies(grad_out))
         for a, b in zip(g, g_base):
             assert a.data.tobytes() == b.data.tobytes()
         assert list(grads) == list(grads_base)
@@ -438,8 +438,8 @@ def test_reverse_step_matches_inverse_and_backward(case, dtype):
     registry = _RecordingRegistry()
     step_out = registry.add(out.with_levels(_copies(out.levels)), "out")  # overwritten
     counters = OpCounters()
-    p_in, g_in, grads = silo.reverse(step_out, _copies(grad_out),
-                                     ExecContext(counters, BACKWARD), registry)
+    p_in, g_in, grads = silo.backward(None, step_out, _copies(grad_out),
+                                      ExecContext(counters, BACKWARD), registry)
     peak = registry.peak
     assert _live_labels(registry) == {"out"}   # the step let go of all it counted
     assert counters.get(BACKWARD, F_EVAL) == len(silo.down) + len(silo.up)
@@ -456,7 +456,7 @@ def test_reverse_step_matches_inverse_and_backward(case, dtype):
     caches = list(ref_cache["up"].values()) + list(ref_cache["down"].values())
     largest = max(_working_set(c) for c in caches)
     all_caches = _unique_bytes(caches)
-    g_ref, grads_ref = silo.backward(ref_cache, _copies(grad_out))
+    _, g_ref, grads_ref = silo.backward(ref_cache, None, _copies(grad_out))
     assert len(g_in) == len(g_ref) == len(p.levels)
     for a, b in zip(g_in, g_ref):
         assert a.data.tobytes() == b.data.tobytes()
@@ -464,7 +464,7 @@ def test_reverse_step_matches_inverse_and_backward(case, dtype):
     for name in grads_ref:
         assert grads[name].tobytes() == grads_ref[name].tobytes(), name
     if dtype == np.float64:
-        g_fwd, grads_fwd = silo.backward(fwd_cache, grad_out)
+        _, g_fwd, grads_fwd = silo.backward(fwd_cache, None, grad_out)
         for a, b in zip(g_in, g_fwd):
             assert rel_diff(a.data, b.data) < 1e-12
         for name in grads_fwd:
@@ -495,8 +495,8 @@ def test_multi_chunk_reverse_step_stays_within_its_working_set():
 
     registry = LiveBytesRegistry()
     step_out = registry.add(out.with_levels(_copies(out.levels)), "out")  # overwritten
-    p_in, g_in, grads = silo.reverse(step_out, _copies(grad_out),
-                                     ExecContext(OpCounters(), BACKWARD), registry)
+    p_in, g_in, grads = silo.backward(None, step_out, _copies(grad_out),
+                                      ExecContext(OpCounters(), BACKWARD), registry)
     peak = registry.peak
     assert _live_labels(registry) == {"out"}
 
@@ -506,13 +506,13 @@ def test_multi_chunk_reverse_step_stays_within_its_working_set():
     largest = lambda cache: max(_working_set(c) for half in cache.values()
                                 for c in half.values())
     chunked_set = largest(chunked)           # before backward lets go of it
-    g_ref, grads_ref = silo.backward(chunked, _copies(grad_out))
+    _, g_ref, grads_ref = silo.backward(chunked, None, _copies(grad_out))
     for a, b in zip(g_in, g_ref):
         assert a.data.tobytes() == b.data.tobytes()
     assert list(grads) == list(grads_ref)
     for name in grads_ref:
         assert grads[name].tobytes() == grads_ref[name].tobytes(), name
-    g_fwd, grads_fwd = silo.backward(fwd_cache, grad_out)
+    _, g_fwd, grads_fwd = silo.backward(fwd_cache, None, grad_out)
     for a, b in zip(g_in, g_fwd):
         assert rel_diff(a.data, b.data) < 1e-12
     for name in grads_fwd:
@@ -544,7 +544,7 @@ def test_reverse_step_keeps_no_earlier_cache_alive(expands):
             return y, cache
         transform.forward = forward
     registry = LiveBytesRegistry()
-    silo.reverse(registry.add(out, "out"), grad_out, None, registry)
+    silo.backward(None, registry.add(out, "out"), grad_out, None, registry)
     assert earlier and alive == [0] * (len(silo.down) + len(silo.up))
 
 
@@ -561,14 +561,15 @@ def test_reverse_step_rebuilds_in_the_arrays_it_was_handed(expands):
     out, fwd_cache = silo.forward(p, None, True)
     grad_out = [Tensor(rng.standard_normal(t.shape)) for t in out.levels]
     handed = _copies(grad_out)
-    g_in, _ = silo.backward(fwd_cache, handed)
+    _, g_in, _ = silo.backward(fwd_cache, None, handed)
     assert len(g_in) == len(p.levels)
     assert all(np.shares_memory(a.data, b.data) for a, b in zip(g_in, handed))
 
     ref_cache, _ = _replayed_inverse_cache(silo, out)
     largest = max(_working_set(c) for half in ref_cache.values() for c in half.values())
     registry = _RecordingRegistry()
-    p_in, g_in, _ = silo.reverse(registry.add(out, "out"), list(grad_out), None, registry)
+    p_in, g_in, _ = silo.backward(None, registry.add(out, "out"), list(grad_out), None,
+                                  registry)
     assert _live_labels(registry) == {"out"}
     assert len(p_in.levels) == len(g_in) == len(p.levels)
     assert all(np.shares_memory(a.data, b.data) for a, b in zip(p_in.levels, out.levels))
@@ -590,14 +591,14 @@ def test_reverse_step_lets_each_norm_cache_go_once_its_vjp_returns(monkeypatch):
     out, cache = silo.forward(p, None, True)
     grad_out = [Tensor(rng.standard_normal(t.shape)) for t in out.levels]
     log = watch_norm_caches(monkeypatch)
-    silo.backward(cache, _copies(grad_out))
+    silo.backward(cache, None, _copies(grad_out))
     assert sum(read for _, read in log) > 0
     assert all(alive == 0 for alive, _ in log), log
     assert _unique_bytes(cache) == 0
 
     log.clear()
     registry = LiveBytesRegistry()
-    silo.reverse(registry.add(out, "out"), grad_out, None, registry)
+    silo.backward(None, registry.add(out, "out"), grad_out, None, registry)
     assert _live_labels(registry) == {"out"}
     assert sum(read for _, read in log) > 0
     assert all(alive == 0 for alive, _ in log), log
@@ -652,7 +653,7 @@ def test_silo_backward_matches_finite_differences():
 
     out, cache = silo.forward(p, want_cache=True)
     grad_out = [Tensor(ri / 10.0) for ri in r]
-    gx, grads = silo.backward(cache, grad_out)
+    _, gx, grads = silo.backward(cache, None, grad_out)
 
     params = dict(silo.parameters())
     for name in sorted(params):
@@ -713,7 +714,7 @@ def test_identity_silo_backward_passes_gradient_through():
     p = _pyramid(rng, channels)
     out, cache = silo.forward(p, want_cache=True)
     grad_out = [Tensor(rng.standard_normal(t.shape)) for t in out.levels]
-    gx, _ = silo.backward(cache, _copies(grad_out))
+    _, gx, _ = silo.backward(cache, None, _copies(grad_out))
     # residual-only paths at identity init: input grad equals output grad
     for g_in, g_out in zip(gx, grad_out):
         assert np.array_equal(g_in.data, g_out.data)

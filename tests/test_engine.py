@@ -415,3 +415,26 @@ def test_nan_parameter_is_reported_at_its_block(mode):
     with pytest.raises(FloatingPointError, match=r"block 1 \(fuse1\) forward"):
         tape.forward(_pyramid(np.random.default_rng(79)), step_key=0)
     assert tape.registry.current == 0
+
+
+@pytest.mark.parametrize("mode", ["stored", "recompute"])
+def test_nan_inside_a_block_backward_is_reported_at_its_block(mode):
+    # a weight that turns NaN after the forward shows first in a middle
+    # silo's VJP, read from its cache or replayed; the tape is then ready
+    # for the next step
+    rng = np.random.default_rng(80)
+    blocks = _silo_chain(rng, 3)
+    tape = Tape(blocks, mode=mode)
+    p = _pyramid(np.random.default_rng(81))
+    out = tape.forward(p, step_key=0)
+    _, weights = blocks[1].parameters()[0]
+    kept, weights.flat[0] = weights.flat[0], np.nan
+    with pytest.raises(FloatingPointError, match=r"block 1 \(fuse1\) backward"):
+        tape.backward([Tensor(np.ones(t.shape)) for t in out.levels])
+    weights.flat[0] = kept
+    assert tape.registry.current == 0
+
+    out = tape.forward(p, step_key=1)
+    result = tape.backward([Tensor(np.ones(t.shape)) for t in out.levels])
+    assert all(np.all(np.isfinite(g.data)) for g in result.input_grads)
+    tape.registry.assert_empty()
