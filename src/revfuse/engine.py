@@ -38,10 +38,12 @@ its last use, so the heap follows the registry: a recompute step's heap
 peak is about the registry peak plus the parameter gradients, the
 caller's batch, the activation gradients in flight and one kernel's
 scratch (``kernels``).
-A depthwise backward's scratch is one channel chunk's stride phases,
-stack, phase weights and weight-gradient blocks; a depthwise forward's is
-its input's stride phases, one block's phase weights and product, and the
-temporaries of its strided window add.
+A 1x1 conv's VJP holds its two gradients and at most one row block of a
+weight-gradient term.  A depthwise backward's scratch is one channel
+chunk's stride phases, stack, phase weights and weight-gradient blocks,
+its stride-1 stack at most about twice its input; a depthwise forward's
+is its input's stride phases, one block's phase weights and product, and
+the temporaries of its strided window add.
 The chain input is the caller's, like the batch and the parameters: the
 tape does not count it, and lets go of it once the first block has run, in
 both modes (a stored cache that reads it keeps it, and the first block's

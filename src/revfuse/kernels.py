@@ -7,9 +7,11 @@ Convolution comes in the two geometries the model builds, and has no
 bias: every conv feeds a batch norm, whose shift would absorb one.  A 1x1
 conv (stride 1, no padding, one group) is one batched BLAS ``matmul`` of
 the (out, in) weight matrix with the (n, in, h*w) input; its backward is
-two more, ``Wᵀ·gy`` and ``gy·xᵀ`` summed over the batch.  ``ConvParams``
-refuses any other conv that mixes channels when it is made.  Depthwise
-convolution is polyphase:
+two more, ``Wᵀ·gy`` and ``gy·xᵀ`` summed over the batch.  Beside its two
+gradients it holds one row block of a per-sample term, or for a small
+weight a group of whole terms, of about ``CHUNK_ELEMENTS`` elements.
+``ConvParams`` refuses any other conv that mixes channels when it is
+made.  Depthwise convolution is polyphase:
 the unpadded input is split once into its stride phases, the kernel into
 a grid of at most D*D phase-weight blocks (D = 3 for every geometry the
 model builds), and each block offset is one channel-batched ``matmul``
@@ -21,7 +23,8 @@ the input itself.  So no depthwise scratch array scales with the whole
 layer's kernel: beside its output, the forward holds the input's phases,
 one block's phase weights and product, and the temporaries of the
 strided window add; beside its gradients, the backward holds one channel
-chunk's phases, stack, phase weights and weight-gradient blocks.  Each
+chunk's phases, stack, phase weights and weight-gradient blocks, and at
+stride 1 that stack is at most about twice the input.  Each
 geometry's block offsets, windows and tap placement are worked out once
 and cached.  Bilinear upsampling is a gather forward and a separable
 matrix product backward.  No FFT and no im2col.
@@ -125,7 +128,10 @@ def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 # Fewest channels in a chunk of the depthwise backward: smaller chunks save
 # little heap, and their numpy calls each move too little data to pay for
-# the Python around them.
+# the Python around them.  A stride-1 chunk stacks its output gradient at
+# D*D block offsets, so it is cut further, to 2c // (D*D) channels, which
+# keeps its stack within about twice the input, but to no fewer than half
+# this many.
 _DW_CHUNK_CHANNELS = 16
 
 
@@ -253,7 +259,10 @@ def _dwconv_backward(x: np.ndarray, p: ConvParams, gy: np.ndarray,
     # weightsᵀ @ stack; they overwrite the chunk's input phases once the
     # weight gradient has read them, and go straight into gx.  The four
     # buffers together stay within a quarter of the input's size, unless
-    # that would cut the chunk below _DW_CHUNK_CHANNELS.  Each chunk of x is
+    # that would cut the chunk below _DW_CHUNK_CHANNELS; at stride 1 the
+    # stack stays within about twice the input (see _DW_CHUNK_CHANNELS).
+    # A chunk's size leaves each channel's products as they are, so it
+    # changes no bit of either gradient.  Each chunk of x is
     # copied into its phases before that chunk of gx is written, so with
     # ``overwrite`` gx is x itself.
     n, c, h, w = x.shape
@@ -262,6 +271,8 @@ def _dwconv_backward(x: np.ndarray, p: ConvParams, gy: np.ndarray,
     s2 = s * s
     step = min(c, max(_DW_CHUNK_CHANNELS,
                       c * s2 * m // (4 * ((d2 + s2) * m + 2 * d2 * s2))))
+    if s == 1:
+        step = min(step, max(_DW_CHUNK_CHANNELS // 2, 2 * c // d2))
     gx = x if overwrite else np.empty_like(x)
     gw = np.empty(p.weights.shape, dtype=gy.dtype)
     # every chunk writes the stack and the phase weights at the same
@@ -330,21 +341,34 @@ def conv2d_backward(x: Tensor, p: ConvParams, gy: Tensor,
     else:
         # grad_x: Wᵀ·gy; grad_w: gy·xᵀ summed over the batch in sample
         # order, which has the bits of summing the batched product over
-        # axis 0.  The per-sample terms are made a group of samples at a
-        # time, at most CHUNK_ELEMENTS elements (or one sample), and each
-        # group's first term takes the running sum, so no more than a
-        # group of weight-sized terms is held.
-        wm = p.weights.reshape(p.out_channels, c)
-        g = gyd.reshape(n, p.out_channels, h * w)
+        # axis 0.  A weight of at most CHUNK_ELEMENTS / 2 elements takes
+        # its per-sample terms a group of samples at a time, within
+        # CHUNK_ELEMENTS, and each group's first term takes the running
+        # sum.  A larger weight has sample 0's term written into grad_w,
+        # and each later sample's added in row blocks of about
+        # CHUNK_ELEMENTS elements (at least 64 rows), so no term the size
+        # of the weight is held beside it.  Whether a row block has the
+        # bits of the whole product depends on the BLAS and the shape; the
+        # tests pin the geometries the benchmark builds.
+        oc = p.out_channels
+        wm = p.weights.reshape(oc, c)
+        g = gyd.reshape(n, oc, h * w)
         xt = x.data.reshape(n, c, h * w).swapaxes(-1, -2)
         gx = np.matmul(wm.T, g).reshape(n, c, h, w)
-        step, gw = max(1, CHUNK_ELEMENTS // wm.size), None
-        for a in range(0, n, step):
-            terms = np.matmul(g[a : a + step], xt[a : a + step])
-            if gw is not None:
-                terms[0] += gw
-            gw = np.add.reduce(terms, axis=0, out=gw)
-            del terms
+        if wm.size > CHUNK_ELEMENTS // 2:
+            gw = np.matmul(g[0], xt[0])
+            rows = max(64, CHUNK_ELEMENTS // c)
+            for a in range(1, n):
+                for r0 in range(0, oc, rows):
+                    gw[r0 : r0 + rows] += np.matmul(g[a, r0 : r0 + rows], xt[a])
+        else:
+            step, gw = CHUNK_ELEMENTS // wm.size, None
+            for a in range(0, n, step):
+                terms = np.matmul(g[a : a + step], xt[a : a + step])
+                if gw is not None:
+                    terms[0] += gw
+                gw = np.add.reduce(terms, axis=0, out=gw)
+                del terms
         gw = gw.reshape(p.weights.shape)
     return Tensor(np.ascontiguousarray(gx)), gw
 
@@ -470,7 +494,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 # Elements in one channel chunk of hard-swish's or of its backward's
 # scratch, and of a replayed MBConv expansion stage unless its input is
 # wider (``layers.MBConv.chunks``); toy tensors run as one chunk.  Also
-# the most elements of the per-sample terms a 1x1 weight gradient holds.
+# about the most elements a 1x1 weight gradient holds beside itself: a
+# group of per-sample terms, or a row block of one (``conv2d_backward``).
 CHUNK_ELEMENTS = 1 << 16
 
 

@@ -93,15 +93,18 @@ DW_EDGE_GEOMETRIES = pytest.mark.parametrize("shape,kernel,stride,padding", [
     ((1, 2, 5, 6), 17, 8, 8),     # input smaller than the stride
     ((2, 3, 1, 1), 3, 1, 1),      # 1x1 spatial
     ((2, 3, 1, 1), 5, 2, 2),      # 1x1 spatial, strided
-    # More channels than K._DW_CHUNK_CHANNELS (16) and at most four times
-    # that, so the backward runs in 16-channel chunks.  The last chunk is
-    # one channel wide in the first four cases.  Past a ragged border a
-    # chunk reuses the phase buffer, which must be zeroed again each time.
+    # Chunked backward.  Strided, these run in chunks of
+    # K._DW_CHUNK_CHANNELS (16) channels; at stride 1 a chunk holds at most
+    # 2c // 9 channels but at least 8, so both stride-1 cases run in
+    # 8-channel chunks.  The last chunk is one channel wide in the first
+    # four cases.  Past a ragged border a chunk reuses the phase buffer,
+    # which must be zeroed again each time.
     ((2, 33, 9, 7), 3, 1, 1),     # chunked, stride 1
     ((1, 33, 9, 7), 5, 2, 2),     # chunked, h % s != 0 and w % s != 0
     ((1, 17, 10, 6), 9, 4, 4),    # chunked, stride 4, both ragged
     ((1, 17, 10, 12), 17, 8, 8),  # chunked, stride 8, both ragged
     ((2, 18, 8, 8), 5, 2, 2),     # chunked, whole stride blocks
+    ((8, 16, 8, 8), 3, 1, 1),     # stride 1, split by the cap alone
 ])
 
 
@@ -160,33 +163,63 @@ def test_depthwise_backward_over_its_input_gives_the_fresh_buffer_bits(
     assert gw_in.tobytes() == gw.tobytes()
 
 
-@pytest.mark.parametrize("n", [2, 8, 16, 33])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("out_c", [40, 1000, 3000])
-def test_pointwise_weight_gradient_is_the_batched_sum_bit_for_bit(n, dtype, out_c):
-    # gy·xᵀ summed in sample order, a group of samples at a time (all of
-    # them at 40 output channels, 2 at 1000, 1 at 3000: a weight past
-    # CHUNK_ELEMENTS), has the bits of the batched product summed over axis 0
-    rng = np.random.default_rng(15)
-    x = rng.standard_normal((n, 24, 5, 7)).astype(dtype)
-    gy = rng.standard_normal((n, out_c, 5, 7)).astype(dtype)
-    p = K.ConvParams(rng.standard_normal((out_c, 24, 1, 1)).astype(dtype))
-    _, gw = K.conv2d_backward(Tensor(x), p, Tensor(gy))
-    terms = np.matmul(gy.reshape(n, out_c, 35), x.reshape(n, 24, 35).swapaxes(-1, -2))
+def _pointwise_case(n, dtype, out_c, in_c, h, w, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, in_c, h, w)).astype(dtype)
+    gy = rng.standard_normal((n, out_c, h, w)).astype(dtype)
+    p = K.ConvParams(rng.standard_normal((out_c, in_c, 1, 1)).astype(dtype))
+    return Tensor(x), p, Tensor(gy)
+
+
+# The 1x1 convs past CHUNK_ELEMENTS / 2 weight elements that the bench
+# builds, as (out, in, h, w): all at S0 widths, 128 px, float32.  The
+# head's final conv and up32's expand conv (the first and last) span
+# several row blocks.
+S0_POINTWISE_GEOMETRIES = [
+    (1280, 320, 4, 4),      # head final
+    (160, 256, 4, 4),       # down13 project
+    (160, 320, 4, 4),       # down23 project
+    (320, 128, 4, 4),       # head down2 project
+    (320, 160, 4, 4),       # up31 expand, head neck3 project
+    (80, 480, 4, 4),        # up32 project
+    (480, 160, 4, 4),       # up32 expand
+]
+
+
+@pytest.mark.parametrize("n,dtype,geometry", [
+    *(pytest.param(n, dtype, (out_c, 24, 5, 7), id=f"{out_c}-{np.dtype(dtype)}-{n}")
+      for out_c in (40, 1000, 3000) for dtype in (np.float32, np.float64)
+      for n in (2, 8, 16, 33)),
+    *(pytest.param(n, np.float32, g, id=f"{g[0]}x{g[1]}-float32-{n}")
+      for g in S0_POINTWISE_GEOMETRIES for n in (1, 2, 8)),
+])
+def test_pointwise_weight_gradient_is_the_batched_sum_bit_for_bit(n, dtype, geometry):
+    # gy·xᵀ summed in sample order has the bits of the batched product
+    # summed over axis 0, whether a group of samples is summed at a time
+    # (all of them at 40 output channels, 2 at 1000) or each later sample
+    # is added in row blocks (3000 outputs: two blocks; the S0 convs)
+    out_c, in_c, h, w = geometry
+    x, p, gy = _pointwise_case(n, dtype, out_c, in_c, h, w, seed=15)
+    _, gw = K.conv2d_backward(x, p, gy)
+    terms = np.matmul(gy.data.reshape(n, out_c, h * w),
+                      x.data.reshape(n, in_c, h * w).swapaxes(-1, -2))
     assert gw.tobytes() == terms.sum(axis=0).reshape(p.weights.shape).tobytes()
 
 
 def test_pointwise_weight_gradient_holds_no_batch_of_terms():
-    # the batched product held n weight-sized terms before its sum; with a
-    # weight of CHUNK_ELEMENTS elements the terms come one sample at a
-    # time, so the VJP holds its input gradient and two weights
-    rng = np.random.default_rng(16)
-    x = Tensor(rng.standard_normal((8, 256, 2, 2)).astype(np.float32))
-    gy = Tensor(rng.standard_normal((8, 256, 2, 2)).astype(np.float32))
-    p = K.ConvParams(rng.standard_normal((256, 256, 1, 1)).astype(np.float32))
-    assert p.weights.size == K.CHUNK_ELEMENTS
-    _, peak = heap_peak(lambda: K.conv2d_backward(x, p, gy))
-    assert peak <= x.nbytes + 2 * p.weights.nbytes + 4096, peak
+    # the batched product held n weight-sized terms before its sum; past
+    # CHUNK_ELEMENTS / 2 weight elements, sample 0's term is the gradient
+    # and each later one is added a row block at a time, so the VJP holds
+    # its two gradients and one row block (a weight, for a single block)
+    for n, (out_c, in_c, h, w) in (
+            (8, (256, 256, 2, 2)),      # CHUNK_ELEMENTS elements: one block
+            (1, (1280, 320, 4, 4)),     # S0's head final conv: seven blocks
+            (2, (1280, 320, 4, 4))):
+        x, p, gy = _pointwise_case(n, np.float32, out_c, in_c, h, w, seed=16)
+        rows = min(out_c, max(64, K.CHUNK_ELEMENTS // in_c))
+        block = rows * in_c * x.dtype.itemsize
+        _, peak = heap_peak(lambda: K.conv2d_backward(x, p, gy))
+        assert peak <= x.nbytes + p.weights.nbytes + block + 4096, (n, out_c, peak)
 
 
 def test_conv2d_identity_impulse():
@@ -694,6 +727,31 @@ def test_depthwise_backward_scratch_is_one_channel_chunk(shape, dtype):
     _, peak = heap_peak(lambda: K._dwconv_backward(x, p, gy))
     chunk = step * per_channel * x.itemsize
     assert peak <= x.nbytes + p.weights.nbytes + chunk + _SLACK, (peak, chunk)
+
+
+@pytest.mark.parametrize("shape,dtype", [
+    ((8, 16, 8, 8), np.float64),    # the toy model's head neck0
+    ((2, 48, 32, 32), np.float32),  # S0's head neck0 at 128 px
+])
+def test_depthwise_stride1_backward_stack_is_capped_by_its_input(shape, dtype):
+    # a stride-1 chunk stacks its output gradient at the 3x3 block offsets,
+    # so a chunk of 2c // 9 channels stacks at most twice the input (10
+    # channels at 48); no chunk is below 8 channels, so a 16-channel layer
+    # stacks 4.5 inputs.  A 16-channel chunk, the strided floor, would
+    # stack 9 inputs at 16 channels and 3 at 48.
+    rng = np.random.default_rng(19)
+    n, c, h, w = shape
+    x = rng.standard_normal(shape).astype(dtype)
+    p = K.ConvParams(rng.standard_normal((c, 1, 3, 3)).astype(dtype),
+                     stride=1, padding=1, groups=c)
+    gy = rng.standard_normal(shape).astype(dtype)
+    K.conv2d(Tensor(x), p)          # works out and caches the geometry
+    m, step = n * h * w, max(8, 2 * c // 9)
+    # stack, phases, phase weights, weight-gradient blocks
+    buffers = lambda channels: channels * (10 * m + 18) * x.itemsize
+    _, peak = heap_peak(lambda: K._dwconv_backward(x, p, gy))
+    assert peak <= x.nbytes + p.weights.nbytes + buffers(step) + _SLACK, peak
+    assert buffers(step) + _SLACK < buffers(16)
 
 
 @DW_HEAP_SITES
