@@ -2,12 +2,14 @@
 
 A backbone is a reversible chain — space-to-depth stem, three pyramid
 expansion silos, then ``extra_depth`` full fusion silos — followed by a
-conventional (non-reversible) neck + classification head.  The reversible
-chain runs on a ``Tape`` in either backward mode, and the head follows the
-tape's mode: stored, it keeps every stage's VJP cache; in recompute mode it
-keeps only its four aggregates and replays one stage at a time in backward.
-Its bytes are counted in the same live-bytes registry, so measured peaks
-reflect the whole step.
+conventional (non-reversible) neck + classification head, whose eight
+stages are tape blocks too (``HeadStage``).  A training step runs one
+``Tape`` over both, from the stem to the logits, in either backward mode.
+Stored, every block keeps its VJP cache.  In recompute mode a head stage
+keeps only the level it maps, and replays itself from it just before its
+VJP; the tape keeps the chain output for the chain's replay.  Every
+block's bytes are counted in the tape's live-bytes registry, so measured
+peaks reflect the whole step.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ import numpy as np
 from . import kernels as K
 from .context import BACKWARD, FORWARD, ExecContext
 from .coupling import FeaturePyramid, Silo, SiloSpec
-from .engine import BackwardMode, Tape, count_forward_evals
+from .engine import Tape, count_forward_evals
 from .errors import ConfigurationError, DivergenceError
 from .layers import MBConv, Conv2d, BatchNorm, Dense, counted
-from .tensor import Tensor, assert_finite, precision_dtype
+from .tensor import Tensor, precision_dtype
 
 STEM_BLOCK = 4                      # stem reduces spatial by 4 => 16x channels
 TOTAL_STRIDE = 32                   # stem /4 then three further halvings
@@ -180,94 +182,34 @@ class StemStage:
 # neck + classification head (conventional: stored, or replayed per stage)
 # ---------------------------------------------------------------------------
 
-class ClassifierHead:
-    """Neck MBConv per level, strided-MBConv aggregation cascade, classifier.
+class ClassifierTail:
+    """1x1 conv -> batch norm -> hard-swish -> global average pool -> dense:
+    the last aggregate to the logits, an (n, classes, 1, 1) tensor."""
 
-    The finest map is transformed, downsampled by 2 with a strided MBConv and
-    added to the next neck output; repeated until everything lands on the
-    coarsest grid, then 1x1 conv -> global average pool -> dense.  The sums
-    are the aggregates agg_0..agg_3: agg_0 is neck0's output, agg_{i+1} is
-    down_i(agg_i) plus neck_{i+1}'s output, and the tail (the 1x1 conv
-    through the dense) reads agg_3.
-    """
-
-    def __init__(self, pyramid_channels, num_classes: int, *,
-                 rng: np.random.Generator, dtype, name: str = "head"):
-        if len(pyramid_channels) != len(NECK_RATIOS):
-            raise ConfigurationError(
-                f"head expects {len(NECK_RATIOS)} pyramid levels, "
-                f"got {len(pyramid_channels)}"
-            )
-        neck = neck_channels(pyramid_channels)
-        self.neck_widths = neck
-        self.name = name
-        self.necks = [
-            MBConv(f"{name}.neck{i}", c_in, c_out, kernel=3, stride=1, padding=1,
-                   expansion=1, rng=rng, dtype=dtype)
-            for i, (c_in, c_out) in enumerate(zip(pyramid_channels, neck))
-        ]
-        self.downs = [
-            MBConv(f"{name}.down{i}", neck[i], neck[i + 1], kernel=5, stride=2,
-                   padding=2, expansion=1, rng=rng, dtype=dtype)
-            for i in range(len(neck) - 1)
-        ]
-        self.final_width = HEAD_WIDTH_FACTOR * neck[-1]
-        self.final_conv = Conv2d(f"{name}.final", neck[-1], self.final_width, 1,
-                                 rng=rng, dtype=dtype)
-        self.final_norm = BatchNorm(f"{name}.final_norm", self.final_width, dtype=dtype)
-        self.classifier = Dense(f"{name}.classifier", self.final_width, num_classes,
+    def __init__(self, prefix: str, in_c: int, num_classes: int, *,
+                 rng: np.random.Generator, dtype):
+        width = HEAD_WIDTH_FACTOR * in_c
+        self.name = f"{prefix}.tail"
+        self.final_conv = Conv2d(f"{prefix}.final", in_c, width, 1, rng=rng, dtype=dtype)
+        self.final_norm = BatchNorm(f"{prefix}.final_norm", width, dtype=dtype)
+        self.classifier = Dense(f"{prefix}.classifier", width, num_classes,
                                 rng=rng, dtype=dtype)
-        self._stages = self.necks + self.downs + [self.final_conv, self.final_norm,
-                                                  self.classifier]
 
-    def _plan(self):
-        """(key, forward, backward, input, output) per stage in VJP order:
-        the tail, down2..0, neck0..3.  An input or output names an
-        aggregate, a pyramid level or the logits; each input has one
-        reader."""
-        last = len(self.downs)
-        return ([("tail", self._tail_forward, self._tail_backward,
-                  f"agg{last}", "logits")]
-                + [(f"down{i}", b.forward, b.backward, f"agg{i}", f"agg{i + 1}")
-                   for i, b in reversed(list(enumerate(self.downs)))]
-                + [(f"neck{i}", b.forward, b.backward, f"level{i}", f"agg{i}")
-                   for i, b in enumerate(self.necks)])
-
-    def forward(self, p: FeaturePyramid, ctx: ExecContext | None = None,
-                recompute: bool = False):
-        """Logits and ``backward``'s cache.  Stored, the cache holds every
-        stage's VJP cache: the conventional baseline.  With ``recompute``
-        it holds only the aggregates, ``p``'s levels (the necks' inputs,
-        which the tape holds anyway) and a ``BACKWARD``-phase copy of
-        ``ctx``, under which a replay normalizes identically without
-        folding the running averages a second time."""
-        values = {f"level{i}": t for i, t in enumerate(p.levels)}
-        caches = {}
-        for key, run, _, src, dst in reversed(self._plan()):
-            y, cache = run(values[src], ctx)
-            values[dst] = K.add(y, values[dst]) if dst in values else y
-            if not recompute:
-                caches[key] = cache
-            del y, cache
-        logits = values.pop("logits")
-        if recompute:
-            caches = {"inputs": values, "ctx": replace(ctx or ExecContext(), phase=BACKWARD)}
-        return logits, caches
-
-    def _tail_forward(self, agg: Tensor, ctx):
+    def forward(self, agg: Tensor, ctx: ExecContext | None = None):
         z, conv_cache = self.final_conv.forward(agg)
         z, norm_cache = self.final_norm.forward(z, ctx)
         z = K.hard_swish(z)
         pooled = K.global_avg_pool(z)
         flat = pooled.data.reshape(pooled.n, pooled.c)
         logits, dense_cache = self.classifier.forward(flat)
-        return logits, [conv_cache, norm_cache, z.shape, dense_cache]
+        return (Tensor(logits.reshape(*logits.shape, 1, 1)),
+                [conv_cache, norm_cache, z.shape, dense_cache])
 
-    def _tail_backward(self, cache, grad_logits: np.ndarray, registry):
-        """VJP of ``_tail_forward``; lets go of each cache part, as
+    def backward(self, cache, gy: Tensor, registry=None):
+        """VJP of ``forward``; lets go of each cache part, as
         ``MBConv.backward`` does, once its last reader has run."""
         grads: dict[str, np.ndarray] = {}
-        gflat, gr = self.classifier.backward(cache[3], grad_logits)
+        gflat, gr = self.classifier.backward(cache[3], gy.data[:, :, 0, 0])
         grads.update(gr)
         cache[3] = None
         n, c = gflat.shape
@@ -281,47 +223,96 @@ class ClassifierHead:
         cache[0] = None
         return gagg, grads
 
-    def backward(self, cache, grad_logits: np.ndarray, registry=None):
-        """VJP of ``forward``, taking its cache over: ``registry`` (or
-        ``None``) counts the cache's arrays, and what the VJPs rebuild,
-        while they live.  A stored cache gives up each stage's cache to
-        that stage's VJP, which lets go of its parts as it reads them.  A
-        recompute cache replays each stage from its input just before that
-        stage's VJP (per-segment checkpointing, Chen et al. 2016, arXiv
-        1604.06174); each aggregate lives until its reader's VJP has run.
-        Both take the same VJPs in the same order, so the gradients and
-        their key order are the same bits."""
-        plan = self._plan()
-        if "inputs" in cache:
-            steps = self._replays(plan, cache, registry)
-        else:
-            counted(registry, cache, f"{self.name}.cache")
-            steps = ((stage, cache.pop(stage[0])) for stage in plan)
-        g = {"logits": grad_logits}
-        grads: dict[str, np.ndarray] = {}
-        for (_, _, backward, src, dst), c in steps:
-            g[src], gr = backward(c, g[dst], registry)
-            grads.update(gr)
-            del c        # before the next stage replays
-        return [g[f"level{i}"] for i in range(len(self.necks))], grads
+    def parameters(self):
+        return [pair for layer in (self.final_conv, self.final_norm, self.classifier)
+                for pair in layer.parameters()]
 
-    def _replays(self, plan, cache, registry):
-        """Each stage of ``plan`` with its cache, replayed from its input in
-        the backward phase, so with the forward's bits, and counted in
-        ``registry``; the stage's input is let go as it replays."""
-        inputs, ctx = cache["inputs"], cache["ctx"]
-        counted(registry, [v for k, v in inputs.items() if k.startswith("agg")],
-                f"{self.name}.aggregates")
-        for stage in plan:
-            _, run, _, src, _ = stage
-            yield stage, counted(registry, run(inputs.pop(src), ctx)[1],
-                                 f"{self.name}.{stage[0]}.cache")
+
+class HeadStage:
+    """A head stage as a (non-invertible) tape block: maps pyramid level
+    ``level`` with ``stage`` in place or, with ``fold``, adds the result
+    into the next level and puts the sum (an aggregate) in place of both.
+    Its cache is ``[stage's VJP cache, None]``, or ``[None, checkpoint]``
+    when not asked for one, the checkpoint the level it maps; ``backward``
+    pops each as it reads it, and first replays the stage from a
+    checkpoint (per-segment checkpointing, Chen et al. 2016, arXiv
+    1604.06174), under the ``BACKWARD`` phase that folds no running
+    average: the same VJP, the same bits, either way."""
+
+    def __init__(self, stage, level: int, fold: bool = False):
+        self.stage, self.level, self.fold = stage, level, fold
+        self.name = stage.name
+
+    def forward(self, p: FeaturePyramid, ctx=None, want_cache=False):
+        levels = list(p.levels)
+        x = levels[self.level]
+        y, cache = self.stage.forward(x, ctx)
+        if self.fold:
+            y = K.add(y, levels.pop(self.level + 1))
+        levels[self.level] = y
+        return p.with_levels(levels), ([cache, None] if want_cache else [None, x])
+
+    def backward(self, cache, p_out, grad_out, ctx=None, registry=None):
+        x = cache.pop()
+        stage_cache = cache.pop()
+        if stage_cache is None:
+            stage_cache = counted(registry, self.stage.forward(x, ctx)[1],
+                                  f"{self.name}.cache")
+        del x        # the stage cache holds it for its last reader
+        gx, grads = self.stage.backward(stage_cache, grad_out[self.level], registry)
+        if self.fold:       # the folded level's gradient is the sum's
+            grad_out.insert(self.level, gx)
+        else:
+            grad_out[self.level] = gx
+        return None, grad_out, grads
+
+
+class ClassifierHead:
+    """Neck MBConv per level, strided-MBConv aggregation cascade, classifier.
+
+    The finest map is transformed, downsampled by 2 with a strided MBConv and
+    added to the next neck output; repeated until everything lands on the
+    coarsest grid, then 1x1 conv -> global average pool -> dense.  The sums
+    are the aggregates agg_0..agg_3: agg_0 is neck0's output, agg_{i+1} is
+    down_i(agg_i) plus neck_{i+1}'s output, and the tail (the 1x1 conv
+    through the dense) reads agg_3.  ``blocks`` are the eight stages as
+    tape blocks in forward order: neck3..neck0, down0..down2, the tail.
+    """
+
+    def __init__(self, pyramid_channels, num_classes: int, *,
+                 rng: np.random.Generator, dtype, name: str = "head"):
+        if len(pyramid_channels) != len(NECK_RATIOS):
+            raise ConfigurationError(
+                f"head expects {len(NECK_RATIOS)} pyramid levels, "
+                f"got {len(pyramid_channels)}"
+            )
+        neck = neck_channels(pyramid_channels)
+        self.name = name
+        self.necks = [
+            MBConv(f"{name}.neck{i}", c_in, c_out, kernel=3, stride=1, padding=1,
+                   expansion=1, rng=rng, dtype=dtype)
+            for i, (c_in, c_out) in enumerate(zip(pyramid_channels, neck))
+        ]
+        self.downs = [
+            MBConv(f"{name}.down{i}", neck[i], neck[i + 1], kernel=5, stride=2,
+                   padding=2, expansion=1, rng=rng, dtype=dtype)
+            for i in range(len(neck) - 1)
+        ]
+        self.tail = ClassifierTail(name, neck[-1], num_classes, rng=rng, dtype=dtype)
+        self.blocks = ([HeadStage(b, i) for i, b in reversed(list(enumerate(self.necks)))]
+                       + [HeadStage(b, 0, fold=True) for b in self.downs]
+                       + [HeadStage(self.tail, 0)])
+
+    def forward(self, p: FeaturePyramid, ctx: ExecContext | None = None):
+        """The logits, (n, classes), and ``None``: a forward that keeps no
+        cache (training runs ``blocks`` on the tape)."""
+        for block in self.blocks:
+            p, _ = block.forward(p, ctx)
+        return p.levels[0].data[:, :, 0, 0], None
 
     def parameters(self):
-        out = []
-        for stage in self._stages:
-            out.extend(stage.parameters())
-        return out
+        return [pair for stage in self.necks + self.downs + [self.tail]
+                for pair in stage.parameters()]
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +363,17 @@ def image_pyramid(images: np.ndarray, dtype) -> FeaturePyramid:
 # ---------------------------------------------------------------------------
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient with respect to the logits."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    log_p = z - lse
+    """Mean cross-entropy, formed in float64 (a float32 log of a softmax
+    sum near 1 moves in steps of 6e-8, a memorised batch's whole loss), and
+    its gradient with respect to the logits, in their dtype."""
     n = logits.shape[0]
-    loss = float(-log_p[np.arange(n), labels].mean())
-    grad = np.exp(log_p)
+
+    def log_softmax(z):
+        z = z - z.max(axis=1, keepdims=True)
+        return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+    loss = float(-log_softmax(logits.astype(np.float64))[np.arange(n), labels].mean())
+    grad = np.exp(log_softmax(logits))
     grad[np.arange(n), labels] -= 1.0
     return loss, (grad / n).astype(logits.dtype)
 
@@ -427,33 +422,22 @@ def step_gradients(model: Model, mode, images: np.ndarray, labels: np.ndarray,
     """One full forward+backward (no update): loss, gradients, measurements.
 
     Returns (loss, grads, registry, counters), the one step body that
-    training, gradient-parity checks and memory sweeps share.  A non-finite
-    loss raises ``DivergenceError``.  Each activation is let go at its last
-    use: the model-dtype copy of ``images`` once the stem has run, the
-    head's cache stage by stage as its VJPs run (a recompute head's
-    aggregates one at a time), the logits before the chain runs backward,
-    and the chain output and its gradient once the chain's last block has
-    consumed them.
+    training, gradient-parity checks and memory sweeps share: one tape
+    from the stem to the logits, whose VJP order (the head, then the
+    chain) the grads follow.  A non-finite loss raises
+    ``DivergenceError``.  Each activation is let go at its last use: the
+    model-dtype copy of ``images`` once the stem has run, the logits once
+    the loss is formed, every other one as the tape lets go of it.
     """
-    tape = Tape(model.blocks, mode=mode)
-    counters, registry = tape.counters, tape.registry
+    tape = Tape(model.blocks + model.head.blocks, mode=mode)
     out = tape.forward(image_pyramid(images, model.config.dtype), step_key=step_key)
-    head_ctx = ExecContext(counters, FORWARD, step_key)
-    logits, head_cache = model.head.forward(
-        out, head_ctx, recompute=tape.mode is BackwardMode.RECOMPUTE)
+    loss, glogits = softmax_cross_entropy(out.levels[0].data[:, :, 0, 0], labels)
     del out
-    loss, glogits = softmax_cross_entropy(logits, labels)
-    del logits
     if not math.isfinite(loss):
         raise DivergenceError(step_key)
-    glevels, head_grads = model.head.backward(head_cache, glogits, registry)
-    del head_cache, glogits
-    for name, g in head_grads.items():
-        assert_finite(g, f"head backward, gradient of {name}")
-    result = tape.backward(glevels)     # empties glevels: each level is freed at its last use
-    grads = dict(result.param_grads)
-    grads.update(head_grads)
-    return loss, grads, registry, counters
+    glogits = [Tensor(glogits[:, :, None, None])]   # the tape empties the list
+    result = tape.backward(glogits)
+    return loss, result.param_grads, tape.registry, tape.counters
 
 
 def train_toy(config: BackboneConfig, dataset, mode, steps: int, seed: int,

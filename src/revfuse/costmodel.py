@@ -143,9 +143,9 @@ def _head_macs(head, level_shapes) -> int:
     for i, block in enumerate(head.downs):
         total += block.macs(agg)
         agg = block.out_shape(agg)
-    total += head.final_conv.macs(agg)
+    total += head.tail.final_conv.macs(agg)
     batch = agg[0]
-    total += head.classifier.macs(batch)
+    total += head.tail.classifier.macs(batch)
     return total
 
 

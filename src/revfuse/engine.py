@@ -1,9 +1,11 @@
 """Two-mode training engine over chains of reversible blocks.
 
-A ``Tape`` executes a fixed sequence of reversible blocks.  Each block has
-one backward, which reads the forward's cache if there is one, or else
-replays from the block's output; the two backward modes differ only in
-which caches forward keeps, and must produce the same gradients:
+A ``Tape`` executes a fixed sequence of blocks: reversible ones, which may
+be followed by non-invertible ones that keep a checkpoint (the backbone's
+head).  Each block has one backward, which reads the forward's cache if
+there is one, or else replays from the block's output; the two backward
+modes differ only in which caches forward keeps, and must produce the
+same gradients:
 
 * ``stored`` — conventional backprop: every block's VJP cache stays
   counted as live activations from forward until that block's backward
@@ -12,7 +14,8 @@ which caches forward keeps, and must produce the same gradients:
   activation memory grows affinely with depth; the backward phase
   re-evaluates nothing.
 * ``recompute`` — reversible backprop: forward keeps no cache, only the
-  final output.  Each block's backward then replays: it reconstructs the
+  checkpoints and the outputs replays start from (see ``Tape``).  Each
+  reversible block's backward then replays: it reconstructs the
   block's input and back-propagates one transform at a time, re-evaluating
   each exactly once, with a cache that its VJP consumes at once.
   It rebuilds its input, and its input gradient, in the arrays of its
@@ -52,9 +55,9 @@ training step frees its model-dtype copy of the batch there).  The caller
 may hold it, and the pyramid that ``forward`` returns, past the step: what
 is alive when ``backward`` ends is the caller's, and the registry forgets
 it.  At S0 widths the recompute registry peak is reached in the
-conventional head, which in recompute mode replays one stage at a time
-(``backbone.ClassifierHead``): its tail's VJP holds the chain output, the
-four aggregates and the tail's cache.  In a narrow model a block's replay
+conventional head, whose stages replay one at a time
+(``backbone.HeadStage``): its tail's VJP holds the chain output, the four
+aggregates and the tail's cache.  In a narrow model a block's replay
 working set can set it instead.
 
 Finiteness is checked at block boundaries, not in every kernel: each
@@ -190,10 +193,10 @@ class BackwardResult:
 class Tape:
     """Executes a block chain forward and backward under one of two modes.
 
-    A block (a ``Silo`` or the backbone's stem) has a ``name`` and four
-    methods.  ``forward(p, ctx, want_cache)`` returns (p_out, cache), the
-    cache ``None`` unless asked for.  ``inverse(p_out, ctx)`` returns
-    (p_in, extra), ``extra`` whatever else the block reconstructed.
+    A reversible block (a ``Silo`` or the backbone's stem) has a ``name``
+    and four methods.  ``forward(p, ctx, want_cache)`` returns (p_out,
+    cache), the cache ``None`` unless asked for.  ``inverse(p_out, ctx)``
+    returns (p_in, extra), ``extra`` whatever else the block reconstructed.
     ``backward(cache, p_out, grad_out, ctx, registry)`` maps per-level
     gradient lists from output side to input side and returns (p_in,
     grad_in, param_grads).  Given the forward's cache it reads only that,
@@ -205,12 +208,18 @@ class Tape:
     its cache, ``p_out`` and ``grad_out`` over: the results may be written
     into their arrays.  ``parameters()`` lists (name, array) pairs.
 
+    A checkpointing block (``backbone.HeadStage``) has no inverse: not
+    asked for a cache, it returns a checkpoint, never ``None``, which its
+    backward replays from under the ctx it is given; its ``p_in`` is ``None``.
+
     The mode decides one thing, what forward keeps: each block's cache in
-    stored mode, none in recompute mode, where the final output is what
-    backward replays from.  In both, forward lets go of each block's
-    input, the chain input included, once the block has run, and backward
-    is one loop over the blocks.  ``backward`` ends by forgetting every
-    registry entry: what the caller still holds is the caller's.
+    stored mode; in recompute mode only the checkpoints, the final output
+    and, where block ``i`` returns a cache and block ``i - 1`` none, block
+    ``i - 1``'s output, which backward hands it as its replay start.  In
+    both, forward lets go of each block's input, the chain input included,
+    once the block has run, and backward is one loop over the blocks.
+    ``backward`` ends by forgetting every registry entry: what the caller
+    still holds is the caller's.
     """
 
     def __init__(self, blocks: list, mode=BackwardMode.STORED):
@@ -220,7 +229,8 @@ class Tape:
         self.mode = BackwardMode.parse(mode)
         self.counters = OpCounters()
         self.registry = LiveBytesRegistry()
-        self.saved_caches: list = []     # each block's VJP cache, or None
+        self.saved_caches: list = []     # each block's cache, or None
+        self.replay_starts: dict[int, FeaturePyramid] = {}  # block -> its kept output
         self.output_pyramid: FeaturePyramid | None = None
         self._phase = "idle"        # idle -> forwarded -> idle
         self._ctx: ExecContext | None = None  # the forward's, of the step in flight
@@ -260,6 +270,8 @@ class Tape:
             out, cache = self._run_block(block.forward, i, cur, ctx, want_cache)
             self._check_finite(i, "forward", out.levels)
             self.registry.add(out, f"block{i}.out")
+            if cache is not None and i and self.saved_caches[i - 1] is None:
+                self.replay_starts[i - 1] = cur     # block i - 1's output
             self.saved_caches.append(self.registry.add(cache, f"block{i}.cache"))
             cur = out
         self.output_pyramid = cur
@@ -295,7 +307,7 @@ class Tape:
         last = len(self.blocks) - 1
         self._check_finite(last, "incoming gradient", g)
         # each block gets its cache or, without one, the pyramid rebuilt so
-        # far.  The tape lets go of each array at its last use: of a pyramid
+        # far, or else its kept replay start.  The tape lets go of each array at its last use: of a pyramid
         # before a block with a cache runs (the cache holds what is needed of
         # it), or once a replay has rebuilt its input in it; of each cache
         # once its block has consumed it
@@ -303,6 +315,8 @@ class Tape:
         for i in range(last, -1, -1):
             if self.saved_caches[i] is not None:
                 cur = None
+            elif cur is None:
+                cur = self.replay_starts.pop(i)
             cur, g, grads = self._run_block(self.blocks[i].backward, i, self.saved_caches[i],
                                             cur, g, ctx, self.registry)
             self.saved_caches[i] = None
@@ -332,6 +346,7 @@ class Tape:
         mid-forward or mid-backward; the tape is then ready for a new step."""
         self.registry.release_all()
         self.saved_caches = []
+        self.replay_starts = {}
         self.output_pyramid = None
         self._phase = "idle"
 

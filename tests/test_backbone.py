@@ -17,7 +17,7 @@ from revfuse.backbone import (BackboneConfig, ClassifierHead, SGDMomentum,
                               StemStage, build, image_pyramid, neck_channels,
                               scale_channels, softmax_cross_entropy,
                               step_gradients, train_toy)
-from revfuse.context import BACKWARD, FORWARD, ExecContext
+from revfuse.context import BACKWARD, FORWARD
 from revfuse.coupling import (FeaturePyramid, pyramid_max_rel_diff,
                               randomize_parameters)
 from revfuse.dataset import make_synthetic_dataset
@@ -203,6 +203,19 @@ def test_head_final_width_is_four_times_last_neck():
     assert shapes["head.classifier.weight"] == (4, 128)
 
 
+def _run_head(head, p, labels, mode):
+    """The head alone on a tape: (logits, input gradients, grads, the bytes
+    still counted when the tape lets go of every entry)."""
+    tape = Tape(head.blocks, mode)
+    tape.registry = _LeakLog()
+    out = tape.forward(p, step_key=0)
+    logits = out.levels[0].data[:, :, 0, 0].copy()
+    del out
+    _, glogits = softmax_cross_entropy(logits, labels)
+    result = tape.backward([Tensor(glogits[:, :, None, None])])
+    return logits, result.input_grads, result.param_grads, tape.registry.leaked_bytes
+
+
 def test_head_gradients_match_finite_differences():
     rng = np.random.default_rng(86)
     head = ClassifierHead((16, 16, 16, 16), num_classes=3, rng=rng,
@@ -216,9 +229,7 @@ def test_head_gradients_match_finite_differences():
         logits, _ = head.forward(p, None)
         return softmax_cross_entropy(logits, labels)[0]
 
-    logits, cache = head.forward(p, None)
-    _, glogits = softmax_cross_entropy(logits, labels)
-    glevels, grads = head.backward(cache, glogits)
+    _, glevels, grads, _ = _run_head(head, p, labels, "stored")
 
     params = dict(head.parameters())
     grad_scale = max(float(np.max(np.abs(g))) for g in grads.values())
@@ -244,7 +255,7 @@ def test_head_gradients_match_finite_differences():
 
 def _running_averages(head) -> list[bytes]:
     norms = [n for b in head.necks + head.downs for n in (b.bn_dw, b.bn_project)]
-    return [a.tobytes() for n in norms + [head.final_norm]
+    return [a.tobytes() for n in norms + [head.tail.final_norm]
             for a in (n.state.running_mean, n.state.running_var)]
 
 
@@ -255,20 +266,39 @@ def test_head_replay_gives_the_stored_bits(dtype):
                         for s in TOY.pyramid_shapes(batch=2)])
     labels = np.array([0, 2])
     runs = []
-    for recompute in (False, True):
+    for mode in ("stored", "recompute"):
         head = ClassifierHead((16, 16, 16, 16), num_classes=3,
                               rng=np.random.default_rng(89), dtype=dtype)
         randomize_parameters(head.parameters(), np.random.default_rng(90))
-        ctx = ExecContext(None, FORWARD, step_key=0, train=True)
-        logits, cache = head.forward(p, ctx, recompute=recompute)
-        _, glogits = softmax_cross_entropy(logits, labels)
-        registry = LiveBytesRegistry()
-        glevels, grads = head.backward(cache, glogits, registry)
-        assert registry.current == p.nbytes     # only the necks' inputs live
+        logits, glevels, grads, leaked = _run_head(head, p, labels, mode)
+        assert leaked == p.nbytes       # only the necks' inputs live
         runs.append((logits.tobytes(), [g.data.tobytes() for g in glevels],
                      list(grads), [g.tobytes() for g in grads.values()],
                      _running_averages(head)))
     assert runs[0] == runs[1]
+    # the tape's VJP order: the tail, down2..0, neck0..3
+    assert [k for k in runs[0][2] if k.endswith("project.weight")] == [
+        f"head.{s}.project.weight" for s in
+        ("down2", "down1", "down0", "neck0", "neck1", "neck2", "neck3")]
+    assert runs[0][2][0].startswith("head.classifier.")
+
+
+@pytest.mark.parametrize("mode", ["stored", "recompute"])
+def test_a_fault_in_a_head_stage_is_named_at_its_block(mode):
+    # the head's stages are tape blocks, so the tape names the one at fault
+    ds = make_synthetic_dataset(4, 2, 32, 1, seed=24)
+    model = build(TOY)
+    first = len(model.blocks)           # the head's first block, neck3
+    dict(model.head.parameters())["head.down1.dw.weight"].flat[0] = np.nan
+    with pytest.raises(FloatingPointError,
+                       match=rf"block {first + 5} \(head.down1\) forward"):
+        step_gradients(model, mode, ds.images, ds.labels)
+    model = build(TOY)
+    model.head = ClassifierHead((16, 16, 16, 32), num_classes=4,
+                                rng=np.random.default_rng(0), dtype=np.float64)
+    with pytest.raises(ConfigurationError,
+                       match=rf"block {first} \(head.neck3\): conv expects 32"):
+        step_gradients(model, mode, ds.images, ds.labels)
 
 
 def test_step_key_none_folds_the_head_norms_once_in_both_modes():
@@ -292,6 +322,36 @@ def test_softmax_cross_entropy_uniform_logits():
     assert abs(loss - np.log(4.0)) < 1e-12
     assert np.allclose(grad.sum(axis=1), 0.0, atol=1e-12)
     assert grad.shape == (3, 4)
+
+
+def _cross_entropy_in(dtype, logits, labels):
+    """The loss and gradient formulas, evaluated in ``dtype``."""
+    z = logits.astype(dtype)
+    z = z - z.max(axis=1, keepdims=True)
+    log_p = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    n = len(labels)
+    grad = np.exp(log_p)
+    grad[np.arange(n), labels] -= 1.0
+    return float(-log_p[np.arange(n), labels].mean()), grad / n
+
+
+def test_softmax_cross_entropy_forms_the_loss_in_float64():
+    # a memorised float32 batch: the softmax sums are within 1e-6 of 1,
+    # where float32 steps by 1.2e-7, so a float32 log is 3% off the loss
+    logits = np.array([[14.0, -1.5, 0.25, -3.0], [0.5, 15.5, -0.75, 1.0]], np.float32)
+    labels = np.array([0, 1])
+    wide = logits.astype(np.float64)
+    rest = np.exp(wide - wide[[0, 1], labels][:, None])
+    rest[[0, 1], labels] = 0.0
+    exact = float(np.mean(np.log1p(rest.sum(axis=1))))
+    loss, grad = softmax_cross_entropy(logits, labels)
+    assert abs(loss - exact) < 1e-9 * exact
+    # the loss's bits are float64's; the gradient stays in float32
+    assert loss == _cross_entropy_in(np.float64, logits, labels)[0]
+    assert grad.dtype == np.float32
+    assert grad.tobytes() == _cross_entropy_in(np.float32, logits, labels)[1].tobytes()
+    loss64, grad64 = softmax_cross_entropy(wide, labels)
+    assert (loss64, grad64.tobytes()) == (loss, _cross_entropy_in(np.float64, wide, labels)[1].tobytes())
 
 
 def test_sgd_momentum_two_hand_computed_steps():
@@ -418,7 +478,7 @@ def test_recompute_heap_follows_the_registry():
         assert net <= 2 * registry.peak, (depth, net, registry.peak)
 
 
-def test_the_recompute_peak_is_reached_before_the_chain_runs_backward(monkeypatch):
+def test_the_recompute_peak_is_reached_before_the_chain_runs_backward():
     # s0-128-train's geometry.  A reverse step rebuilds its block's input in
     # the arrays of its output, so the chain's own high (one pyramid and one
     # transform's working set) stays below the head's tail VJP (the chain
@@ -427,19 +487,19 @@ def test_the_recompute_peak_is_reached_before_the_chain_runs_backward(monkeypatc
     cfg = BackboneConfig(channels=(48, 64, 80, 160), extra_depth=2, resolution=128,
                          num_classes=10, in_channels=3, precision="single", seed=1)
     ds = make_synthetic_dataset(10, 2, 128, 3, seed=18)
-    at_start, chain_high = [], []
-    backward = Tape.backward
+    model = build(cfg)
+    at_start = []
+    backward = model.blocks[-1].backward
 
-    def watched(tape, grad_out):
-        at_start.append(tape.registry.peak)
-        tape.registry.peak = tape.registry.current     # the chain's own high
-        result = backward(tape, grad_out)
-        chain_high.append(tape.registry.peak)
-        return result
+    def watched(*args):
+        registry = args[-1]
+        at_start.append(registry.peak)
+        registry.peak = registry.current     # the chain's own high from here
+        return backward(*args)
 
-    monkeypatch.setattr(Tape, "backward", watched)
-    step_gradients(build(cfg), "recompute", ds.images, ds.labels)
-    assert chain_high[0] < at_start[0]
+    model.blocks[-1].backward = watched
+    _, _, registry, _ = step_gradients(model, "recompute", ds.images, ds.labels)
+    assert registry.peak < at_start[0]
 
 
 # ---------------------------------------------------------------------------
@@ -457,18 +517,24 @@ def _alive(refs) -> int:
 
 
 def _watch_head(model):
-    """Wrap the head's forward; returns weak references to its input (the
-    chain output) and to the rest of its cache, filled in as it runs."""
-    chain_out, head_cache = [], []
-    forward = model.head.forward
+    """Wrap the head's blocks and their stages; returns weak references to
+    the chain output and to every cache a head block or stage returns (the
+    stages' replays included) less the chain output, filled in as they run."""
+    chain_out, head_cache, skip = [], [], set()
 
-    def watched(p, ctx=None, **kwargs):
-        logits, cache = forward(p, ctx, **kwargs)
-        chain_out.extend(_watch(p))
-        head_cache.extend(_watch(cache, skip={id(t.data) for t in p.levels}))
-        return logits, cache
+    def watch(forward, first=False):
+        def watched(x, *args):
+            if first:
+                chain_out.extend(_watch(x))
+                skip.update(id(t.data) for t in x.levels)
+            y, cache = forward(x, *args)
+            head_cache.extend(_watch(cache, skip))
+            return y, cache
+        return watched
 
-    model.head.forward = watched
+    for i, block in enumerate(model.head.blocks):
+        block.forward = watch(block.forward, first=i == 0)
+        block.stage.forward = watch(block.stage.forward)
     return chain_out, head_cache
 
 
@@ -497,7 +563,7 @@ def test_head_cache_is_freed_before_the_chain_runs_backward(mode):
 def test_head_replay_holds_one_stage_cache_at_a_time():
     model = build(TOY)
     ds = make_synthetic_dataset(4, 2, 32, 1, seed=20)
-    head, caches, seen = model.head, [], []
+    caches, seen = [], []
 
     def watch(forward):
         def watched(x, ctx=None):
@@ -507,72 +573,70 @@ def test_head_replay_holds_one_stage_cache_at_a_time():
             return y, cache
         return watched
 
-    for block in head.necks + head.downs:
-        block.forward = watch(block.forward)
-    head._tail_forward = watch(head._tail_forward)
+    for block in model.head.blocks:
+        block.stage.forward = watch(block.stage.forward)
     step_gradients(model, "recompute", ds.images, ds.labels)
     assert caches and seen == [0] * 16       # 8 stages, run forward then replayed
 
 
 def test_head_replay_lets_each_norm_cache_go_once_its_vjp_returns(monkeypatch):
     # each stage's VJP takes its cache over, stored or replayed: each
-    # norm's cache is freed before the conv VJP that follows it, and a
-    # stored head cache gives up each stage's cache as its VJP runs
+    # norm's cache is freed before the conv VJP that follows it, and no
+    # head block's cache outlives the step
     rng = np.random.default_rng(91)
     p = FeaturePyramid([Tensor(rng.standard_normal(s))
                         for s in TOY.pyramid_shapes(batch=2)])
     labels = np.array([0, 2])
     head = ClassifierHead((16, 16, 16, 16), num_classes=3, rng=rng, dtype=np.float64)
     log = watch_norm_caches(monkeypatch)
-    for recompute in (False, True):
+    for mode in ("stored", "recompute"):
         log.clear()
-        ctx = ExecContext(None, FORWARD, step_key=0, train=True)
-        logits, cache = head.forward(p, ctx, recompute=recompute)
-        _, glogits = softmax_cross_entropy(logits, labels)
-        registry = LiveBytesRegistry()
-        head.backward(cache, glogits, registry)
-        assert registry.current == p.nbytes     # only the necks' inputs live
+        _, _, _, leaked = _run_head(head, p, labels, mode)
+        assert leaked == p.nbytes       # only the necks' inputs live
         assert sum(read for _, read in log) > 0
         assert all(alive == 0 for alive, _ in log), log
-        assert not list(_iter_arrays(cache))
 
 
 def test_head_replay_lets_go_of_each_aggregate_once_its_reader_has_run():
     # agg0's one reader is down0: once down0's VJP has returned, no
-    # reference (a loop variable left in a generator's frame, say) may keep
-    # it, or the registry counts it through the rest of the head's walk
+    # reference (a loop variable left in a frame, say) may keep it, or the
+    # registry counts it through the rest of the head's walk
     rng = np.random.default_rng(92)
     p = FeaturePyramid([Tensor(rng.standard_normal(s))
                         for s in TOY.pyramid_shapes(batch=2)])
     head = ClassifierHead((16, 16, 16, 16), num_classes=3, rng=rng, dtype=np.float64)
-    logits, cache = head.forward(p, ExecContext(None, FORWARD, 0), recompute=True)
-    _, glogits = softmax_cross_entropy(logits, np.array([0, 2]))
-    agg0 = weakref.ref(cache["inputs"]["agg0"].data)
-    seen = []
-    backward = head.downs[0].backward
+    agg0, seen = [], []
+    neck0, down0 = head.necks[0], head.downs[0]
+    forward, backward = neck0.forward, down0.backward
 
-    def watched(*args):
+    def watched_forward(*args):
+        y, cache = forward(*args)
+        agg0.append(weakref.ref(y.data))
+        return y, cache
+
+    def watched_backward(*args):
         result = backward(*args)
-        seen.append(agg0() is None)
+        seen.append(agg0[0]() is None)
         return result
 
-    head.downs[0].backward = watched
+    neck0.forward, down0.backward = watched_forward, watched_backward
     gc.disable()
     try:
-        head.backward(cache, glogits, LiveBytesRegistry())
+        _run_head(head, p, np.array([0, 2]), "recompute")
     finally:
         gc.enable()
     assert seen == [True]
 
 
 class _LeakLog(LiveBytesRegistry):
-    """A registry that records the labels still alive when the tape lets
-    go of every entry at the end of a step."""
+    """A registry that records the labels and bytes still alive when the
+    tape lets go of every entry at the end of a step."""
 
-    leaked = None
+    leaked = leaked_bytes = None
 
     def release_all(self):
         self.leaked = sorted({e.label for e in self._live.values()})
+        self.leaked_bytes = self.current
         super().release_all()
 
 

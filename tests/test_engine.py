@@ -10,6 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
+from revfuse.backbone import HeadStage
 from revfuse.context import BACKWARD, FORWARD
 from revfuse.coupling import (FeaturePyramid, Silo, SiloSpec,
                               pyramid_max_abs_diff, pyramid_max_rel_diff,
@@ -17,6 +18,7 @@ from revfuse.coupling import (FeaturePyramid, Silo, SiloSpec,
 from revfuse.engine import (BackwardMode, LiveBytesRegistry, Tape,
                             count_forward_evals, invert_chain)
 from revfuse.errors import (AccountingError, ConfigurationError, StateError)
+from revfuse.layers import MBConv
 from revfuse.tensor import Tensor
 
 from helpers import affine_fit, rel_diff
@@ -119,6 +121,44 @@ def test_identity_chain_passes_gradient_through():
     assert len(result.input_grads) == len(grad_out) == 3
     for g_in, g_out in zip(result.input_grads, grad_out):
         assert np.array_equal(g_in.data, g_out.data)
+
+
+def test_a_checkpointing_block_after_the_chain_replays_from_the_kept_output():
+    # a block that keeps a checkpoint in recompute mode follows a silo
+    # chain: the tape keeps the chain output as the chain's replay start,
+    # hands it over once that block's backward is done, and lets it go
+    rng = np.random.default_rng(58)
+    stage = MBConv("top", CHANNELS[-1], 8, kernel=3, stride=1, padding=1,
+                   rng=rng, dtype=np.float64)
+    randomize_parameters(stage.parameters(), rng)
+    blocks = _silo_chain(rng, depth=2) + [HeadStage(stage, level=2)]
+    p = _pyramid(rng)
+    results = {}
+    for mode in ("stored", "recompute"):
+        tape = Tape(blocks, mode=mode)
+        out = tape.forward(p, step_key=0)
+        assert list(tape.replay_starts) == ([1] if mode == "recompute" else [])
+        kept = [weakref.ref(t.data) for q in tape.replay_starts.values()
+                for t in q.levels]
+        grad = [Tensor(np.random.default_rng(59).standard_normal(t.shape))
+                for t in out.levels]
+        del out
+        gc.disable()
+        try:
+            results[mode] = tape.backward(grad)
+        finally:
+            gc.enable()
+        assert tape.replay_starts == {}
+        assert all(r() is None for r in kept)
+    stored, recompute = results["stored"], results["recompute"]
+    assert list(stored.param_grads) == list(recompute.param_grads)
+    for name, g in stored.param_grads.items():
+        if name.startswith("top."):     # read before anything is rebuilt
+            assert g.tobytes() == recompute.param_grads[name].tobytes(), name
+        else:
+            assert rel_diff(g, recompute.param_grads[name]) < 1e-10, name
+    for a, b in zip(stored.input_grads, recompute.input_grads):
+        assert rel_diff(a.data, b.data) < 1e-10
 
 
 # ---------------------------------------------------------------------------
