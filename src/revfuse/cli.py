@@ -35,7 +35,7 @@ from .coupling import (FeaturePyramid, RevBlock, RevBlockSpec, Silo, SiloSpec,
 from .dataset import make_synthetic_dataset
 from .engine import Tape, invert_chain
 from .errors import AccountingError, ConfigurationError, DivergenceError
-from .tensor import Tensor, precision_dtype
+from .tensor import Tensor, assert_finite, precision_dtype
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -140,95 +140,71 @@ def _model_config(cfg: configparser.ConfigParser, precision: str,
 # verify-inverse
 # ---------------------------------------------------------------------------
 
-def _roundtrip_silo_chain(cfg, seed_parts, dtype, fresh: bool) -> tuple[int, float]:
-    sec = _section(cfg, "silo")
-    spec = SiloSpec.from_config(sec)
-    depth = int(sec.get("depth", "1"))
-    spatial = int(sec.get("spatial", "16"))
-    batch = int(sec.get("batch", "2"))
-    rng = np.random.default_rng(seed_parts)
-    silos = [Silo.build(spec, name=f"silo{i}", rng=rng, dtype=dtype) for i in range(depth)]
-    if not fresh:
-        for s in silos:
-            randomize_parameters(s.parameters(), rng)
-    p = FeaturePyramid([
-        Tensor(rng.standard_normal((batch, c, spatial >> k, spatial >> k)).astype(dtype))
-        for k, c in enumerate(spec.channels)
-    ])
-    cur = p
-    for s in silos:
-        cur, _ = s.forward(cur)
-    return depth, pyramid_max_rel_diff(invert_chain(silos, cur), p)
+COMPONENTS = ("revblock", "silo", "backbone")
 
 
-def _roundtrip_revblock_chain(cfg, seed_parts, dtype, fresh: bool) -> tuple[int, float]:
-    sec = _section(cfg, "revblock")
-    spec = RevBlockSpec.from_config(sec)
-    depth = int(sec.get("depth", "1"))
-    spatial = int(sec.get("spatial", "8"))
-    batch = int(sec.get("batch", "2"))
+def _roundtrip(cfg, component: str, seed_parts, precision: str,
+               fresh: bool) -> tuple[int, float]:
+    """Forward a randomized ``component`` chain and invert it; returns the
+    chain's depth and the worst per-level reconstruction error relative to
+    the input (a RevBlock chain's tensor is compared as a one-level
+    pyramid).  A non-finite error raises ``FloatingPointError``."""
     rng = np.random.default_rng(seed_parts)
-    blocks = [RevBlock.build(spec, name=f"rb{i}", rng=rng, dtype=dtype) for i in range(depth)]
+    dtype = precision_dtype(precision)
+    if component == "backbone":
+        mc = _model_config(cfg, precision)
+        blocks = build(replace(mc, seed=int(rng.integers(2 ** 31)))).blocks
+        shapes = [(2, mc.in_channels, *mc.resolution_hw)]
+    else:
+        sec = _section(cfg, component)
+        depth, batch = int(sec.get("depth", "1")), int(sec.get("batch", "2"))
+        if component == "silo":
+            spec, n = SiloSpec.from_config(sec), int(sec.get("spatial", "16"))
+            blocks = [Silo.build(spec, name=f"silo{i}", rng=rng, dtype=dtype)
+                      for i in range(depth)]
+            shapes = [(batch, c, n >> k, n >> k) for k, c in enumerate(spec.channels)]
+        else:
+            spec, n = RevBlockSpec.from_config(sec), int(sec.get("spatial", "8"))
+            blocks = [RevBlock.build(spec, name=f"rb{i}", rng=rng, dtype=dtype)
+                      for i in range(depth)]
+            shapes = [(batch, spec.channels_a + spec.channels_b, n, n)]
     if not fresh:
         for b in blocks:
             randomize_parameters(b.parameters(), rng)
-    c = spec.channels_a + spec.channels_b
-    x = Tensor(rng.standard_normal((batch, c, spatial, spatial)).astype(dtype))
-    cur = x
+    p = FeaturePyramid([Tensor(rng.standard_normal(s).astype(dtype)) for s in shapes])
+    cur = p.levels[0] if component == "revblock" else p
     for b in blocks:
         cur, _ = b.forward(cur)
     rec = invert_chain(blocks, cur)
-    scale = max(float(np.max(np.abs(x.data))), 1e-30)
-    return depth, float(np.max(np.abs(rec.data - x.data))) / scale
-
-
-def _roundtrip_backbone(cfg, seed_parts, precision, fresh: bool) -> tuple[int, float]:
-    rng = np.random.default_rng(seed_parts)
-    mc = _model_config(cfg, precision)
-    model = build(replace(mc, seed=int(rng.integers(2 ** 31))))
-    if not fresh:
-        for block in model.blocks:
-            randomize_parameters(block.parameters(), rng)
-    h, w = mc.resolution_hw
-    batch = 2
-    p = image_pyramid(rng.standard_normal((batch, mc.in_channels, h, w)), mc.dtype)
-    tape = Tape(model.blocks, mode="recompute")
-    out = tape.forward(p)
-    rec = invert_chain(model.blocks, out)
-    tape.discard()
-    return len(model.blocks), pyramid_max_rel_diff(rec, p)
+    err = pyramid_max_rel_diff(FeaturePyramid([rec]) if component == "revblock" else rec, p)
+    assert_finite(err, f"the {component} round trip ({precision})")
+    return len(blocks), err
 
 
 def cmd_verify_inverse(args) -> int:
+    out = _out_path(args, "verify-inverse")
     cfg = _load_config(args.config)
     sec = _section(cfg, "verify-inverse")
     seed = _seed(sec)
     trials = int(sec.get("trials", "5"))
     fresh = sec.get("init", "random") == "fresh"
     precisions = _names(sec.get("precisions", "double, single"))
-    components = _names(sec.get("components", "revblock, silo, backbone"))
+    components = _names(sec.get("components", ", ".join(COMPONENTS)))
     tol = {"double": float(sec.get("tolerance_double", "1e-11")),
            "single": float(sec.get("tolerance_single", "1e-5"))}
-    runners = {
-        "revblock": lambda sp, prec: _roundtrip_revblock_chain(
-            cfg, sp, precision_dtype(prec), fresh),
-        "silo": lambda sp, prec: _roundtrip_silo_chain(
-            cfg, sp, precision_dtype(prec), fresh),
-        "backbone": lambda sp, prec: _roundtrip_backbone(cfg, sp, prec, fresh),
-    }
+    for comp in components:
+        if comp not in COMPONENTS:
+            raise UsageError(f"unknown component {comp!r} in config")
     rows, failures = [], []
     for ci, comp in enumerate(components):
-        if comp not in runners:
-            raise UsageError(f"unknown component {comp!r} in config")
         for pi, prec in enumerate(precisions):
             worst, depth = 0.0, 0
             for t in range(trials):
-                depth, err = runners[comp]([seed, ci, pi, t], prec)
+                depth, err = _roundtrip(cfg, comp, [seed, ci, pi, t], prec, fresh)
                 worst = max(worst, err)
             rows.append((comp, prec, depth, worst))
             if worst > tol[prec]:
                 failures.append(rows[-1])
-    out = _out_path(args, "verify-inverse")
     _write_csv(out, ["component", "precision", "depth", "max_rel_reconstruction_err"], rows)
     print(f"wrote {out} ({len(rows)} rows)")
     for row in failures:
@@ -295,6 +271,7 @@ def cmd_grad_check(args) -> int:
     that term is ~1e-5 and double-precision roundoff in the quotient
     (~machine-epsilon x loss / step ~ 1e-11) is still negligible.
     """
+    out = _out_path(args, "grad-check")
     cfg = _load_config(args.config)
     sec = _section(cfg, "grad-check")
     seed = _seed(sec)
@@ -333,12 +310,13 @@ def cmd_grad_check(args) -> int:
             fd = _richardson_fd(
                 lambda: _loss_only(model, images, labels), flat, idx, fd_step)
             an = float(gflat[idx])
-            err_fd = max(err_fd, abs(fd - an) / max(abs(fd), abs(an), fd_floor))
+            err = abs(fd - an) / max(abs(fd), abs(an), fd_floor)
+            assert_finite(err, f"the finite-difference check of {name}")
+            err_fd = max(err_fd, err)
         rows.append((name, err_fd, err_modes))
         if err_fd > tol_fd or err_modes > tol_modes:
             failures.append(rows[-1])
 
-    out = _out_path(args, "grad-check")
     _write_csv(out, ["param", "rel_err_fd", "rel_err_modes"], rows)
     print(f"wrote {out} ({len(rows)} rows)")
     for row in failures:
@@ -352,6 +330,7 @@ def cmd_grad_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_mem_sweep(args) -> int:
+    out = _out_path(args, "mem-sweep")
     cfg = _load_config(args.config)
     sec = _section(cfg, "mem-sweep")
     seed = _seed(sec)
@@ -377,7 +356,6 @@ def cmd_mem_sweep(args) -> int:
                 rows.append((value, mode, registry.peak))
             except MemoryError:
                 rows.append((value, mode, "oom"))
-    out = _out_path(args, "mem-sweep")
     _write_csv(out, ["axis_value", "mode", "peak_activation_bytes"], rows)
     print(f"wrote {out} ({len(rows)} rows, axis={axis})")
     return EXIT_OK
@@ -388,10 +366,11 @@ def cmd_mem_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_train_toy(args) -> int:
+    out = _out_path(args, "train-toy")
     cfg = _load_config(args.config)
     sec = _section(cfg, "train-toy")
     seed = _seed(sec)
-    mode = "both" if args.both else sec.get("mode", "both")
+    mode = sec.get("mode", "both")
     steps = int(sec.get("steps", "20"))
     lr = float(sec.get("lr", "0.05"))
     batch_size = int(sec.get("batch_size", "8"))
@@ -405,12 +384,8 @@ def cmd_train_toy(args) -> int:
         noise=float(dsec.get("noise", "0.25")), seed=seed,
     )
     modes = ["stored", "recompute"] if mode == "both" else [mode]
-    try:
-        records = {m: train_toy(mc, ds, m, steps, seed, lr=lr, batch_size=batch_size)
-                   for m in modes}
-    except DivergenceError as e:
-        print(f"NUMERIC FAILURE: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
+    records = {m: train_toy(mc, ds, m, steps, seed, lr=lr, batch_size=batch_size)
+               for m in modes}
 
     rows = []
     for m in modes:
@@ -423,7 +398,6 @@ def cmd_train_toy(args) -> int:
             # up as a doubled count (forward phase plus backward-phase replay)
             rows.append((s.step, m, s.loss, s.peak_bytes,
                          s.forward_evals + s.backward_evals, parity))
-    out = _out_path(args, "train-toy")
     _write_csv(out, ["step", "mode", "loss", "peak_bytes", "fwd_evals", "loss_parity_rel"],
                rows)
     print(f"wrote {out} ({len(rows)} rows)")
@@ -446,6 +420,7 @@ def cmd_cost(args) -> int:
             print(f"{row.name},{row.displayed_m_w},{row.d},{row.resolution},"
                   f"{'/'.join(str(c) for c in row.channels())}")
         return EXIT_OK
+    out = _out_path(args, "cost")
     cfg = _load_config(args.config)
     sec = _section(cfg, "cost")
     _seed(sec)  # uniform contract: every config names its seed
@@ -454,7 +429,6 @@ def cmd_cost(args) -> int:
     items = model_costs(model)
     rows = [(it.component, it.macs, it.params) for it in items]
     rows.append(("total", mac_count(model), param_count(model)))
-    out = _out_path(args, "cost")
     _write_csv(out, ["component", "macs", "params"], rows)
     print(f"wrote {out} ({len(rows)} rows)")
     return EXIT_OK
@@ -482,10 +456,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--axis", choices=["depth", "resolution"])
     p.add_argument("--values", help="comma-separated sweep values")
     p.add_argument("--modes", help="comma-separated backward modes")
-    p = sub.add_parser("train-toy", help="toy SGD runs")
-    common(p)
-    p.add_argument("--both", action="store_true",
-                   help="run stored and recompute with identical seeds")
+    common(sub.add_parser("train-toy", help="toy SGD runs"))
     p = sub.add_parser("cost", help="analytic MAC/param counts and scale ladder")
     common(p)
     p.add_argument("--ratio", nargs=2, metavar=("ROW_A", "ROW_B"),

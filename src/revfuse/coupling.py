@@ -111,16 +111,16 @@ class FeaturePyramid:
 
 
 def pyramid_max_abs_diff(a: FeaturePyramid, b: FeaturePyramid) -> float:
-    return max(float(np.max(np.abs(x.data - y.data))) for x, y in zip(a, b))
+    """The largest elementwise gap over all levels; NaN if any level has one."""
+    return float(np.max([np.max(np.abs(x.data - y.data)) for x, y in zip(a, b)]))
 
 
 def pyramid_max_rel_diff(a: FeaturePyramid, b: FeaturePyramid) -> float:
-    """Per-level infinity-norm error, relative to the reference pyramid b."""
-    worst = 0.0
-    for x, y in zip(a, b):
-        scale = max(float(np.max(np.abs(y.data))), 1e-30)
-        worst = max(worst, float(np.max(np.abs(x.data - y.data))) / scale)
-    return worst
+    """Per-level infinity-norm error, relative to the reference pyramid b;
+    the worst level's, or NaN if any level's is NaN."""
+    return float(np.max([float(np.max(np.abs(x.data - y.data)))
+                         / max(float(np.max(np.abs(y.data))), 1e-30)
+                         for x, y in zip(a, b)]))
 
 
 def randomize_parameters(named_params, rng: np.random.Generator) -> None:

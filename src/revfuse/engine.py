@@ -326,9 +326,7 @@ class Tape:
         del cur             # a rebuilt chain input: nothing reads it
 
         # whatever the caller still holds, the chain input included, is theirs
-        self.registry.release_all()
-        self.saved_caches = []
-        self._phase = "idle"
+        self.discard()
         return BackwardResult(input_grads=g, param_grads=param_grads)
 
     def _check_finite(self, index: int, phase: str, *tensor_lists, grads=None) -> None:

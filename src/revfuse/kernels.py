@@ -27,7 +27,8 @@ chunk's phases, stack, phase weights and weight-gradient blocks, and at
 stride 1 that stack is at most about twice the input.  Each
 geometry's block offsets, windows and tap placement are worked out once
 and cached.  Bilinear upsampling is a gather forward and a separable
-matrix product backward.  No FFT and no im2col.
+matrix product backward.  No FFT and no im2col.  Every batch norm shares
+two constants: ``BN_MOMENTUM`` (0.9) and ``BN_EPSILON`` (1e-3).
 
 Forward kernels are bit-stable: a rewrite for speed may cut passes and
 temporaries, but keeps every float operation, its operands and its order,
@@ -568,12 +569,16 @@ def sigmoid_backward(y: np.ndarray, gy: np.ndarray) -> np.ndarray:
 # batch normalization
 # ---------------------------------------------------------------------------
 
+BN_MOMENTUM = 0.9   # decay of the running averages
+BN_EPSILON = 1e-3   # added to the batch variance before its square root
+
+
 @dataclass
 class NormState:
     """Per-channel affine batch-norm state.
 
-    ``momentum`` is the decay of the running averages:
-    running <- momentum * running + (1 - momentum) * batch_stat.
+    The running averages decay by ``BN_MOMENTUM``:
+    running <- BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch_stat.
     Biased (1/m) batch variance is used both for normalization and for the
     running average.
     """
@@ -582,14 +587,6 @@ class NormState:
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.9
-    epsilon: float = 1e-3
-
-    def __post_init__(self):
-        if not 0.0 < self.momentum < 1.0:
-            raise ConfigurationError(f"batch-norm momentum must be in (0, 1), got {self.momentum}")
-        if self.epsilon <= 0.0:
-            raise ConfigurationError(f"batch-norm epsilon must be > 0, got {self.epsilon}")
 
     @staticmethod
     def create(channels: int, dtype, zero_gamma: bool = False) -> "NormState":
@@ -624,7 +621,7 @@ def batch_norm(x: Tensor, s: NormState, train: bool = True, fold: bool = True,
         var = np.add.reduce(y, axis=axes)
         np.true_divide(var, np.intp(d.size // d.shape[1]), out=var, casting="unsafe")
         if fold:
-            m = s.momentum
+            m = BN_MOMENTUM
             s.running_mean[...] = m * s.running_mean + (1.0 - m) * mean
             s.running_var[...] = m * s.running_var + (1.0 - m) * var
     else:
@@ -633,7 +630,7 @@ def batch_norm(x: Tensor, s: NormState, train: bool = True, fold: bool = True,
         var = s.running_var
     if mean_out is not None:
         mean_out[...] = mean if train else s.running_mean
-    inv_std = 1.0 / np.sqrt(var + np.asarray(s.epsilon, dtype=d.dtype))
+    inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPSILON, dtype=d.dtype))
     xhat *= inv_std[None, :, None, None]
     cache = (xhat, inv_std, train)
     return Tensor(batch_norm_output(cache, s, out=y)), cache

@@ -754,6 +754,19 @@ def test_train_toy_loss_decreases():
     assert losses[-1] < losses[0]
 
 
+@pytest.mark.parametrize("mode", ["stored", "recompute"])
+def test_finite_logits_with_an_infinite_loss_raise_divergence(mode):
+    # float64 logits (1e308, -1e308, 0, 0) are finite, but z - max(z)
+    # overflows to -inf, so the cross-entropy of label 1 is inf
+    model = build(TOY)
+    model.head.tail.classifier.weights[...] = 0.0
+    model.head.tail.classifier.bias[:] = (1e308, -1e308, 0.0, 0.0)
+    ds = make_synthetic_dataset(4, 2, 32, 1, seed=19)
+    with np.errstate(over="ignore"):
+        with pytest.raises(DivergenceError):
+            step_gradients(model, mode, ds.images, np.array([1, 1]))
+
+
 def test_train_toy_divergence_raises():
     ds = make_synthetic_dataset(4, 16, 32, 1, seed=5)
     with np.errstate(over="ignore", invalid="ignore"):

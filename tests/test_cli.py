@@ -11,6 +11,7 @@ import csv
 from pathlib import Path
 from textwrap import dedent
 
+import numpy as np
 import pytest
 
 from revfuse import cli
@@ -154,6 +155,22 @@ def test_verify_inverse_unknown_component_is_usage_error(tmp_path):
                      "--out", str(tmp_path / "x.csv")]) == 64
 
 
+def test_verify_inverse_nan_reconstruction_exits_two(tmp_path, monkeypatch, capsys):
+    invert_chain = cli.invert_chain
+
+    def nan_copy(blocks, p_out):     # a reconstruction is a new array
+        rec = invert_chain(blocks, p_out)
+        for t in getattr(rec, "levels", [rec]):
+            t.data[...] = np.nan
+        return rec
+
+    monkeypatch.setattr(cli, "invert_chain", nan_copy)
+    cfgp = _write(tmp_path, "v.ini", VERIFY_INI)
+    assert cli.main(["verify-inverse", "--config", cfgp,
+                     "--out", str(tmp_path / "v.csv")]) == 2
+    assert "numeric failure" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # usage errors shared by every command
 # ---------------------------------------------------------------------------
@@ -251,7 +268,6 @@ def test_train_toy_both_modes_with_parity_column(tmp_path):
 
 
 def test_train_toy_divergence_exits_two(tmp_path, capsys):
-    import numpy as np
     # batch norm makes the network scale-invariant in its weights, so a
     # merely large step can stay finite; an overflowing one cannot
     diverge = TRAIN_INI.replace("lr = 0.05", "lr = 1e200") \
@@ -315,3 +331,23 @@ def test_grad_check_small_model_passes(tmp_path):
     assert len(rows) > 100                            # one row per tensor
     assert max(float(r["rel_err_fd"]) for r in rows) <= 1e-4
     assert max(float(r["rel_err_modes"]) for r in rows) <= 1e-10
+
+
+def test_grad_check_nan_finite_difference_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_loss_only", lambda model, images, labels: float("nan"))
+    cfgp = _write(tmp_path, "g.ini", GRAD_INI)
+    assert cli.main(["grad-check", "--config", cfgp,
+                     "--out", str(tmp_path / "g.csv")]) == 2
+    assert "numeric failure" in capsys.readouterr().err
+
+
+def test_grad_check_refuses_an_existing_output_before_any_compute(tmp_path, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("step_gradients ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "step_gradients", unreachable)
+    out = tmp_path / "g.csv"
+    out.write_text("kept\n")
+    cfgp = _write(tmp_path, "g.ini", GRAD_INI)
+    assert cli.main(["grad-check", "--config", cfgp, "--out", str(out)]) == 64
+    assert out.read_text() == "kept\n"

@@ -61,6 +61,16 @@ def test_fresh_silo_is_bit_exact_identity(channels):
     assert pyramid_max_abs_diff(out, p) == 0.0
 
 
+def test_pyramid_diffs_propagate_a_nan_in_any_level():
+    rng = np.random.default_rng(34)
+    p = _pyramid(rng, (4, 8), spatial=8)
+    q = FeaturePyramid(_copies(p.levels))
+    q.levels[0].data[0, 0, 0, 0] += 1.0
+    q.levels[1].data[0, 0, 0, 0] = np.nan
+    assert np.isnan(pyramid_max_abs_diff(q, p))
+    assert np.isnan(pyramid_max_rel_diff(q, p))
+
+
 @pytest.mark.parametrize("channels", [(8, 8), (8, 16, 24), (8, 16, 24, 32)])
 def test_silo_round_trip_double(channels):
     rng = np.random.default_rng(31)

@@ -407,7 +407,7 @@ def test_batch_norm_train_moments():
         xc = x[:, c]
         var = xc.var()                      # biased batch variance
         assert abs(yc.mean() - s.beta[c]) < 1e-12
-        want_var = s.gamma[c] ** 2 * var / (var + s.epsilon)
+        want_var = s.gamma[c] ** 2 * var / (var + K.BN_EPSILON)
         assert abs(yc.var() - want_var) < 1e-10
 
 
@@ -444,7 +444,7 @@ def test_batch_norm_eval_uses_running_stats():
     s.running_var[:] = np.array([4.0, 0.25])
     y, _ = K.batch_norm(Tensor(x), s, train=False)
     want = (x - s.running_mean[:, None, None]) / np.sqrt(
-        s.running_var[:, None, None] + s.epsilon)
+        s.running_var[:, None, None] + K.BN_EPSILON)
     assert rel_diff(y.data, want) < 1e-14
     assert np.array_equal(s.running_mean, np.array([1.0, -2.0]))  # untouched
 
@@ -483,7 +483,7 @@ def _bn_reference(d, s, train):
         mean, var = d.mean(axis=(0, 2, 3)), d.var(axis=(0, 2, 3))
     else:
         mean, var = s.running_mean, s.running_var
-    inv_std = 1.0 / np.sqrt(var + np.asarray(s.epsilon, dtype=d.dtype))
+    inv_std = 1.0 / np.sqrt(var + np.asarray(K.BN_EPSILON, dtype=d.dtype))
     xhat = (d - mean[None, :, None, None]) * inv_std[None, :, None, None]
     return s.gamma[None, :, None, None] * xhat + s.beta[None, :, None, None], xhat, mean, var
 
@@ -507,7 +507,7 @@ def test_batch_norm_forward_is_bit_identical_to_reference(dtype, train, shape):
     assert y.data.tobytes() == y_ref.tobytes()
     assert xhat.tobytes() == xhat_ref.tobytes()
     if train:   # the running averages fold in the same batch statistics
-        m = s.momentum
+        m = K.BN_MOMENTUM
         assert s.running_mean.tobytes() == (m * rm0 + (1.0 - m) * mean).tobytes()
         assert s.running_var.tobytes() == (m * rv0 + (1.0 - m) * var).tobytes()
 
