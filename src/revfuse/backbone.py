@@ -227,6 +227,12 @@ class ClassifierTail:
         return [pair for layer in (self.final_conv, self.final_norm, self.classifier)
                 for pair in layer.parameters()]
 
+    def out_shape(self, in_shape):
+        return (in_shape[0], self.classifier.weights.shape[0], 1, 1)
+
+    def macs(self, in_shape) -> int:
+        return self.final_conv.macs(in_shape) + self.classifier.macs(in_shape[0])
+
 
 class HeadStage:
     """A head stage as a (non-invertible) tape block: maps pyramid level
@@ -289,13 +295,13 @@ class ClassifierHead:
         neck = neck_channels(pyramid_channels)
         self.name = name
         self.necks = [
-            MBConv(f"{name}.neck{i}", c_in, c_out, kernel=3, stride=1, padding=1,
-                   expansion=1, rng=rng, dtype=dtype)
+            MBConv(f"{name}.neck{i}", c_in, c_out, kernel=3, stride=1,
+                   rng=rng, dtype=dtype)
             for i, (c_in, c_out) in enumerate(zip(pyramid_channels, neck))
         ]
         self.downs = [
             MBConv(f"{name}.down{i}", neck[i], neck[i + 1], kernel=5, stride=2,
-                   padding=2, expansion=1, rng=rng, dtype=dtype)
+                   rng=rng, dtype=dtype)
             for i in range(len(neck) - 1)
         ]
         self.tail = ClassifierTail(name, neck[-1], num_classes, rng=rng, dtype=dtype)

@@ -112,6 +112,15 @@ def _seed(section) -> int:
     return int(section["seed"])
 
 
+def _count(section, key: str, default: int) -> int:
+    """A count that must be at least 1: with none, a command would check
+    nothing and pass."""
+    value = int(section.get(key, str(default)))
+    if value < 1:
+        raise UsageError(f"{key} must be at least 1, got {value}")
+    return value
+
+
 def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.replace(",", " ").split())
 
@@ -136,6 +145,25 @@ def _model_config(cfg: configparser.ConfigParser, precision: str,
     )
 
 
+def _silo_spec(sec) -> SiloSpec:
+    """A ``[silo]`` section's spec; absent optional keys take ``SiloSpec``'s defaults."""
+    optional = {key: _ints(sec[key]) for key in ("expansion", "se_levels") if key in sec}
+    if "se_ratio" in sec:
+        optional["se_ratio"] = float(sec["se_ratio"])
+    return SiloSpec(levels=int(sec["levels"]), channels=_ints(sec["channels"]), **optional)
+
+
+def _revblock_spec(sec) -> RevBlockSpec:
+    se = sec.get("se_ratio", "")
+    return RevBlockSpec(
+        channels_a=int(sec["channels_a"]),
+        channels_b=int(sec["channels_b"]),
+        kernel=int(sec.get("kernel", "3")),
+        expansion=int(sec.get("expansion", "1")),
+        se_ratio=float(se) if se else None,
+    )
+
+
 # ---------------------------------------------------------------------------
 # verify-inverse
 # ---------------------------------------------------------------------------
@@ -157,14 +185,14 @@ def _roundtrip(cfg, component: str, seed_parts, precision: str,
         shapes = [(2, mc.in_channels, *mc.resolution_hw)]
     else:
         sec = _section(cfg, component)
-        depth, batch = int(sec.get("depth", "1")), int(sec.get("batch", "2"))
+        depth, batch = _count(sec, "depth", 1), int(sec.get("batch", "2"))
         if component == "silo":
-            spec, n = SiloSpec.from_config(sec), int(sec.get("spatial", "16"))
+            spec, n = _silo_spec(sec), int(sec.get("spatial", "16"))
             blocks = [Silo.build(spec, name=f"silo{i}", rng=rng, dtype=dtype)
                       for i in range(depth)]
             shapes = [(batch, c, n >> k, n >> k) for k, c in enumerate(spec.channels)]
         else:
-            spec, n = RevBlockSpec.from_config(sec), int(sec.get("spatial", "8"))
+            spec, n = _revblock_spec(sec), int(sec.get("spatial", "8"))
             blocks = [RevBlock.build(spec, name=f"rb{i}", rng=rng, dtype=dtype)
                       for i in range(depth)]
             shapes = [(batch, spec.channels_a + spec.channels_b, n, n)]
@@ -186,7 +214,7 @@ def cmd_verify_inverse(args) -> int:
     cfg = _load_config(args.config)
     sec = _section(cfg, "verify-inverse")
     seed = _seed(sec)
-    trials = int(sec.get("trials", "5"))
+    trials = _count(sec, "trials", 5)
     fresh = sec.get("init", "random") == "fresh"
     precisions = _names(sec.get("precisions", "double, single"))
     components = _names(sec.get("components", ", ".join(COMPONENTS)))
@@ -195,10 +223,12 @@ def cmd_verify_inverse(args) -> int:
     for comp in components:
         if comp not in COMPONENTS:
             raise UsageError(f"unknown component {comp!r} in config")
+        if comp != "backbone":      # refused before any round trip runs
+            _count(_section(cfg, comp), "depth", 1)
     rows, failures = [], []
     for ci, comp in enumerate(components):
         for pi, prec in enumerate(precisions):
-            worst, depth = 0.0, 0
+            worst = 0.0
             for t in range(trials):
                 depth, err = _roundtrip(cfg, comp, [seed, ci, pi, t], prec, fresh)
                 worst = max(worst, err)
@@ -278,7 +308,7 @@ def cmd_grad_check(args) -> int:
     fd_step = float(sec.get("fd_step", "2.5e-5"))
     fd_floor = float(sec.get("fd_floor", "1e-5"))
     modes_floor = float(sec.get("modes_floor", "1e-3"))
-    probes = int(sec.get("fd_probes_per_param", "2"))
+    probes = _count(sec, "fd_probes_per_param", 2)
     tol_fd = float(sec.get("tolerance_fd", "1e-4"))
     tol_modes = float(sec.get("tolerance_modes", "1e-10"))
     batch = int(sec.get("batch", "2"))
@@ -371,7 +401,7 @@ def cmd_train_toy(args) -> int:
     sec = _section(cfg, "train-toy")
     seed = _seed(sec)
     mode = sec.get("mode", "both")
-    steps = int(sec.get("steps", "20"))
+    steps = _count(sec, "steps", 20)
     lr = float(sec.get("lr", "0.05"))
     batch_size = int(sec.get("batch_size", "8"))
     mc = _model_config(cfg, sec.get("precision", "double"))

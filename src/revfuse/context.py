@@ -7,7 +7,10 @@ train-mode batch norm folds its running averages only in the ``FORWARD``
 phase, and an MBConv keeps a replay cache only in the ``BACKWARD`` phase.
 
 ``OpCounters`` tallies forward evaluations of coupling transforms, bucketed
-by the phase of the training step in which they ran.  The counters are the measurement side
+by the phase of the training step in which they ran.  The silo counts them
+where it runs its transforms (its two forward halves and the undo loop of
+its inverse and replay), one per evaluation; a transform run outside a
+silo, or a head stage, counts nothing.  The counters are the measurement side
 of the compute cost model: a recompute-mode backward pass re-executes every
 fusion transform exactly once, and that surcharge has to show up here, in the
 ``backward`` phase bucket, while a stored-mode backward must show zero.

@@ -134,18 +134,13 @@ def _params_of(stage) -> int:
 
 
 def _head_macs(head, level_shapes) -> int:
-    total = 0
-    shapes = []
-    for shape, block in zip(level_shapes, head.necks):
-        total += block.macs(shape)
-        shapes.append(block.out_shape(shape))
-    agg = shapes[0]
-    for i, block in enumerate(head.downs):
-        total += block.macs(agg)
-        agg = block.out_shape(agg)
-    total += head.tail.final_conv.macs(agg)
-    batch = agg[0]
-    total += head.tail.classifier.macs(batch)
+    """The head's stages' MACs, each at the shape of the level it maps."""
+    total, shapes = 0, list(level_shapes)
+    for b in head.blocks:
+        total += b.stage.macs(shapes[b.level])
+        shapes[b.level] = b.stage.out_shape(shapes[b.level])
+        if b.fold:
+            del shapes[b.level + 1]
     return total
 
 

@@ -14,6 +14,12 @@ strictly ordered sequence (coarsest-first for the up half, finest-first for
 the down half).  In the all-scalar case each half is a unit-triangular
 matrix, hence determinant one.
 
+Every transform is an MBConv whose geometry follows from its two levels
+(RevBiFPN, arXiv 2206.14098).  With gap = |dst - src|, a down transform
+(src finer than dst) is strided: stride 2**gap, kernel 2**(gap+1) + 1.  An
+up transform (src coarser) is a 3x3 unit-stride MBConv followed by
+bilinear upsampling by 2**gap.  Every convolution pads by kernel // 2.
+
 ``RevBlock`` is the classic two-stream residual coupling on a single tensor,
 the single-scale counterpart: a two-level silo at one resolution.
 """
@@ -31,13 +37,6 @@ from .layers import MBConv, counted
 from .tensor import Tensor
 
 MAX_LEVELS = 4
-
-# Default per-destination-level MBConv expansion ratios and the levels whose
-# incoming transforms carry a squeeze-excite stage.  Declared choices: the
-# silo contract (coupling math, resampling geometry) does not depend on them.
-DEFAULT_EXPANSION = (1, 2, 3, 4)
-DEFAULT_SE_LEVELS = (0, 1)
-DEFAULT_SE_RATIO = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -160,63 +159,6 @@ def randomize_parameters(named_params, rng: np.random.Generator) -> None:
 # transforms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResampleSpec:
-    """Geometry of one inter-level transform inside a silo.
-
-    Downsampling (src finer than dst) uses a strided depthwise stage:
-    stride 2**gap, kernel 2**(gap+1) + 1, centered padding.  Upsampling
-    (src coarser) keeps a 3x3 unit-stride depthwise stage and appends
-    bilinear interpolation by 2**gap.
-    """
-
-    src_level: int
-    dst_level: int
-    src_channels: int
-    dst_channels: int
-    expansion: int
-    se_ratio: float | None
-
-    def __post_init__(self):
-        if self.src_level == self.dst_level:
-            raise ConfigurationError("resample transform needs distinct levels")
-
-    @property
-    def gap(self) -> int:
-        return abs(self.dst_level - self.src_level)
-
-    @property
-    def is_down(self) -> bool:
-        return self.dst_level > self.src_level
-
-    @property
-    def stride(self) -> int:
-        return 2 ** self.gap if self.is_down else 1
-
-    @property
-    def kernel(self) -> int:
-        return 2 ** (self.gap + 1) + 1 if self.is_down else 3
-
-    @property
-    def padding(self) -> int:
-        return self.kernel // 2
-
-    @property
-    def upsample_factor(self) -> int:
-        return 1 if self.is_down else 2 ** self.gap
-
-
-def make_resample_transform(spec: ResampleSpec, *, name: str,
-                            rng: np.random.Generator, dtype) -> "MBConvTransform":
-    block = MBConv(
-        name, spec.src_channels, spec.dst_channels,
-        kernel=spec.kernel, stride=spec.stride, padding=spec.padding,
-        expansion=spec.expansion, se_ratio=spec.se_ratio,
-        zero_final_gamma=True, rng=rng, dtype=dtype,
-    )
-    return MBConvTransform(name, block, spec.upsample_factor)
-
-
 class MBConvTransform:
     """One fusion arrow: an MBConv, optionally followed by bilinear upsampling.
 
@@ -224,14 +166,16 @@ class MBConvTransform:
     fresh silo is the identity.
     """
 
-    def __init__(self, name: str, block: MBConv, upsample_factor: int = 1):
+    def __init__(self, name: str, in_c: int, out_c: int, *, kernel: int,
+                 stride: int = 1, upsample: int = 1, expansion: int,
+                 se_ratio: float | None, rng: np.random.Generator, dtype):
         self.name = name
-        self.block = block
-        self.upsample_factor = upsample_factor
+        self.block = MBConv(name, in_c, out_c, kernel=kernel, stride=stride,
+                            expansion=expansion, se_ratio=se_ratio,
+                            zero_final_gamma=True, rng=rng, dtype=dtype)
+        self.upsample_factor = upsample
 
     def forward(self, x: Tensor, ctx: ExecContext | None = None, want_cache: bool = True):
-        if ctx:
-            ctx.count(F_EVAL)
         y, cache = self.block.forward(x, ctx)
         pre_shape = y.shape
         if self.upsample_factor > 1:
@@ -260,8 +204,6 @@ class ScalarGain:
         self.gain = np.array([gain], dtype=dtype)
 
     def forward(self, x: Tensor, ctx: ExecContext | None = None, want_cache: bool = True):
-        if ctx:
-            ctx.count(F_EVAL)
         y = Tensor(x.data * self.gain[0])
         return y, ((x,) if want_cache else None)
 
@@ -284,14 +226,15 @@ class SiloSpec:
     """Declarative description of one fusion silo.
 
     ``expansion[k]`` and squeeze-excite placement apply to transforms whose
-    *destination* is level k.
+    *destination* is level k.  The defaults are declared choices: the silo
+    contract (coupling math, transform geometry) does not depend on them.
     """
 
     levels: int
     channels: tuple[int, ...]
-    expansion: tuple[int, ...] = DEFAULT_EXPANSION
-    se_ratio: float = DEFAULT_SE_RATIO
-    se_levels: tuple[int, ...] = DEFAULT_SE_LEVELS
+    expansion: tuple[int, ...] = (1, 2, 3, 4)
+    se_ratio: float = 0.25
+    se_levels: tuple[int, ...] = (0, 1)
 
     def __post_init__(self):
         if not 2 <= self.levels <= MAX_LEVELS:
@@ -312,25 +255,6 @@ class SiloSpec:
     def up_pairs(self):
         """(src, dst) with src coarser than dst, canonical order."""
         return [(i, j) for j in range(self.levels - 1) for i in range(j + 1, self.levels)]
-
-    def resample_spec(self, src: int, dst: int) -> ResampleSpec:
-        return ResampleSpec(
-            src_level=src, dst_level=dst,
-            src_channels=self.channels[src], dst_channels=self.channels[dst],
-            expansion=self.expansion[dst],
-            se_ratio=self.se_ratio if dst in self.se_levels else None,
-        )
-
-    @staticmethod
-    def from_config(section) -> "SiloSpec":
-        ints = lambda key: tuple(int(v) for v in section[key].replace(",", " ").split())
-        return SiloSpec(
-            levels=int(section["levels"]),
-            channels=ints("channels"),
-            expansion=ints("expansion") if "expansion" in section else DEFAULT_EXPANSION,
-            se_ratio=float(section.get("se_ratio", DEFAULT_SE_RATIO)),
-            se_levels=ints("se_levels") if "se_levels" in section else DEFAULT_SE_LEVELS,
-        )
 
 
 class Silo:
@@ -354,8 +278,15 @@ class Silo:
     @staticmethod
     def build(spec: SiloSpec, *, name: str = "silo",
               rng: np.random.Generator, dtype, expands: bool = False) -> "Silo":
-        make = lambda kind, i, j: make_resample_transform(
-            spec.resample_spec(i, j), name=f"{name}.{kind}{i}{j}", rng=rng, dtype=dtype)
+        def make(kind, i, j):
+            gap = abs(j - i)
+            geometry = (dict(kernel=2 ** (gap + 1) + 1, stride=2 ** gap) if kind == "down"
+                        else dict(kernel=3, upsample=2 ** gap))
+            return MBConvTransform(
+                f"{name}.{kind}{i}{j}", spec.channels[i], spec.channels[j], **geometry,
+                expansion=spec.expansion[j],
+                se_ratio=spec.se_ratio if j in spec.se_levels else None,
+                rng=rng, dtype=dtype)
         down = {(i, j): make("down", i, j) for i, j in spec.down_pairs()}
         up = {(i, j): make("up", i, j) for i, j in spec.up_pairs()}
         return Silo(spec, down, up, name, expands)
@@ -410,6 +341,8 @@ class Silo:
             raise ConfigurationError(f"{self.name}: bad {kind}-half evaluation order")
         contrib, caches = {}, {}
         for i, j in order:
+            if ctx:
+                ctx.count(F_EVAL)
             contrib[(i, j)], c = half[(i, j)].forward(levels[i], ctx, want_cache)
             if want_cache:
                 caches[(i, j)] = c
@@ -473,6 +406,7 @@ class Silo:
         is_up = half is self.up
         for j in (range(n - 2, -1, -1) if is_up else range(1, n)):
             for i in (range(j + 1, n) if is_up else range(j)):
+                ctx.count(F_EVAL)
                 y, cache = half[(i, j)].forward(levels[i], ctx, want_cache)
                 K.sub(levels[j], y)
                 del y
@@ -608,17 +542,6 @@ class RevBlockSpec:
         if self.channels_a < 1 or self.channels_b < 1:
             raise ConfigurationError("RevBlock needs two non-empty channel groups")
 
-    @staticmethod
-    def from_config(section) -> "RevBlockSpec":
-        se = section.get("se_ratio", "")
-        return RevBlockSpec(
-            channels_a=int(section["channels_a"]),
-            channels_b=int(section["channels_b"]),
-            kernel=int(section.get("kernel", 3)),
-            expansion=int(section.get("expansion", 1)),
-            se_ratio=float(se) if se else None,
-        )
-
 
 class RevBlock:
     """Additive two-stream coupling on one tensor: a two-level silo at one
@@ -643,12 +566,8 @@ class RevBlock:
     def build(spec: RevBlockSpec, *, name: str = "revblock",
               rng: np.random.Generator, dtype) -> "RevBlock":
         make = lambda tag, cin, cout: MBConvTransform(
-            f"{name}.{tag}",
-            MBConv(f"{name}.{tag}", cin, cout, kernel=spec.kernel, stride=1,
-                   padding=spec.kernel // 2, expansion=spec.expansion,
-                   se_ratio=spec.se_ratio, zero_final_gamma=True,
-                   rng=rng, dtype=dtype),
-        )
+            f"{name}.{tag}", cin, cout, kernel=spec.kernel, expansion=spec.expansion,
+            se_ratio=spec.se_ratio, rng=rng, dtype=dtype)
         return RevBlock(spec,
                         make("f", spec.channels_b, spec.channels_a),
                         make("g", spec.channels_a, spec.channels_b), name)

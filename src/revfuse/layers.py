@@ -39,16 +39,15 @@ def _kaiming(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
 
 
 class Conv2d:
-    """Bias-free 1x1 or depthwise convolution (see ``kernels.ConvParams``);
-    weights use Kaiming-normal init."""
+    """Bias-free 1x1 or depthwise convolution (see ``kernels.ConvParams``),
+    centred: it pads by ``kernel // 2``.  Weights use Kaiming-normal init."""
 
     def __init__(self, name: str, in_c: int, out_c: int, kernel: int, *,
-                 stride: int = 1, padding: int = 0, groups: int = 1,
-                 rng: np.random.Generator, dtype):
+                 stride: int = 1, groups: int = 1, rng: np.random.Generator, dtype):
         fan_in = (in_c // groups) * kernel * kernel
         weights = _kaiming(rng, (out_c, in_c // groups, kernel, kernel), fan_in, dtype)
         self.name = name
-        self.params = K.ConvParams(weights, stride, padding, groups)
+        self.params = K.ConvParams(weights, stride, kernel // 2, groups)
         if in_c != self.params.in_channels:
             raise ConfigurationError(
                 f"{name}: groups {groups} do not divide in_channels {in_c}"
@@ -179,11 +178,12 @@ class MBConv:
     With ``zero_final_gamma`` the projection norm starts at zero, so a fresh
     block computes the zero map — used for residual branches that must leave
     the network an identity at initialization.  The expansion stage is
-    omitted when the expansion ratio is 1.
+    omitted when the expansion ratio is 1.  Every convolution is centred
+    (``Conv2d``), so a stride-1 block keeps its input's spatial size.
     """
 
     def __init__(self, name: str, in_c: int, out_c: int, *, kernel: int, stride: int,
-                 padding: int, expansion: int = 1, se_ratio: float | None = None,
+                 expansion: int = 1, se_ratio: float | None = None,
                  zero_final_gamma: bool = False, rng: np.random.Generator, dtype):
         if expansion < 1:
             raise ConfigurationError(f"{name}: expansion ratio must be >= 1, got {expansion}")
@@ -195,8 +195,8 @@ class MBConv:
         self.expand = (Conv2d(f"{name}.expand", in_c, mid, 1, rng=rng, dtype=dtype)
                        if expansion > 1 else None)
         self.bn_expand = bn("expand_norm", mid) if expansion > 1 else None
-        self.dw = Conv2d(f"{name}.dw", mid, mid, kernel, stride=stride,
-                         padding=padding, groups=mid, rng=rng, dtype=dtype)
+        self.dw = Conv2d(f"{name}.dw", mid, mid, kernel, stride=stride, groups=mid,
+                         rng=rng, dtype=dtype)
         self.bn_dw = bn("dw_norm", mid)
         self.se = (SqueezeExcite(f"{name}.se", mid, se_ratio, rng=rng, dtype=dtype)
                    if se_ratio else None)

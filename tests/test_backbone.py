@@ -24,6 +24,7 @@ from revfuse.dataset import make_synthetic_dataset
 from revfuse.engine import (LiveBytesRegistry, Tape, _iter_arrays,
                             count_forward_evals, invert_chain)
 from revfuse.errors import ConfigurationError, DivergenceError
+from revfuse.layers import Conv2d
 from revfuse.tensor import Tensor
 
 from helpers import rel_diff, richardson_fd, watch_norm_caches
@@ -78,6 +79,36 @@ def test_pyramid_shapes():
 def test_depth_controls_block_count():
     assert len(build(replace(TOY, extra_depth=0)).blocks) == 4   # stem + 3 expands
     assert len(build(replace(TOY, extra_depth=3)).blocks) == 7
+
+
+def _reachable_convs(root) -> list:
+    """Every ``Conv2d`` reachable from ``root`` through the attributes,
+    lists, tuples and dicts of revfuse objects."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Conv2d):
+            found.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif type(obj).__module__.startswith("revfuse."):
+            stack.extend(getattr(obj, "__dict__", {}).values())
+    return found
+
+
+def test_every_conv_of_an_s0_model_is_centred():
+    model = build(BackboneConfig(channels=(48, 64, 80, 160), extra_depth=2,
+                                 resolution=224, num_classes=1000, in_channels=3))
+    convs = _reachable_convs(model)
+    # 1x1 convs, 3x3 up transforms and necks, the head's 5x5 downs and the
+    # silos' down transforms over gaps 1..3
+    assert {c.params.kernel for c in convs} == {(k, k) for k in (1, 3, 5, 9, 17)}
+    assert all(c.params.padding == c.params.kernel[0] // 2 for c in convs)
 
 
 # ---------------------------------------------------------------------------

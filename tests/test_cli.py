@@ -7,7 +7,9 @@ output are observable without spawning subprocesses.
 
 from __future__ import annotations
 
+import configparser
 import csv
+import io
 from pathlib import Path
 from textwrap import dedent
 
@@ -15,6 +17,9 @@ import numpy as np
 import pytest
 
 from revfuse import cli
+from revfuse.coupling import RevBlockSpec, SiloSpec
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TOY_MODEL = """
     [model]
@@ -210,6 +215,42 @@ def test_unknown_flag_exits_64(tmp_path):
     assert exc.value.code == 64
 
 
+def _set(text: str, section: str, key: str, value: str) -> str:
+    """``text`` as an INI file with ``[section] key`` set to ``value``."""
+    cfg = configparser.ConfigParser()
+    cfg.read_string(text)
+    cfg[section][key] = value
+    out = io.StringIO()
+    cfg.write(out)
+    return out.getvalue()
+
+
+# (command, config, section, key, value, the compute the command must not
+# reach): a count below 1 would make the command check nothing and pass
+@pytest.mark.parametrize("command,ini,section,key,value,compute", [
+    ("verify-inverse", VERIFY_INI, "verify-inverse", "trials", "0", ["_roundtrip"]),
+    ("verify-inverse", VERIFY_INI, "silo", "depth", "0", ["_roundtrip"]),
+    ("verify-inverse", VERIFY_INI, "revblock", "depth", "0", ["_roundtrip"]),
+    ("grad-check", GRAD_INI, "grad-check", "fd_probes_per_param", "0", ["build"]),
+    ("grad-check", GRAD_INI, "grad-check", "fd_probes_per_param", "-1", ["build"]),
+    ("train-toy", TRAIN_INI, "train-toy", "steps", "0",
+     ["make_synthetic_dataset", "train_toy"]),
+], ids=["trials", "silo-depth", "revblock-depth", "fd-probes-0", "fd-probes-neg",
+        "steps"])
+def test_a_count_below_one_exits_64_before_any_compute(
+        tmp_path, monkeypatch, capsys, command, ini, section, key, value, compute):
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{command} computed with {key} = {value}")
+
+    for name in compute:
+        monkeypatch.setattr(cli, name, unreachable)
+    cfgp = _write(tmp_path, "z.ini", _set(ini, section, key, value))
+    out = tmp_path / "z.csv"
+    assert cli.main([command, "--config", cfgp, "--out", str(out)]) == 64
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # mem-sweep
 # ---------------------------------------------------------------------------
@@ -351,3 +392,40 @@ def test_grad_check_refuses_an_existing_output_before_any_compute(tmp_path, monk
     cfgp = _write(tmp_path, "g.ini", GRAD_INI)
     assert cli.main(["grad-check", "--config", cfgp, "--out", str(out)]) == 64
     assert out.read_text() == "kept\n"
+
+
+# ---------------------------------------------------------------------------
+# config sections and the shipped configs
+# ---------------------------------------------------------------------------
+
+def _section(text: str, name: str):
+    cfg = configparser.ConfigParser()
+    cfg.read_string(text)
+    return cfg[name]
+
+
+def test_silo_spec_ini_round_trip():
+    spec = SiloSpec(levels=3, channels=(8, 16, 24), expansion=(1, 2, 3),
+                    se_ratio=0.25, se_levels=(0, 1))
+    sec = _section("[silo]\nlevels = 3\nchannels = 8, 16, 24\n"
+                   "expansion = 1, 2, 3\nse_ratio = 0.25\nse_levels = 0, 1\n", "silo")
+    assert cli._silo_spec(sec) == spec
+
+
+def test_revblock_spec_ini_round_trip():
+    spec = RevBlockSpec(channels_a=8, channels_b=16, kernel=5, expansion=3,
+                        se_ratio=0.5)
+    sec = _section("[revblock]\nchannels_a = 8\nchannels_b = 16\nkernel = 5\n"
+                   "expansion = 3\nse_ratio = 0.5\n", "revblock")
+    assert cli._revblock_spec(sec) == spec
+
+
+# grad_check.ini is left out: its full finite-difference audit takes about
+# 40 s, and test_grad_check_small_model_passes runs the same command
+@pytest.mark.parametrize("name", ["cost", "mem_sweep", "train_toy", "verify_inverse"])
+def test_shipped_config_runs(tmp_path, name):
+    command = name.replace("_", "-")
+    out = tmp_path / f"{name}.csv"
+    assert cli.main([command, "--config", str(CONFIGS / f"{name}.ini"),
+                     "--out", str(out)]) == 0
+    assert out.exists()

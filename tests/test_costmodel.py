@@ -122,6 +122,21 @@ def _toy(channels=(16, 16, 16, 16), resolution=32, in_channels=1):
                           precision="double", seed=0)
 
 
+def test_s0_224_cost_table():
+    # the model of configs/cost.ini: S0 widths at 224 px, batch 1
+    model = build(BackboneConfig(channels=(48, 64, 80, 160), extra_depth=2,
+                                 resolution=224, num_classes=1000, in_channels=3))
+    fusion = (136_461_888, 669_004)
+    assert [(it.component, it.macs, it.params) for it in model_costs(model)] == [
+        ("stem", 0, 0),
+        ("expand1", 24_015_872, 24_392),
+        ("expand2", 69_528_960, 134_964),
+        ("expand3", *fusion), ("fuse0", *fusion), ("fuse1", *fusion),
+        ("head", 45_753_184, 1_825_720),
+    ]
+    assert (mac_count(model), param_count(model)) == (548_683_680, 3_992_088)
+
+
 def test_param_count_matches_live_tensors():
     model = build(_toy())
     expected = sum(int(np.prod(a.shape)) for _, a in model.parameters())

@@ -5,7 +5,6 @@ the recompute reverse step's agreement with the inverse and with backward."""
 
 from __future__ import annotations
 
-import configparser
 import weakref
 
 import numpy as np
@@ -753,25 +752,24 @@ def test_silo_counts_one_eval_per_transform():
 
 
 # ---------------------------------------------------------------------------
-# specs, config round-trip, validation
+# specs, transform geometry, validation
 # ---------------------------------------------------------------------------
 
-def test_silo_spec_ini_round_trip():
-    spec = SiloSpec(levels=3, channels=(8, 16, 24), expansion=(1, 2, 3),
-                    se_ratio=0.25, se_levels=(0, 1))
-    cfg = configparser.ConfigParser()
-    cfg.read_string("[silo]\nlevels = 3\nchannels = 8, 16, 24\n"
-                    "expansion = 1, 2, 3\nse_ratio = 0.25\nse_levels = 0, 1\n")
-    assert SiloSpec.from_config(cfg["silo"]) == spec
-
-
-def test_revblock_spec_ini_round_trip():
-    spec = RevBlockSpec(channels_a=8, channels_b=16, kernel=5, expansion=3,
-                        se_ratio=0.5)
-    cfg = configparser.ConfigParser()
-    cfg.read_string("[revblock]\nchannels_a = 8\nchannels_b = 16\nkernel = 5\n"
-                    "expansion = 3\nse_ratio = 0.5\n")
-    assert RevBlockSpec.from_config(cfg["revblock"]) == spec
+def test_silo_transforms_follow_the_level_geometry():
+    # down i->j: stride 2**gap and 2**(gap+1)+1 taps; up: 3x3 at stride 1,
+    # then bilinear upsampling by 2**gap; centred padding; the expansion and
+    # squeeze-excite of the destination level
+    spec = SiloSpec(levels=4, channels=(8, 16, 24, 32))
+    silo = Silo.build(spec, rng=np.random.default_rng(0), dtype=np.float32)
+    assert len(silo.down) == len(silo.up) == 6
+    for (i, j), t in {**silo.down, **silo.up}.items():
+        gap, dw = abs(j - i), t.block.dw.params
+        want = ((2 ** (gap + 1) + 1, 2 ** gap, 1) if j > i else (3, 1, 2 ** gap))
+        assert (dw.kernel[0], dw.stride, t.upsample_factor) == want
+        assert dw.kernel[1] == dw.kernel[0] and dw.padding == dw.kernel[0] // 2
+        assert dw.out_channels == spec.channels[i] * spec.expansion[j]
+        assert t.block.out_c == spec.channels[j]
+        assert (t.block.se is not None) == (j in spec.se_levels)
 
 
 def test_silo_spec_validation():

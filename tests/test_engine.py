@@ -128,7 +128,7 @@ def test_a_checkpointing_block_after_the_chain_replays_from_the_kept_output():
     # chain: the tape keeps the chain output as the chain's replay start,
     # hands it over once that block's backward is done, and lets it go
     rng = np.random.default_rng(58)
-    stage = MBConv("top", CHANNELS[-1], 8, kernel=3, stride=1, padding=1,
+    stage = MBConv("top", CHANNELS[-1], 8, kernel=3, stride=1,
                    rng=rng, dtype=np.float64)
     randomize_parameters(stage.parameters(), rng)
     blocks = _silo_chain(rng, depth=2) + [HeadStage(stage, level=2)]

@@ -247,7 +247,7 @@ def test_squeeze_excite_backward_fd():
 
 def test_mbconv_backward_fd():
     rng = np.random.default_rng(21)
-    block = MBConv("mb", in_c=4, out_c=4, kernel=3, stride=1, padding=1,
+    block = MBConv("mb", in_c=4, out_c=4, kernel=3, stride=1,
                    expansion=2, se_ratio=0.25, rng=rng, dtype=np.float64,
                    zero_final_gamma=False)
     x = rng.standard_normal((2, 4, 6, 6))

@@ -41,7 +41,7 @@ def _conv_oracle(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
 CONV_GEOMETRIES = pytest.mark.parametrize("stride,padding,groups,in_c,out_c,kernel", [
     (1, 0, 1, 3, 2, 1),     # pointwise
     (1, 1, 4, 4, 4, 3),     # depthwise
-    (2, 2, 4, 4, 4, 5),     # depthwise downsample by 2 (ResampleSpec gap 1)
+    (2, 2, 4, 4, 4, 5),     # depthwise downsample by 2 (a silo's down transform, gap 1)
     (4, 4, 4, 4, 4, 9),     # depthwise downsample by 4 (gap 2)
     (8, 8, 4, 4, 4, 17),    # depthwise downsample by 8 (gap 3)
 ])

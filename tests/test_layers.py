@@ -19,8 +19,7 @@ import pytest
 
 from revfuse import kernels as K
 from revfuse.context import BACKWARD, FORWARD, ExecContext
-from revfuse.coupling import (ResampleSpec, make_resample_transform,
-                              randomize_parameters)
+from revfuse.coupling import MBConvTransform, randomize_parameters
 from revfuse.engine import LiveBytesRegistry, _iter_arrays
 from revfuse.layers import MBConv
 from revfuse.tensor import Tensor
@@ -110,8 +109,8 @@ def _stored_activations(block: MBConv, caches):
 
 def _block(rng, dtype, *, expansion=2, se=0.25, stride=1, in_c=4, out_c=6):
     block = MBConv("mb", in_c, out_c, kernel=3 if stride == 1 else 5, stride=stride,
-                   padding=1 if stride == 1 else 2, expansion=expansion,
-                   se_ratio=se, zero_final_gamma=True, rng=rng, dtype=dtype)
+                   expansion=expansion, se_ratio=se, zero_final_gamma=True,
+                   rng=rng, dtype=dtype)
     _randomize(block, rng)
     return block
 
@@ -338,7 +337,7 @@ def test_chunk_rule():
     widths = lambda block, recompute: [
         cs.stop - cs.start for cs in block.chunks(shape, recompute)]
     for expansion, want in [(2, [96]), (3, [72, 72]), (4, [96, 96])]:
-        block = MBConv("mb", 48, 8, kernel=3, stride=1, padding=1,
+        block = MBConv("mb", 48, 8, kernel=3, stride=1,
                        expansion=expansion, rng=rng, dtype=np.float32)
         assert widths(block, True) == want
         assert widths(block, False) == [48 * expansion]
@@ -350,11 +349,12 @@ def test_chunk_rule():
 # with squeeze-excite; 4 input channels at 64x64 and expansion 6 make
 # three 8-channel chunks
 CHUNKED = pytest.mark.parametrize("src,dst,se", [(0, 3, None), (2, 1, 0.25)])
+GEOMETRY = {(0, 3): dict(kernel=17, stride=8), (2, 1): dict(kernel=3, upsample=2)}
 
 
 def _chunked(rng, dtype, src, dst, se):
-    t = make_resample_transform(ResampleSpec(src, dst, 4, 6, 6, se), name="t",
-                                rng=rng, dtype=dtype)
+    t = MBConvTransform("t", 4, 6, **GEOMETRY[(src, dst)], expansion=6, se_ratio=se,
+                        rng=rng, dtype=dtype)
     _randomize(t.block, rng)
     x = Tensor(rng.standard_normal((2, 4, 64, 64)).astype(dtype))
     assert len(t.block.chunks(x.shape, True)) == 3
